@@ -4,10 +4,9 @@ Retrains the actor-critic at several discount factors from the same fixed
 initial estimation error (5 deg sideslip, 10 deg/s yaw rate).  Because the
 training pool settles into the steady error distribution, every discount
 factor recovers the same steady-state gain; the closed-form finite-horizon
-gain sequence is discount-free by construction.
+gain sequence is discount-free by construction.  All discounts train
+together in one stacked call, each run with its own discount.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from steadygain import (
     finite_horizon_gains,
     gain_metrics,
     solve_dare,
-    train,
+    train_runs,
 )
 
 model = build_bicycle_model()
@@ -27,8 +26,11 @@ scale = np.abs(reference).max()
 base = TrainerConfig(max_iters=6000, init_mode="fixed", seed=0)
 print("training from the fixed initial error at several discounts:\n")
 print(f"{'gamma':>6} {'theta22':>12} {'max |err| %':>12}")
-for gamma in (0.01, 0.25, 0.5, 0.75, 0.99):
-    theta, _ = train(model, replace(base, gamma=gamma), ref_gain=reference)
+gammas = (0.01, 0.25, 0.5, 0.75, 0.99)
+runs = train_runs(model, base, seeds=[base.seed] * len(gammas), gammas=gammas,
+                  ref_gain=reference)
+runs.raise_divergence()
+for gamma, theta in zip(gammas, runs.gains):
     _, err_pct = gain_metrics(theta, reference)
     print(f"{gamma:6.2f} {theta[1, 1]:12.5e} {np.abs(err_pct).max():12.4f}")
 

@@ -40,12 +40,14 @@ from .training import (
     AdamState,
     TrainerConfig,
     TrainHistory,
+    TrainRuns,
     actor_loss_and_grad,
     adam_update,
     critic_loss_and_grad,
     critic_value,
     train,
     train_average,
+    train_runs,
 )
 from .evaluation import (
     EvalConfig,
@@ -91,12 +93,14 @@ __all__ = [
     "AdamState",
     "TrainerConfig",
     "TrainHistory",
+    "TrainRuns",
     "actor_loss_and_grad",
     "adam_update",
     "critic_loss_and_grad",
     "critic_value",
     "train",
     "train_average",
+    "train_runs",
     "EvalConfig",
     "EvalReport",
     "control_signal",

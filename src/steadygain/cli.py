@@ -27,7 +27,7 @@ from .errors import DivergenceError, NumericalError
 from .evaluation import EvalConfig, evaluate_gains, gain_metrics, write_eval_csv
 from .kalman import solve_dare
 from .models import LinearGaussianModel, VehicleParams, build_bicycle_model
-from .training import TrainerConfig, TrainHistory, train_average
+from .training import TrainerConfig, train_average, train_runs
 
 __all__ = ["RunConfig", "main"]
 
@@ -137,14 +137,14 @@ def cmd_train(cfg: RunConfig, n_seeds: int = 1) -> int:
     out = _out_dir(cfg)
     history_path = out / "train_history.csv"
     try:
-        theta, histories = train_average(
+        theta, history = train_average(
             model, cfg.trainer, _seeds(cfg.trainer.seed, n_seeds), ref_gain=ref)
     except DivergenceError as err:
         if err.history is not None:
             err.history.to_csv(history_path)
             print(f"wrote partial {history_path}", file=sys.stderr)
         raise
-    _average_history(histories).to_csv(history_path)
+    history.to_csv(history_path)
     theta_doc = {"gain": theta.tolist(),
                  "seeds": _seeds(cfg.trainer.seed, n_seeds)}
     theta_path = out / "theta.json"
@@ -155,20 +155,6 @@ def cmd_train(cfg: RunConfig, n_seeds: int = 1) -> int:
     print(f"max |error| vs steady-state gain: {np.abs(err_pct).max():.4f}%")
     print(f"wrote {history_path} and {theta_path}")
     return 0
-
-
-def _average_history(histories: list[TrainHistory]) -> TrainHistory:
-    if len(histories) == 1:
-        return histories[0]
-    count = min(h.iterations for h in histories)
-    return TrainHistory(
-        theta=np.mean([h.theta[:count] for h in histories], axis=0),
-        diff=np.mean([h.diff[:count] for h in histories], axis=0),
-        critic_loss=np.mean([h.critic_loss[:count] for h in histories], axis=0),
-        actor_loss=np.mean([h.actor_loss[:count] for h in histories], axis=0),
-        converged=all(h.converged for h in histories),
-        iterations=count,
-    )
 
 
 def _load_gain(source: str, model: LinearGaussianModel) -> np.ndarray:
@@ -211,6 +197,15 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     model = cfg.build_model()
     ref = solve_dare(model).gain
     base = replace(cfg.trainer, init_mode="fixed")
+    seeds = _seeds(base.seed, n_seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    # One stack of runs, discount-major: the seeds of gamma_sweep[i] are
+    # runs i * n_seeds .. (i + 1) * n_seeds - 1.
+    runs = train_runs(
+        model, base, seeds=seeds * len(cfg.gamma_sweep),
+        gammas=np.repeat(np.asarray(cfg.gamma_sweep, dtype=float), n_seeds),
+        ref_gain=ref)
     out = _out_dir(cfg) / "sweep.csv"
     n, r = model.n, model.r
     header = (["gamma"]
@@ -218,15 +213,14 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
               + [f"e{i + 1}{j + 1}" for i in range(n) for j in range(r)]
               + ["status"])
     rows = []
-    for gamma in cfg.gamma_sweep:
-        trainer = replace(base, gamma=float(gamma))
-        try:
-            theta, _ = train_average(
-                model, trainer, _seeds(trainer.seed, n_seeds), ref_gain=ref)
-        except DivergenceError as err:
-            print(f"gamma={gamma}: diverged ({err})", file=sys.stderr)
+    for i, gamma in enumerate(cfg.gamma_sweep):
+        block = slice(i * n_seeds, (i + 1) * n_seeds)
+        failed = [err for err in runs.errors[block] if err is not None]
+        if failed:
+            print(f"gamma={gamma}: diverged ({failed[0]})", file=sys.stderr)
             rows.append([gamma] + [float("nan")] * (2 * n * r) + ["diverged"])
             continue
+        theta = runs.gains[block].mean(axis=0)
         _, err_pct = gain_metrics(theta, ref)
         rows.append([gamma] + list(theta.ravel()) + list(err_pct.ravel())
                     + ["ok"])

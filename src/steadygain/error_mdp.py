@@ -23,10 +23,12 @@ from .models import LinearGaussianModel
 
 __all__ = [
     "NoiseDraw",
+    "NoiseStack",
     "cov_factor",
     "draw_noise",
     "step",
     "sample_initial_error",
+    "diverged_runs",
     "refresh_pool",
     "save_pool_csv",
     "UNIFORM_BOX_BOUNDS",
@@ -86,19 +88,60 @@ def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
     return NoiseDraw(xi=xi, zeta=zeta)
 
 
+class NoiseStack:
+    """Batched noise for a stack of runs, one generator per run.
+
+    Each :meth:`draw` gives run k exactly the batch that
+    ``draw_noise(model, rngs[k], size)`` would (xi, then zeta, from that
+    run's generator), stacked on a leading run axis, so a run's noise never
+    depends on the other runs.  Q and R are factored once, not per draw.
+    """
+
+    def __init__(self, model: LinearGaussianModel, rngs, size: int):
+        rngs = list(rngs)
+        self._fq_t = cov_factor(model.Q).T
+        self._fr_t = cov_factor(model.R).T
+        self._xi = np.empty((len(rngs), size, model.p))
+        self._zeta = np.empty((len(rngs), size, model.r))
+        self._use(rngs)
+
+    def _use(self, rngs: list) -> None:
+        self._rngs = rngs
+        self._slots = [(rng.standard_normal, self._xi[k], self._zeta[k])
+                       for k, rng in enumerate(rngs)]
+
+    def keep(self, mask) -> None:
+        """Go on drawing only for the runs where ``mask`` is true."""
+        self._use([rng for rng, kept in zip(self._rngs, mask) if kept])
+
+    def draw(self) -> NoiseDraw:
+        """One (K, size, .) batch for each of the K runs still drawing."""
+        for normal, xi, zeta in self._slots:
+            normal(out=xi)
+            normal(out=zeta)
+        count = len(self._slots)
+        return NoiseDraw(xi=self._xi[:count] @ self._fq_t,
+                         zeta=self._zeta[:count] @ self._fr_t)
+
+
 def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
          noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray | float]:
     """Advance the error state one transition under gain ``a``.
 
     Accepts a single state (n,) or a batch (M, n) with matching noise
-    shapes.  Returns the next state(s) and the reward(s) -e'^T e' attached
-    to the transition.
+    shapes.  A stack of gains (K, n, r) advances a stack of batches
+    (K, M, n), batch k under gain k.  Returns the next state(s) and the
+    reward(s) -e'^T e' attached to the transition.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    if a.shape != (model.n, model.r):
+    if a.ndim not in (2, 3) or a.shape[-2:] != (model.n, model.r):
         raise ValueError(
             f"gain must be {model.n} x {model.r}, got {a.shape}")
+    if a.ndim == 3 and (s.ndim != 3 or s.shape[0] != a.shape[0]):
+        raise ValueError(f"a stack of {a.shape[0]} gains needs a "
+                         f"({a.shape[0]}, M, {model.n}) state batch, "
+                         f"got {s.shape}")
     if s.shape[-1] != model.n:
         raise ValueError(f"state dimension must be {model.n}, got {s.shape}")
     xi, zeta = noise.xi, noise.zeta
@@ -113,7 +156,7 @@ def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
         nxt = z - a @ (model.C @ z + zeta)
         return nxt, float(-nxt @ nxt)
     z = s @ model.A.T + xi @ model.E.T
-    nxt = z - (z @ model.C.T + zeta) @ a.T
+    nxt = z - (z @ model.C.T + zeta) @ a.swapaxes(-1, -2)
     return nxt, -np.einsum("...i,...i->...", nxt, nxt)
 
 
@@ -158,22 +201,32 @@ def sample_initial_error(model: LinearGaussianModel, mode: str,
     raise ValueError(f"unknown initial-error mode {mode!r}")
 
 
+def diverged_runs(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest entry magnitude of each run's pool, and which runs diverged.
+
+    ``pool`` is one run's (M, n) pool or a stack (K, M, n) of them.  A run
+    has diverged when an entry is non-finite or beyond the guard (an error
+    process under a destabilizing gain grows without bound).
+    """
+    worst = np.abs(pool).max(axis=(-2, -1))
+    return worst, ~(worst <= _DIVERGENCE_GUARD)
+
+
 def refresh_pool(model: LinearGaussianModel, pool: np.ndarray, a: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """Advance every pool member one transition with fresh independent noise.
 
     Raises:
-        DivergenceError: if any advanced entry is non-finite or beyond the
-            divergence guard (an error process under a destabilizing gain
-            grows without bound).
+        DivergenceError: if the advanced pool diverged (see
+            :func:`diverged_runs`).
     """
     pool = np.asarray(pool, dtype=float)
     if pool.ndim != 2 or pool.shape[0] == 0:
         raise ValueError(f"pool must be a non-empty (M, n) array, got {pool.shape}")
     noise = draw_noise(model, rng, size=pool.shape[0])
     nxt, _ = step(model, pool, a, noise)
-    worst = np.abs(nxt).max()
-    if not np.isfinite(worst) or worst > _DIVERGENCE_GUARD:
+    worst, diverged = diverged_runs(nxt)
+    if diverged:
         raise DivergenceError(
             f"error pool diverged (max entry {worst:.3e}); the gain is "
             f"likely destabilizing")

@@ -40,8 +40,8 @@ _MAX_CONDITION = 1e12
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Average a matrix with its transpose."""
-    return 0.5 * (M + M.T)
+    """Average a matrix, or each matrix of a stack, with its transpose."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def spectral_radius(M: np.ndarray) -> float:

@@ -15,6 +15,12 @@ drawn noise realization per pool member, matching
 expectations in closed form, which removes the measurement-noise sampling
 variance that otherwise dominates the gain columns tied to low-noise
 measurements; the pool itself still evolves stochastically.
+
+Every function here also takes a stack of runs on a leading axis: gains
+(K, n, r), critics (K, n, n), pools (K, M, n) and one discount per run.
+:func:`train_runs` advances such a stack with one set of array operations
+per iteration; :func:`train` and :func:`train_average` are its one-run and
+seed-averaged forms.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .error_mdp import draw_noise, sample_initial_error, step
+# draw_noise stays importable here for callers that look it up on this
+# module; the training loop draws through a NoiseStack.
+from .error_mdp import (NoiseStack, diverged_runs,  # noqa: F401
+                        draw_noise, sample_initial_error, step)
 from .errors import DivergenceError
 from .kalman import symmetrize
 from .models import LinearGaussianModel
@@ -33,19 +42,21 @@ __all__ = [
     "AdamState",
     "TrainerConfig",
     "TrainHistory",
+    "TrainRuns",
     "critic_value",
     "critic_loss_and_grad",
     "actor_loss_and_grad",
     "adam_update",
     "train",
     "train_average",
+    "train_runs",
 ]
 
 # Iteration window for the gain-stability stopping test.
 _CONVERGENCE_WINDOW = 100
 
 # Divergence guard: |theta| beyond this multiple of the reference gain's
-# max element (when a reference is supplied) aborts training.
+# max element (when a reference is supplied) stops the run as diverged.
 _GUARD_FACTOR = 1e3
 
 
@@ -174,39 +185,64 @@ class TrainHistory:
                 writer.writerow(row)
 
 
+def _discount(gamma, trailing: int) -> np.ndarray:
+    """One discount, or one per run, shaped to broadcast over a run's axes."""
+    gamma = np.asarray(gamma, dtype=float)
+    return gamma.reshape(gamma.shape + (1,) * trailing)
+
+
+def _per_run(loss: np.ndarray) -> float | np.ndarray:
+    """A float for a single run, one value per run for a stack."""
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _check_batch(batch) -> np.ndarray:
+    batch = np.asarray(batch, dtype=float)
+    if batch.ndim not in (2, 3) or batch.shape[-2] == 0:
+        raise ValueError("batch must be a non-empty (M, n) or (K, M, n) array")
+    return batch
+
+
 def critic_value(w: np.ndarray, s: np.ndarray) -> float | np.ndarray:
-    """Quadratic value V(s; w) = -s^T w s; batched over leading axes."""
+    """Quadratic value V(s; w) = -s^T w s; batched over leading axes.
+
+    A stack of critics (K, n, n) values a stack of batches (K, M, n).
+    """
     s = np.asarray(s, dtype=float)
     w = np.asarray(w, dtype=float)
     if s.ndim == 1:
         return float(-s @ w @ s)
-    return -np.einsum("...i,ij,...j->...", s, w, s)
+    return -np.einsum("...bi,...ij,...bj->...b", s, w, s)
 
 
 def critic_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
                          theta: np.ndarray, batch: np.ndarray, noise_batch,
-                         gamma: float = 0.99) -> tuple[float, np.ndarray]:
+                         gamma=0.99) -> tuple[float | np.ndarray, np.ndarray]:
     """Semi-gradient TD loss for the quadratic critic on one noise draw.
 
     Loss is the batch mean of 0.5 * TD^2 with
     TD = r' + gamma * V(s'; w) - V(s; w); the bootstrap target
     r' + gamma * V(s'; w) is treated as a constant, so the gradient is
-    mean(TD * s s^T), symmetrized.
+    mean(TD * s s^T), symmetrized.  On a stack of runs (leading axis K)
+    ``gamma`` may hold one discount per run and the loss is one per run.
     """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise ValueError("batch must be a non-empty (M, n) array")
+    batch = _check_batch(batch)
     w = np.asarray(w, dtype=float)
     nxt, reward = step(model, batch, np.asarray(theta, dtype=float), noise_batch)
-    td = reward + gamma * critic_value(w, nxt) - critic_value(w, batch)
-    loss = float(0.5 * np.mean(td ** 2))
-    grad = (batch * td[:, None]).T @ batch / batch.shape[0]
-    return loss, symmetrize(grad)
+    td = (reward + _discount(gamma, 1) * critic_value(w, nxt)
+          - critic_value(w, batch))
+    loss = 0.5 * np.mean(td ** 2, axis=-1)
+    grad = (batch * td[..., None]).swapaxes(-1, -2) @ batch / batch.shape[-2]
+    return _per_run(loss), symmetrize(grad)
 
 
 def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
                         theta: np.ndarray, batch: np.ndarray, noise_batch,
-                        gamma: float = 0.99) -> tuple[float, np.ndarray]:
+                        gamma=0.99) -> tuple[float | np.ndarray, np.ndarray]:
     """One-step return plus bootstrap, differentiated through the transition.
 
     Loss is the batch mean of r' + gamma * V(s'; w) for the sampled noise.
@@ -215,21 +251,21 @@ def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
 
         d loss / d theta = mean[ (Mw + Mw^T) s' v^T ],   Mw = I + gamma w.
 
-    Critic weights are held fixed (policy-improvement step).
+    Critic weights are held fixed (policy-improvement step).  Stacks of
+    runs are handled as in :func:`critic_loss_and_grad`.
     """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise ValueError("batch must be a non-empty (M, n) array")
+    batch = _check_batch(batch)
     w = np.asarray(w, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    m_count = batch.shape[0]
+    m_count = batch.shape[-2]
     z = batch @ model.A.T + noise_batch.xi @ model.E.T
     v = z @ model.C.T + noise_batch.zeta
-    nxt = z - v @ theta.T
-    mw = np.eye(model.n) + gamma * w
-    loss = float(np.mean(-np.einsum("bi,ij,bj->b", nxt, mw, nxt)))
-    grad = (mw + mw.T) @ (nxt.T @ v) / m_count
-    return loss, grad
+    nxt = z - v @ theta.swapaxes(-1, -2)
+    mw = np.eye(model.n) + _discount(gamma, 2) * w
+    loss = np.mean(-np.einsum("...bi,...ij,...bj->...b", nxt, mw, nxt),
+                   axis=-1)
+    grad = (mw + mw.swapaxes(-1, -2)) @ (nxt.swapaxes(-1, -2) @ v) / m_count
+    return _per_run(loss), grad
 
 
 def _analytic_critic_loss_and_grad(model, w, theta, batch, gamma):
@@ -241,14 +277,17 @@ def _analytic_critic_loss_and_grad(model, w, theta, batch, gamma):
     """
     eye = np.eye(model.n)
     ic = eye - theta @ model.C
-    mu = batch @ (ic @ model.A).T
-    cov = ic @ model.effective_process_cov() @ ic.T + theta @ model.R @ theta.T
-    e_reward = -(np.einsum("bi,bi->b", mu, mu) + np.trace(cov))
-    e_vnext = -(np.einsum("bi,ij,bj->b", mu, w, mu) + np.trace(w @ cov))
-    td = e_reward + gamma * e_vnext - critic_value(w, batch)
-    loss = float(0.5 * np.mean(td ** 2))
-    grad = (batch * td[:, None]).T @ batch / batch.shape[0]
-    return loss, symmetrize(grad)
+    mu = batch @ (ic @ model.A).swapaxes(-1, -2)
+    cov = (ic @ model.effective_process_cov() @ ic.swapaxes(-1, -2)
+           + theta @ model.R @ theta.swapaxes(-1, -2))
+    e_reward = -(np.einsum("...bi,...bi->...b", mu, mu)
+                 + _trace(cov)[..., None])
+    e_vnext = -(np.einsum("...bi,...ij,...bj->...b", mu, w, mu)
+                + _trace(w @ cov)[..., None])
+    td = e_reward + _discount(gamma, 1) * e_vnext - critic_value(w, batch)
+    loss = 0.5 * np.mean(td ** 2, axis=-1)
+    grad = (batch * td[..., None]).swapaxes(-1, -2) @ batch / batch.shape[-2]
+    return _per_run(loss), symmetrize(grad)
 
 
 def _analytic_actor_loss_and_grad(model, w, theta, batch, gamma):
@@ -258,36 +297,224 @@ def _analytic_actor_loss_and_grad(model, w, theta, batch, gamma):
     cross moment E[s' v^T] = (I - theta C) Sp C^T - theta R replaces its
     one-sample estimate in the pathwise gradient.
     """
-    m_count = batch.shape[0]
+    m_count = batch.shape[-2]
     eye = np.eye(model.n)
     ic = eye - theta @ model.C
-    p_batch = batch.T @ batch / m_count
+    p_batch = batch.swapaxes(-1, -2) @ batch / m_count
     sp = model.A @ p_batch @ model.A.T + model.effective_process_cov()
-    mw = eye + gamma * w
-    second = ic @ sp @ ic.T + theta @ model.R @ theta.T
-    loss = float(-np.trace(mw @ second))
+    mw = eye + _discount(gamma, 2) * w
+    second = (ic @ sp @ ic.swapaxes(-1, -2)
+              + theta @ model.R @ theta.swapaxes(-1, -2))
+    loss = -_trace(mw @ second)
     cross = ic @ sp @ model.C.T - theta @ model.R
-    grad = (mw + mw.T) @ cross
-    return loss, grad
+    grad = (mw + mw.swapaxes(-1, -2)) @ cross
+    return _per_run(loss), grad
 
 
-class _Recorder:
-    def __init__(self):
-        self.theta = []
-        self.diff = []
-        self.critic_loss = []
-        self.actor_loss = []
+@dataclass
+class TrainRuns:
+    """Outcome of one :func:`train_runs` call over a stack of K runs.
 
-    def freeze(self, n, r, converged):
-        count = len(self.theta)
+    Run k is the call's ``seeds[k]`` at ``gammas[k]``.  ``gains`` holds
+    each run's tail-averaged gain, NaN for a run that diverged, whose
+    message is in ``errors`` (None for the others).  The unaveraged
+    iterates and losses are stored run-major, so that run k's record
+    ``theta[k, :iterations[k]]`` is contiguous and a mean over runs adds
+    them in run order.
+    """
+
+    gains: np.ndarray
+    theta: np.ndarray
+    critic_loss: np.ndarray
+    actor_loss: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    errors: list
+    ref_gain: np.ndarray | None = None
+
+    def _diff(self, theta: np.ndarray) -> np.ndarray:
+        if self.ref_gain is None:
+            return np.full_like(theta, np.nan)
+        return theta - self.ref_gain
+
+    def history(self, k: int) -> TrainHistory:
+        """Run k's per-iteration record."""
+        count = int(self.iterations[k])
+        theta = self.theta[k, :count]
         return TrainHistory(
-            theta=np.asarray(self.theta).reshape(count, n, r),
-            diff=np.asarray(self.diff).reshape(count, n, r),
-            critic_loss=np.asarray(self.critic_loss, dtype=float),
-            actor_loss=np.asarray(self.actor_loss, dtype=float),
-            converged=converged,
-            iterations=count,
-        )
+            theta=theta, diff=self._diff(theta),
+            critic_loss=self.critic_loss[k, :count],
+            actor_loss=self.actor_loss[k, :count],
+            converged=bool(self.converged[k]), iterations=count)
+
+    def mean_history(self) -> TrainHistory:
+        """The record averaged over runs, up to the shortest run's length."""
+        count = int(self.iterations.min())
+        theta = self.theta[:, :count]
+        return TrainHistory(
+            theta=theta.mean(axis=0), diff=self._diff(theta).mean(axis=0),
+            critic_loss=self.critic_loss[:, :count].mean(axis=0),
+            actor_loss=self.actor_loss[:, :count].mean(axis=0),
+            converged=bool(self.converged.all()), iterations=count)
+
+    def raise_divergence(self) -> None:
+        """Raise the first diverged run's error, its record attached."""
+        for k, message in enumerate(self.errors):
+            if message is not None:
+                raise DivergenceError(message, history=self.history(k))
+
+
+def _divergence_message(theta, guard, worst_pool) -> str:
+    if not np.all(np.isfinite(theta)):
+        return "gain contains non-finite entries"
+    if np.abs(theta).max() > guard:
+        return f"gain magnitude exceeded the divergence guard ({guard:.3e})"
+    return f"error pool diverged (max entry {worst_pool:.3e})"
+
+
+def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
+               gammas=None, ref_gain: np.ndarray | None = None) -> TrainRuns:
+    """Train a stack of runs together and return every run's outcome.
+
+    Run k uses seed ``seeds[k]`` (default: ``cfg.seed`` alone) and discount
+    ``gammas[k]`` (default: ``cfg.gamma`` for every run); all other settings
+    come from ``cfg``.  Each iteration costs one set of array operations for
+    the whole stack.  Every run owns its generator and draws its noise
+    exactly as it would alone, so its result depends only on its seed and
+    discount, never on what else is in the stack.
+
+    Per run, the critic starts at the identity and the actor at zero.  Each
+    iteration shares one pool rollout between the evaluation and
+    improvement steps, then keeps the advanced pool for the next iteration.
+    A run stops when its gain's elementwise spread over the trailing 100
+    iterations falls below ``cfg.convergence_tol`` (``converged``), when it
+    diverges, or at ``cfg.max_iters``; the other runs go on.  A run's gain
+    averages its final ``cfg.tail_avg_frac`` of iterates, which suppresses
+    the stationary jitter of the stochastic updates.
+
+    ``ref_gain`` only adds diagnostics (the histories' ``diff``) and a
+    divergence guard at 1000x its largest element.  A run also diverges
+    when its gain turns non-finite or its pool blows up.
+    """
+    seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
+    count = len(seeds)
+    gammas = np.asarray([cfg.gamma] * count if gammas is None else gammas,
+                        dtype=float)
+    if gammas.shape != (count,):
+        raise ValueError(f"need one discount per seed, got {gammas.shape} "
+                         f"for {count} seeds")
+    for gamma in gammas:
+        if not 0.0 <= gamma < 1.0:
+            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    if ref_gain is not None:
+        ref_gain = np.asarray(ref_gain, dtype=float)
+        guard = _GUARD_FACTOR * max(np.abs(ref_gain).max(), 1e-300)
+    else:
+        # Only non-finite gains fail the comparison below.
+        guard = np.finfo(float).max
+
+    n, r, size, max_iters = model.n, model.r, cfg.batch_size, cfg.max_iters
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    pool = np.empty((count, size, n))
+    for k, rng in enumerate(rngs):
+        pool[k] = sample_initial_error(model, cfg.init_mode, rng, size=size)
+
+    noise_stack = NoiseStack(model, rngs, size)
+    theta = np.zeros((count, n, r))
+    w = np.tile(np.eye(n), (count, 1, 1))
+    adam_theta = AdamState.for_params(theta)
+    adam_w = AdamState.for_params(w)
+    for _ in range(cfg.burn_in):
+        pool, _ = step(model, pool, theta, noise_stack.draw())
+
+    theta_hist = np.zeros((count, max_iters, n, r))
+    critic_hist = np.zeros((count, max_iters))
+    actor_hist = np.zeros((count, max_iters))
+    gains = np.full((count, n, r), np.nan)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    errors: list = [None] * count
+    live = np.arange(count)
+    live_gammas = gammas
+    tail_sum = np.zeros_like(theta)
+    tail_count = 0
+    tail_start = int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac)))
+    sampled = cfg.estimator == "sampled"
+
+    def tail_average():
+        return tail_sum / tail_count if tail_count else theta
+
+    for k in range(1, max_iters + 1):
+        if not live.size:
+            break
+        noise = noise_stack.draw()
+        if sampled:
+            c_loss, c_grad = critic_loss_and_grad(
+                model, w, theta, pool, noise, live_gammas)
+        else:
+            c_loss, c_grad = _analytic_critic_loss_and_grad(
+                model, w, theta, pool, live_gammas)
+        w, adam_w = adam_update(w, c_grad, adam_w, cfg.lr_critic, "descend")
+        w = symmetrize(w)
+        if sampled:
+            a_loss, a_grad = actor_loss_and_grad(
+                model, w, theta, pool, noise, live_gammas)
+        else:
+            a_loss, a_grad = _analytic_actor_loss_and_grad(
+                model, w, theta, pool, live_gammas)
+        updated, adam_theta = adam_update(
+            theta, a_grad, adam_theta, cfg.lr_actor, "ascend")
+        # The sampled gradients saw this draw's transition under the old
+        # gain, so the pool takes that transition; with the noise
+        # integrated out, the pool advances under the updated gain.
+        pool, _ = step(model, pool, theta if sampled else updated, noise)
+        last_move = np.abs(updated - theta).max(axis=(1, 2))
+        theta = updated
+
+        theta_hist[live, k - 1] = theta
+        critic_hist[live, k - 1] = c_loss
+        actor_hist[live, k - 1] = a_loss
+
+        worst_pool, failed = diverged_runs(pool)
+        failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
+        if k >= tail_start:
+            tail_sum += theta
+            tail_count += 1
+        stop = failed
+        # A window's spread is at least its last move, so the window is
+        # only read once some run has moved less than the tolerance.
+        if (k > _CONVERGENCE_WINDOW
+                and (last_move < cfg.convergence_tol).any()):
+            window = theta_hist[live, k - _CONVERGENCE_WINDOW - 1:k]
+            spread = (window.max(axis=1) - window.min(axis=1)).max(axis=(1, 2))
+            stop = failed | (spread < cfg.convergence_tol)
+        if not stop.any():
+            continue
+
+        final = tail_average()
+        for j in np.flatnonzero(stop):
+            run = live[j]
+            iterations[run] = k
+            if failed[j]:
+                errors[run] = _divergence_message(theta[j], guard,
+                                                  worst_pool[j])
+            else:
+                converged[run] = True
+                gains[run] = final[j]
+        keep = ~stop
+        live, theta, w, pool, tail_sum, live_gammas = (
+            a[keep] for a in (live, theta, w, pool, tail_sum, live_gammas))
+        adam_theta = replace(adam_theta, m=adam_theta.m[keep],
+                             v=adam_theta.v[keep])
+        adam_w = replace(adam_w, m=adam_w.m[keep], v=adam_w.v[keep])
+        noise_stack.keep(keep)
+
+    iterations[live] = max_iters
+    gains[live] = tail_average()
+    return TrainRuns(
+        gains=gains, theta=theta_hist, critic_loss=critic_hist,
+        actor_loss=actor_hist, iterations=iterations, converged=converged,
+        errors=errors, ref_gain=ref_gain)
 
 
 def train(model: LinearGaussianModel, cfg: TrainerConfig,
@@ -295,126 +522,35 @@ def train(model: LinearGaussianModel, cfg: TrainerConfig,
           ) -> tuple[np.ndarray, TrainHistory]:
     """Run actor-critic policy iteration and return the learned gain.
 
-    The critic starts at the identity, the actor at zero.  Each iteration
-    shares one pool rollout between the evaluation and improvement steps,
-    then keeps the advanced pool for the next iteration.  Training stops
-    when the gain's elementwise spread over the trailing 100 iterations
-    falls below ``cfg.convergence_tol`` or at ``cfg.max_iters``.  The
-    returned gain averages the final ``cfg.tail_avg_frac`` of iterates,
-    which suppresses the stationary jitter of the stochastic updates.
-
-    ``ref_gain`` only adds diagnostics (the history's ``diff`` columns) and
-    a divergence guard at 1000x its largest element.
+    The one-run case of :func:`train_runs`, with seed ``cfg.seed`` and
+    discount ``cfg.gamma``; see there for the stopping rule, the tail
+    average and what ``ref_gain`` adds.
 
     Raises:
         DivergenceError: gain guard exceeded or pool blow-up; the partial
             history rides on the exception's ``history`` attribute.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n, r = model.n, model.r
-    theta = np.zeros((n, r))
-    w = np.eye(n)
-    adam_theta = AdamState.for_params(theta)
-    adam_w = AdamState.for_params(w)
-
-    pool = sample_initial_error(model, cfg.init_mode, rng, size=cfg.batch_size)
-    guard = None
-    if ref_gain is not None:
-        ref_gain = np.asarray(ref_gain, dtype=float)
-        guard = _GUARD_FACTOR * max(np.abs(ref_gain).max(), 1e-300)
-
-    def advance(current_pool, gain):
-        noise = draw_noise(model, rng, size=cfg.batch_size)
-        nxt, reward = step(model, current_pool, gain, noise)
-        return nxt, reward, noise
-
-    for _ in range(cfg.burn_in):
-        pool, _, _ = advance(pool, theta)
-
-    rec = _Recorder()
-    window: list[np.ndarray] = []
-    tail_sum = np.zeros_like(theta)
-    tail_count = 0
-    tail_start = int(np.ceil(cfg.max_iters * (1.0 - cfg.tail_avg_frac)))
-    converged = False
-
-    def fail(message):
-        history = rec.freeze(n, r, converged=False)
-        raise DivergenceError(message, history=history)
-
-    for k in range(1, cfg.max_iters + 1):
-        if cfg.estimator == "sampled":
-            nxt, reward, noise = advance(pool, theta)
-            td = (reward + cfg.gamma * critic_value(w, nxt)
-                  - critic_value(w, pool))
-            c_loss = float(0.5 * np.mean(td ** 2))
-            c_grad = symmetrize((pool * td[:, None]).T @ pool / cfg.batch_size)
-            w, adam_w = adam_update(w, c_grad, adam_w, cfg.lr_critic, "descend")
-            w = symmetrize(w)
-            a_loss, a_grad = actor_loss_and_grad(
-                model, w, theta, pool, noise, gamma=cfg.gamma)
-            theta, adam_theta = adam_update(
-                theta, a_grad, adam_theta, cfg.lr_actor, "ascend")
-            pool = nxt
-        else:
-            c_loss, c_grad = _analytic_critic_loss_and_grad(
-                model, w, theta, pool, cfg.gamma)
-            w, adam_w = adam_update(w, c_grad, adam_w, cfg.lr_critic, "descend")
-            w = symmetrize(w)
-            a_loss, a_grad = _analytic_actor_loss_and_grad(
-                model, w, theta, pool, cfg.gamma)
-            theta, adam_theta = adam_update(
-                theta, a_grad, adam_theta, cfg.lr_actor, "ascend")
-            pool, _, _ = advance(pool, theta)
-
-        rec.theta.append(theta.copy())
-        rec.diff.append(theta - ref_gain if ref_gain is not None
-                        else np.full((n, r), np.nan))
-        rec.critic_loss.append(c_loss)
-        rec.actor_loss.append(a_loss)
-
-        if not np.all(np.isfinite(theta)):
-            fail("gain contains non-finite entries")
-        if guard is not None and np.abs(theta).max() > guard:
-            fail(f"gain magnitude exceeded the divergence guard ({guard:.3e})")
-        worst_pool = np.abs(pool).max()
-        if not np.isfinite(worst_pool) or worst_pool > 1e12:
-            fail(f"error pool diverged (max entry {worst_pool:.3e})")
-
-        if k >= tail_start:
-            tail_sum += theta
-            tail_count += 1
-
-        window.append(theta.copy())
-        if len(window) > _CONVERGENCE_WINDOW + 1:
-            window.pop(0)
-        if len(window) == _CONVERGENCE_WINDOW + 1:
-            stack = np.asarray(window)
-            spread = (stack.max(axis=0) - stack.min(axis=0)).max()
-            if spread < cfg.convergence_tol:
-                converged = True
-                break
-
-    final = tail_sum / tail_count if tail_count else theta
-    history = rec.freeze(n, r, converged)
-    return final, history
+    runs = train_runs(model, cfg, ref_gain=ref_gain)
+    runs.raise_divergence()
+    return runs.gains[0], runs.history(0)
 
 
 def train_average(model: LinearGaussianModel, cfg: TrainerConfig,
                   seeds, ref_gain: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, list[TrainHistory]]:
-    """Train once per seed and average the learned gains.
+                  ) -> tuple[np.ndarray, TrainHistory]:
+    """Train one run per seed in one stack; average gains and histories.
 
-    Seeds are disjoint runs of :func:`train` with ``cfg.seed`` replaced;
-    histories come back in seed order for inspection or averaging.
+    Each run is :func:`train` with ``cfg.seed`` replaced.  Returns the mean
+    gain over the runs and their mean history (see
+    :meth:`TrainRuns.mean_history`).
+
+    Raises:
+        DivergenceError: for the first seed, in order, whose run diverged,
+            with that run's partial history.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    gains = []
-    histories = []
-    for seed in seeds:
-        gain, history = train(model, replace(cfg, seed=int(seed)), ref_gain)
-        gains.append(gain)
-        histories.append(history)
-    return np.mean(gains, axis=0), histories
+    runs = train_runs(model, cfg, seeds=seeds, ref_gain=ref_gain)
+    runs.raise_divergence()
+    return runs.gains.mean(axis=0), runs.mean_history()

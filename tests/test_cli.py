@@ -101,6 +101,17 @@ class TestTrain:
                            "critic_loss", "actor_loss"]
         assert len(rows) == SMALL_TRAINER["max_iters"] + 1
 
+    @pytest.mark.parametrize("seeds", ["1", "2"])
+    def test_divergence_exits_one_with_partial_history(self, tmp_path, seeds):
+        cfg = write_config(tmp_path,
+                           trainer={**SMALL_TRAINER, "lr_actor": 1e6})
+        assert main(["train", "--config", str(cfg), "--seeds", seeds]) == 1
+        with open(tmp_path / "out" / "train_history.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:2] == ["iter", "theta11"]
+        assert 1 <= len(rows) - 1 < SMALL_TRAINER["max_iters"]
+        assert not (tmp_path / "out" / "theta.json").exists()
+
     def test_multi_seed_average(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--seeds", "2"]) == 0
@@ -157,6 +168,17 @@ class TestSweepGamma:
         theta_from_sweep = np.array([float(x) for x in rows[1][1:5]])
         np.testing.assert_allclose(theta_from_sweep, theta_from_train,
                                    rtol=1e-12)
+
+
+    def test_every_run_diverging_exits_one(self, tmp_path):
+        cfg = write_config(tmp_path,
+                           trainer={**SMALL_TRAINER, "lr_actor": 1e6},
+                           gamma_sweep=[0.25, 0.99])
+        assert main(["sweep-gamma", "--config", str(cfg), "--seeds", "2"]) == 1
+        with open(tmp_path / "out" / "sweep.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == ["0.25", "0.99"]
+        assert [row[-1] for row in rows[1:]] == ["diverged", "diverged"]
 
 
 class TestConfigHandling:

@@ -16,6 +16,7 @@ from steadygain import (
     spectral_radius,
     step,
 )
+from steadygain.error_mdp import diverged_runs
 
 from conftest import scalar_model
 
@@ -89,6 +90,13 @@ class TestStep:
         with pytest.raises(ValueError):
             step(bicycle, np.zeros(2), np.zeros((2, 2)),
                  NoiseDraw(xi=np.zeros(3), zeta=np.zeros(2)))
+        # a stack of gains needs one state batch per gain
+        stack_noise = NoiseDraw(xi=np.zeros((2, 4, 2)), zeta=np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError):
+            step(bicycle, np.zeros((2, 4, 2)), np.zeros((3, 2, 2)), stack_noise)
+        with pytest.raises(ValueError):
+            step(bicycle, np.zeros((4, 2)), np.zeros((2, 2, 2)),
+                 NoiseDraw(xi=np.zeros((4, 2)), zeta=np.zeros((4, 2))))
 
 
 class TestSampleInitialError:
@@ -195,6 +203,15 @@ class TestRefreshPool:
         rel = (np.linalg.norm(second - first, "fro")
                / np.linalg.norm(first, "fro"))
         assert rel < 0.05
+
+    def test_diverged_runs_flags_each_run(self):
+        pools = np.zeros((4, 3, 2))
+        pools[1, 2, 0] = np.nan
+        pools[2, 0, 1] = -1e13
+        pools[3, 1, 1] = np.inf
+        worst, diverged = diverged_runs(pools)
+        assert diverged.tolist() == [False, True, True, True]
+        assert worst[0] == 0.0 and worst[2] == 1e13
 
     def test_pool_validation(self, bicycle):
         rng = np.random.default_rng(15)

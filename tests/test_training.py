@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from steadygain import (
     solve_dare,
     train,
     train_average,
+    train_runs,
 )
+from steadygain import training
 from steadygain.error_mdp import cov_factor
 from steadygain.training import (
     _analytic_actor_loss_and_grad,
@@ -407,3 +411,85 @@ class TestTrain:
     def test_train_average_requires_seeds(self, bicycle):
         with pytest.raises(ValueError):
             train_average(bicycle, TrainerConfig(max_iters=1), [])
+
+
+class TestTrainRuns:
+    """One stacked call over K runs, each run independent of the others."""
+
+    @pytest.mark.parametrize("estimator", ["analytic", "sampled"])
+    def test_run_matches_same_run_alone(self, bicycle, bicycle_dare,
+                                        estimator):
+        cfg = TrainerConfig(batch_size=32, max_iters=150, burn_in=20,
+                            estimator=estimator)
+        seeds, gammas = [4, 1, 4], [0.5, 0.99, 0.01]
+        runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
+                          ref_gain=bicycle_dare.gain)
+        for k, (seed, gamma) in enumerate(zip(seeds, gammas)):
+            gain, history = train(bicycle, replace(cfg, seed=seed, gamma=gamma),
+                                  ref_gain=bicycle_dare.gain)
+            np.testing.assert_array_equal(runs.gains[k], gain)
+            np.testing.assert_array_equal(runs.history(k).theta, history.theta)
+
+    def test_failing_run_stops_alone(self, bicycle, monkeypatch):
+        # Run 1's pool is reported diverged at iteration 5; runs 0 and 2
+        # must finish exactly as they would alone.
+        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        seeds = [0, 1, 2]
+        alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
+        real = training.diverged_runs
+        calls = []
+
+        def flag_run_one(pool):
+            worst, diverged = real(pool)
+            calls.append(len(diverged))
+            if len(calls) == 5:
+                diverged[1] = True
+            return worst, diverged
+
+        monkeypatch.setattr(training, "diverged_runs", flag_run_one)
+        runs = train_runs(bicycle, cfg, seeds=seeds)
+        assert calls[:5] == [3] * 5 and set(calls[5:]) == {2}
+        assert runs.iterations.tolist() == [60, 5, 60]
+        assert "pool diverged" in runs.errors[1]
+        assert runs.errors[0] is None and runs.errors[2] is None
+        assert np.isnan(runs.gains[1]).all()
+        assert runs.history(1).iterations == 5
+        for k in (0, 2):
+            gain, history = alone[k]
+            np.testing.assert_array_equal(runs.gains[k], gain)
+            np.testing.assert_array_equal(runs.history(k).theta, history.theta)
+        with pytest.raises(DivergenceError, match="pool diverged") as excinfo:
+            runs.raise_divergence()
+        assert excinfo.value.history.iterations == 5
+
+    def test_converged_run_stops_alone(self, bicycle):
+        # With a tolerance between the two runs' smallest 101-iterate
+        # spreads, exactly one run meets the convergence test.
+        cfg = TrainerConfig(batch_size=16, max_iters=400, burn_in=5,
+                            convergence_tol=0.0)
+        free = train_runs(bicycle, cfg, seeds=[0, 1])
+
+        def smallest_spread(theta):
+            return min(np.ptp(theta[k - 101:k], axis=0).max()
+                       for k in range(101, len(theta) + 1))
+
+        spreads = [smallest_spread(free.history(k).theta) for k in (0, 1)]
+        assert spreads[0] != spreads[1]
+        early = int(np.argmin(spreads))
+        late = 1 - early
+        runs = train_runs(bicycle,
+                          replace(cfg, convergence_tol=float(np.mean(spreads))),
+                          seeds=[0, 1])
+        assert runs.converged.tolist() == [k == early for k in (0, 1)]
+        assert runs.iterations[early] < cfg.max_iters
+        assert runs.iterations[late] == cfg.max_iters
+        np.testing.assert_array_equal(runs.history(late).theta,
+                                      free.history(late).theta)
+        assert not runs.mean_history().converged
+
+    def test_discounts_validated(self, bicycle):
+        cfg = TrainerConfig(max_iters=1)
+        with pytest.raises(ValueError, match="gamma"):
+            train_runs(bicycle, cfg, seeds=[0, 1], gammas=[0.5, 1.0])
+        with pytest.raises(ValueError, match="one discount per seed"):
+            train_runs(bicycle, cfg, seeds=[0, 1], gammas=[0.5])
