@@ -1,7 +1,7 @@
 """Steady-state filter gains for linear Gaussian time-invariant systems.
 
-Two routes to the same gain: a classical Riccati fixed-point oracle
-(:func:`solve_dare`) and an actor-critic policy-iteration learner
+Two routes to the same gain: a classical Riccati oracle solved by
+doubling (:func:`solve_dare`) and an actor-critic policy-iteration learner
 (:func:`train`) operating on the estimation-error process, plus a Monte
 Carlo harness to compare gains on simulated trajectories.
 """

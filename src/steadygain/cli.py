@@ -120,8 +120,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     solution = solve_dare(model)
     out = _out_dir(cfg) / "dare.json"
     out.write_text(solution.to_json())
-    print(f"steady-state gain ({solution.iterations} iterations, "
-          f"residual {solution.residual:.3e}):")
+    print(f"steady-state gain ({solution.iterations} doubling steps, "
+          f"relative residual {solution.residual:.3e}):")
     print(_format_gain(solution.gain))
     print(f"wrote {out}")
     return 0

@@ -16,7 +16,7 @@ class NumericalError(RuntimeError):
 class DivergenceError(RuntimeError):
     """An iteration failed to converge or a simulated quantity blew up.
 
-    ``residual`` holds the last iteration residual (fixed-point solvers),
+    ``residual`` holds the Riccati solver's last relative change or residual,
     ``step`` the offending time step (simulations), and ``history`` any
     partial training record, when the raising context has them.
     """

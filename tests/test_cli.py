@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
 from steadygain import RunConfig, TrainerConfig
 from steadygain.cli import main
@@ -65,6 +66,29 @@ class TestSolve:
         sigma = (0.25 + np.sqrt(4.0625)) / 2
         assert doc["gain"][0][0] == pytest.approx(sigma / (sigma + 1),
                                                   rel=1e-9)
+
+    def test_inline_near_marginal_model(self, tmp_path):
+        inline = {
+            "A": [[1.0]], "B": [[0.0]], "C": [[1.0]], "D": [[0.0]],
+            "E": [[1.0]], "Q": [[1e-8]], "R": [[1.0]], "dt": 0.01,
+        }
+        cfg = write_config(tmp_path, model={"inline": inline})
+        assert main(["solve", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "dare.json").read_text())
+        sigma = solve_discrete_are([[1.0]], [[1.0]], [[1e-8]], [[1.0]])
+        assert doc["gain"][0][0] == pytest.approx(
+            sigma[0, 0] / (sigma[0, 0] + 1), rel=1e-9)
+
+    def test_unstabilizable_model_exits_one(self, tmp_path, capsys):
+        # The unit-circle mode gets no process noise: K = 0 leaves it
+        # undamped, so no stabilizing gain exists.
+        inline = {
+            "A": [[1.0]], "B": [[0.0]], "C": [[1.0]], "D": [[0.0]],
+            "E": [[1.0]], "Q": [[0.0]], "R": [[1.0]], "dt": 0.01,
+        }
+        cfg = write_config(tmp_path, model={"inline": inline})
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "spectral radius" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
 from steadygain import (
     DivergenceError,
@@ -110,10 +113,83 @@ class TestSolveDare:
             solve_dare(model, tol=1e-12, max_iter=50)
         assert excinfo.value.residual > 0
 
+    def test_iteration_cap_reported(self):
+        with pytest.raises(DivergenceError) as excinfo:
+            solve_dare(scalar_model(a=1.0, q=1e-8), max_iter=2)
+        assert excinfo.value.residual > 0
+
+    def test_ill_conditioned_measurement_noise_raises(self):
+        model = LinearGaussianModel(
+            A=np.eye(2) * 0.5, B=np.zeros((2, 1)), C=np.eye(2),
+            D=np.zeros((2, 1)), E=np.eye(2), Q=np.eye(2),
+            R=np.diag([1.0, 1e-30]), dt=0.01)
+        with pytest.raises(NumericalError) as excinfo:
+            solve_dare(model)
+        assert excinfo.value.condition > 1e12
+
+    def test_unstabilizable_plant_raises(self):
+        # The unit-circle mode A = 1 gets no process noise, so the only
+        # solution is S = 0 with K = 0, which leaves rho[(I - K C) A] = 1.
+        with pytest.raises(DivergenceError, match="spectral radius"):
+            solve_dare(scalar_model(a=1.0, q=0.0))
+
     def test_json_export(self, bicycle_dare):
         doc = bicycle_dare.to_dict()
         assert set(doc) == {"sigma", "gain", "iterations", "residual"}
         np.testing.assert_array_equal(doc["gain"], bicycle_dare.gain.tolist())
+
+
+def scipy_gain(model):
+    """Filter gain from scipy's DARE solver, independent of solve_dare."""
+    sigma = solve_discrete_are(model.A.T, model.C.T,
+                               model.effective_process_cov(), model.R)
+    innovation = model.C @ sigma @ model.C.T + model.R
+    return np.linalg.solve(innovation, model.C @ sigma).T
+
+
+def with_spectral_radius(model, rho):
+    return dataclasses.replace(model, A=model.A * rho / spectral_radius(model.A))
+
+
+def unstable_detectable_system(rng):
+    # A generic C observes every mode, so the plant is detectable.
+    return with_spectral_radius(random_system(rng), rng.uniform(1.05, 1.45))
+
+
+def rank_one_noise_system(rng):
+    model = random_system(rng, n=int(rng.integers(2, 5)),
+                          p=int(rng.integers(2, 4)))
+    f = rng.standard_normal((model.Q.shape[0], 1))
+    model = dataclasses.replace(model, Q=f @ f.T)
+    return with_spectral_radius(model, rng.uniform(0.5, 1.3))
+
+
+PLANT_FAMILIES = {
+    "stable": random_system,
+    "unstable_detectable": unstable_detectable_system,
+    "rank_one_noise": rank_one_noise_system,
+}
+
+
+class TestSolveDareAgainstScipy:
+    @staticmethod
+    def check(model):
+        sol = solve_dare(model)
+        ref = scipy_gain(model)
+        assert np.abs(sol.gain - ref).max() <= 1e-9 * np.abs(ref).max()
+        closed = (np.eye(model.n) - sol.gain @ model.C) @ model.A
+        assert spectral_radius(closed) < 1.0
+        assert sol.iterations <= 64
+
+    @pytest.mark.parametrize("family", sorted(PLANT_FAMILIES))
+    def test_seeded_plant_family(self, family):
+        rng = np.random.default_rng(101)
+        for _ in range(25):
+            self.check(PLANT_FAMILIES[family](rng))
+
+    @pytest.mark.parametrize("q", [1e-8, 1e-12])
+    def test_near_marginal_plant(self, q):
+        self.check(scalar_model(a=1.0, q=q))
 
 
 # The gain of this plant amplifies covariance perturbations by ~3e6 (tiny
