@@ -1,10 +1,11 @@
 """Monte Carlo comparison of filter gains on simulated trajectories.
 
-Simulates the full plant (multi-sine steering input, process and
-measurement noise) under three fixed gains -- the steady-state optimum, a
-quickly learned gain, and the open-loop zero gain -- with identical noise
-across gains, and splits each trajectory's squared-error average into
-transient and steady parts.
+Rolls the estimation error forward under three fixed gains -- the
+steady-state optimum, a quickly learned gain, and the open-loop zero gain
+-- with identical initial errors and process and measurement noise across
+gains, and splits each trajectory's squared-error average into transient
+and steady parts.  The steering input is known to the filter, so it
+cancels from the error and is not simulated.
 """
 
 import numpy as np

@@ -31,9 +31,7 @@ from .error_mdp import (
     UNIFORM_BOX_BOUNDS,
     NoiseDraw,
     draw_noise,
-    refresh_pool,
     sample_initial_error,
-    save_pool_csv,
     step,
 )
 from .training import (
@@ -52,15 +50,12 @@ from .training import (
 from .evaluation import (
     EvalConfig,
     EvalReport,
-    control_signal,
     detect_critical_time,
     evaluate_gains,
     gain_metrics,
     losses,
     run_trajectories,
-    run_trajectory,
 )
-from .cli import RunConfig
 
 __version__ = "0.1.0"
 
@@ -86,9 +81,7 @@ __all__ = [
     "UNIFORM_BOX_BOUNDS",
     "NoiseDraw",
     "draw_noise",
-    "refresh_pool",
     "sample_initial_error",
-    "save_pool_csv",
     "step",
     "AdamState",
     "TrainerConfig",
@@ -103,13 +96,10 @@ __all__ = [
     "train_runs",
     "EvalConfig",
     "EvalReport",
-    "control_signal",
     "detect_critical_time",
     "evaluate_gains",
     "gain_metrics",
     "losses",
     "run_trajectories",
-    "run_trajectory",
-    "RunConfig",
     "__version__",
 ]

@@ -13,12 +13,10 @@ forward one transition at a time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
 from .models import LinearGaussianModel
 
 __all__ = [
@@ -29,8 +27,6 @@ __all__ = [
     "step",
     "sample_initial_error",
     "diverged_runs",
-    "refresh_pool",
-    "save_pool_csv",
     "UNIFORM_BOX_BOUNDS",
     "FIXED_INITIAL_ERROR",
 ]
@@ -211,32 +207,3 @@ def diverged_runs(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     worst = np.abs(pool).max(axis=(-2, -1))
     return worst, ~(worst <= _DIVERGENCE_GUARD)
 
-
-def refresh_pool(model: LinearGaussianModel, pool: np.ndarray, a: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Advance every pool member one transition with fresh independent noise.
-
-    Raises:
-        DivergenceError: if the advanced pool diverged (see
-            :func:`diverged_runs`).
-    """
-    pool = np.asarray(pool, dtype=float)
-    if pool.ndim != 2 or pool.shape[0] == 0:
-        raise ValueError(f"pool must be a non-empty (M, n) array, got {pool.shape}")
-    noise = draw_noise(model, rng, size=pool.shape[0])
-    nxt, _ = step(model, pool, a, noise)
-    worst, diverged = diverged_runs(nxt)
-    if diverged:
-        raise DivergenceError(
-            f"error pool diverged (max entry {worst:.3e}); the gain is "
-            f"likely destabilizing")
-    return nxt
-
-
-def save_pool_csv(pool: np.ndarray, path) -> None:
-    """Write a pool snapshot as CSV, one error vector per row."""
-    pool = np.asarray(pool, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"e{i + 1}" for i in range(pool.shape[1])])
-        writer.writerows(pool.tolist())

@@ -1,11 +1,12 @@
 """Monte Carlo evaluation of fixed filter gains.
 
-Trajectories simulate the full plant (state, measurement, estimator with a
-constant gain, multi-sine steering excitation) and record squared
-estimation error per step.  Losses split each trajectory at a critical
-time into transient and steady windows; the critical time can either be
-configured or detected from the flattening of the log mean-square-error
-curve.
+Trajectories roll the estimation error forward under a constant gain,
+through the same transition the error MDP uses, and record its squared
+norm per step.  For a linear plant whose input the filter knows, the input
+cancels from the error exactly, so neither the plant state nor the input
+is simulated.  Losses split each trajectory at a critical time into
+transient and steady windows; the critical time can either be configured
+or detected from the flattening of the log mean-square-error curve.
 """
 
 from __future__ import annotations
@@ -15,25 +16,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_mdp import cov_factor, sample_initial_error
+# cov_factor stays importable here for callers that look it up on this
+# module; trajectories draw noise through a NoiseStack.
+from .error_mdp import (NoiseStack, cov_factor,  # noqa: F401
+                        sample_initial_error, step)
 from .errors import DivergenceError
 from .models import LinearGaussianModel
 
 __all__ = [
     "EvalConfig",
     "EvalReport",
-    "control_signal",
-    "run_trajectory",
     "run_trajectories",
     "losses",
     "detect_critical_time",
     "gain_metrics",
     "evaluate_gains",
     "write_eval_csv",
-    "write_logmse_csv",
 ]
-
-_EXCITATION_AMPLITUDE = 7.0 * np.pi / 1800.0
 
 
 @dataclass(frozen=True)
@@ -72,49 +71,22 @@ class EvalReport:
     logmse_curve: np.ndarray = field(repr=False)
 
 
-def control_signal(t) -> float | np.ndarray:
-    """Slow multi-sine steering excitation at step index t (radians).
-
-    Three incommensurate sinusoids with periods of roughly 60, 200 and 400
-    steps, bounded by 3 * 7 pi / 1800.
-    """
-    t = np.asarray(t, dtype=float)
-    u = _EXCITATION_AMPLITUDE * (
-        np.sin(t / (3.0 * np.pi))
-        + np.sin(t / (10.0 * np.pi))
-        + np.sin(t / (20.0 * np.pi)))
-    return float(u) if u.ndim == 0 else u
-
-
 def _simulate(model: LinearGaussianModel, gain: np.ndarray, t_test: int,
               e0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Simulate squared estimation error for a batch of trajectories.
+    """Squared estimation error per step for a batch of trajectories.
 
-    ``e0`` has shape (N, n); the true state starts at e0 and the estimate
-    at the origin, so the initial error is e0.  Returns (N, t_test) squared
+    The error starts at ``e0`` (shape (N, n)) and advances through the
+    error-MDP transition :func:`step`, drawing process and then
+    measurement noise from ``rng`` each step.  Returns (N, t_test) squared
     errors for steps 1..t_test.
     """
-    gain = np.asarray(gain, dtype=float)
-    n_traj = e0.shape[0]
-    fq = cov_factor(model.Q)
-    fr = cov_factor(model.R)
-    x = e0.copy()
-    x_hat = np.zeros_like(x)
-    squared = np.empty((n_traj, t_test))
+    # A stack of one run: the error and the noise carry a leading axis of 1.
+    noise = NoiseStack(model, [rng], e0.shape[0])
+    err = e0[np.newaxis]
+    squared = np.empty((e0.shape[0], t_test))
     for t in range(1, t_test + 1):
-        u_prev = control_signal(t - 1)
-        u_now = control_signal(t)
-        xi = rng.standard_normal((n_traj, model.p)) @ fq.T
-        zeta = rng.standard_normal((n_traj, model.r)) @ fr.T
-        bu_prev = (model.B * u_prev).ravel()
-        du_now = (model.D * u_now).ravel()
-        x = x @ model.A.T + bu_prev + xi @ model.E.T
-        y = x @ model.C.T + du_now + zeta
-        pred = x_hat @ model.A.T + bu_prev
-        innovation = y - pred @ model.C.T - du_now
-        x_hat = pred + innovation @ gain.T
-        err = x - x_hat
-        values = np.einsum("bi,bi->b", err, err)
+        err, reward = step(model, err, gain, noise.draw())
+        values = -reward[0]
         if not np.all(np.isfinite(values)):
             raise DivergenceError(
                 f"estimation error diverged at step {t}", step=t)
@@ -122,27 +94,17 @@ def _simulate(model: LinearGaussianModel, gain: np.ndarray, t_test: int,
     return squared
 
 
-def run_trajectory(model: LinearGaussianModel, gain: np.ndarray,
-                   cfg: EvalConfig, traj_seed: int,
-                   bounds=None) -> np.ndarray:
-    """Squared estimation error per step for one seeded trajectory.
-
-    The initial error is drawn from the uniform box (``bounds`` overrides
-    its half-widths); the same seed reproduces the trajectory bit for bit.
-    """
-    rng = np.random.default_rng(traj_seed)
-    e0 = sample_initial_error(model, "uniform_box", rng, size=1,
-                              bounds=bounds)
-    return _simulate(model, gain, cfg.t_test, e0, rng)[0]
-
-
 def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
                      cfg: EvalConfig, bounds=None) -> np.ndarray:
     """Squared errors for ``cfg.n_traj`` trajectories, shape (N, t_test).
 
-    All randomness comes from a single generator seeded with ``cfg.seed``,
-    so two gains evaluated with the same config see identical initial
-    errors and noise (paired comparison), independent of scheduling.
+    Each trajectory's initial error is drawn from the uniform box
+    (``bounds`` overrides its half-widths) and then advanced by the error
+    recursion e' = (I - K C)(A e + E xi) - K zeta under ``gain``.  All
+    randomness comes from a single generator seeded with ``cfg.seed``, so
+    two gains evaluated with the same config see identical initial errors
+    and noise (paired comparison), and the same config reproduces the
+    array bit for bit.
     """
     rng = np.random.default_rng(cfg.seed)
     e0 = sample_initial_error(model, "uniform_box", rng, size=cfg.n_traj,
@@ -252,11 +214,3 @@ def write_eval_csv(rows: list[dict], path) -> None:
             writer.writerow([row["name"], row["loss_tran"], row["loss_ss"],
                              row["loss_full"], row["status"]])
 
-
-def write_logmse_csv(curve: np.ndarray, path) -> None:
-    """Per-step curve file: step, logmse."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "logmse"])
-        for i, value in enumerate(np.asarray(curve, dtype=float), start=1):
-            writer.writerow([i, value])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
-from steadygain import RunConfig, TrainerConfig
-from steadygain.cli import main
+from steadygain import TrainerConfig
+from steadygain.cli import RunConfig, main
 
 TABLE_KINF = np.array([[-5.31e-4, -2.31e-3], [3.25e-5, 5.07e-2]])
 
@@ -176,6 +176,23 @@ class TestEval:
         assert rows[1][0] == "open_loop"
         assert rows[1][4] == "ok"
 
+    def test_multi_input_inline_plant(self, tmp_path):
+        # Two inputs (m = 2): the known input cancels from the error.
+        inline = {
+            "A": [[0.9, 0.1], [0.0, 0.8]], "B": [[1.0, 0.0], [0.5, 1.0]],
+            "C": [[1.0, 0.0], [0.0, 1.0]], "D": [[0.2, 0.0], [0.0, 0.3]],
+            "E": [[1.0, 0.0], [0.0, 1.0]], "Q": [[0.01, 0.0], [0.0, 0.02]],
+            "R": [[0.1, 0.0], [0.0, 0.2]], "dt": 0.1,
+        }
+        cfg = write_config(tmp_path, model={"inline": inline})
+        code = main(["eval", "--config", str(cfg),
+                     "--gain", "dare", "--gain", "zero"])
+        assert code == 0
+        with open(tmp_path / "out" / "eval.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[4] for row in rows[1:]] == ["ok", "ok"]
+        assert float(rows[1][2]) < float(rows[2][2])
+
 
 class TestSweepGamma:
     def test_singleton_sweep_matches_train(self, tmp_path):
@@ -259,3 +276,4 @@ class TestConsoleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "dare.json").exists()
+        assert "RuntimeWarning" not in proc.stderr
