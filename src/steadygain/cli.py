@@ -190,7 +190,7 @@ def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
               f"loss_ss={row['loss_ss']:.6e} loss_full={row['loss_full']:.6e} "
               f"[{row['status']}]")
     print(f"wrote {out}")
-    return 0
+    return 0 if all(row["status"] == "ok" for row in rows) else 1
 
 
 def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:

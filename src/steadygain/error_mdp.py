@@ -126,7 +126,9 @@ def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
 
     Accepts a single state (n,) or a batch (M, n) with matching noise
     shapes.  A stack of gains (K, n, r) advances a stack of batches
-    (K, M, n), batch k under gain k.  Returns the next state(s) and the
+    (K, M, n), batch k under gain k.  A stacked state takes noise either
+    per batch, (K, M, .), or shared by all K batches, (1, M, .), in which
+    case E xi is formed once.  Returns the next state(s) and the
     reward(s) -e'^T e' attached to the transition.
     """
     s = np.asarray(s, dtype=float)
@@ -141,9 +143,13 @@ def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
     if s.shape[-1] != model.n:
         raise ValueError(f"state dimension must be {model.n}, got {s.shape}")
     xi, zeta = noise.xi, noise.zeta
-    if xi.shape != s.shape[:-1] + (model.p,):
+    lead = s.shape[:-1]
+    if s.ndim == 3 and xi.shape[:1] == (1,):
+        # One noise batch shared by every batch of the stack.
+        lead = (1,) + lead[1:]
+    if xi.shape != lead + (model.p,):
         raise ValueError(f"process noise shape {xi.shape} does not match state")
-    if zeta.shape != s.shape[:-1] + (model.r,):
+    if zeta.shape != lead + (model.r,):
         raise ValueError(
             f"measurement noise shape {zeta.shape} does not match state")
 

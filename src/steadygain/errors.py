@@ -17,8 +17,9 @@ class DivergenceError(RuntimeError):
     """An iteration failed to converge or a simulated quantity blew up.
 
     ``residual`` holds the Riccati solver's last relative change or residual,
-    ``step`` the offending time step (simulations), and ``history`` any
-    partial training record, when the raising context has them.
+    ``step`` the first simulated time step at which an error entry was
+    non-finite or beyond the divergence guard, and ``history`` any partial
+    training record, when the raising context has them.
     """
 
     def __init__(self, message, residual=None, step=None, history=None):

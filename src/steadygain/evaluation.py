@@ -4,9 +4,13 @@ Trajectories roll the estimation error forward under a constant gain,
 through the same transition the error MDP uses, and record its squared
 norm per step.  For a linear plant whose input the filter knows, the input
 cancels from the error exactly, so neither the plant state nor the input
-is simulated.  Losses split each trajectory at a critical time into
-transient and steady windows; the critical time can either be configured
-or detected from the flattening of the log mean-square-error curve.
+is simulated.  Several gains advance together in one paired pass: each
+step's noise is drawn once and drives every gain's errors, and only the
+per-step mean squared error of each gain is kept.  Every trajectory has
+the same length, so the losses are plain averages of that curve, split at
+a critical time into transient and steady windows; the critical time can
+either be configured or detected from the flattening of the log
+mean-square-error curve.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 # cov_factor stays importable here for callers that look it up on this
 # module; trajectories draw noise through a NoiseStack.
 from .error_mdp import (NoiseStack, cov_factor,  # noqa: F401
-                        sample_initial_error, step)
+                        diverged_runs, sample_initial_error, step)
 from .errors import DivergenceError
 from .models import LinearGaussianModel
 
@@ -71,27 +75,44 @@ class EvalReport:
     logmse_curve: np.ndarray = field(repr=False)
 
 
-def _simulate(model: LinearGaussianModel, gain: np.ndarray, t_test: int,
-              e0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Squared estimation error per step for a batch of trajectories.
+def _rollout(model: LinearGaussianModel, gains: np.ndarray, t_test: int,
+             e0: np.ndarray, rng: np.random.Generator):
+    """Advance one trajectory set under a stack of gains, step by step.
 
-    The error starts at ``e0`` (shape (N, n)) and advances through the
-    error-MDP transition :func:`step`, drawing process and then
-    measurement noise from ``rng`` each step.  Returns (N, t_test) squared
-    errors for steps 1..t_test.
+    Every gain in the (K, n, r) stack starts from the same initial errors
+    ``e0`` (shape (N, n)) and sees the same noise: each step draws process
+    and then measurement noise once from ``rng`` and advances the
+    (K, N, n) error stack through :func:`step`.  A gain leaves the stack at
+    the step where :func:`diverged_runs` flags its errors (non-finite or
+    beyond the guard); the noise is shared, so that never changes another
+    gain's numbers.
+
+    Yields, for steps t = 1..t_test, ``(t, alive, squared)``: the indices
+    of the gains still in the stack and their (len(alive), N) squared
+    errors.  Stops after the step at which the last gain leaves.
     """
-    # A stack of one run: the error and the noise carry a leading axis of 1.
     noise = NoiseStack(model, [rng], e0.shape[0])
-    err = e0[np.newaxis]
-    squared = np.empty((e0.shape[0], t_test))
+    alive = np.arange(len(gains))
+    err = np.repeat(e0[np.newaxis], len(gains), axis=0)
     for t in range(1, t_test + 1):
-        err, reward = step(model, err, gain, noise.draw())
-        values = -reward[0]
-        if not np.all(np.isfinite(values)):
-            raise DivergenceError(
-                f"estimation error diverged at step {t}", step=t)
-        squared[:, t - 1] = values
-    return squared
+        err, reward = step(model, err, gains, noise.draw())
+        _, bad = diverged_runs(err)
+        if bad.any():
+            kept = ~bad
+            alive, err, gains, reward = (alive[kept], err[kept], gains[kept],
+                                         reward[kept])
+        yield t, alive, -reward
+        if not alive.size:
+            return
+
+
+def _initial_error(model: LinearGaussianModel, cfg: EvalConfig, bounds=None
+                   ) -> tuple[np.ndarray, np.random.Generator]:
+    """Seeded initial errors, and the generator the noise draws continue."""
+    rng = np.random.default_rng(cfg.seed)
+    e0 = sample_initial_error(model, "uniform_box", rng, size=cfg.n_traj,
+                              bounds=bounds)
+    return e0, rng
 
 
 def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
@@ -104,37 +125,50 @@ def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
     randomness comes from a single generator seeded with ``cfg.seed``, so
     two gains evaluated with the same config see identical initial errors
     and noise (paired comparison), and the same config reproduces the
-    array bit for bit.
+    array bit for bit.  This is the rollout of :func:`evaluate_gains` with
+    a stack of one gain; it keeps every trajectory, so it holds
+    N x t_test values where :func:`evaluate_gains` keeps t_test per gain.
+
+    Raises:
+        DivergenceError: at the first step ``step`` at which an error
+            entry is non-finite or beyond the divergence guard.
     """
-    rng = np.random.default_rng(cfg.seed)
-    e0 = sample_initial_error(model, "uniform_box", rng, size=cfg.n_traj,
-                              bounds=bounds)
-    return _simulate(model, gain, cfg.t_test, e0, rng)
+    e0, rng = _initial_error(model, cfg, bounds)
+    squared = np.empty((cfg.n_traj, cfg.t_test))
+    gains = np.asarray(gain, dtype=float)[np.newaxis]
+    for t, alive, values in _rollout(model, gains, cfg.t_test, e0, rng):
+        if not alive.size:
+            raise DivergenceError(
+                f"estimation error diverged at step {t}", step=t)
+        squared[:, t - 1] = values[0]
+    return squared
 
 
-def losses(squared_error: np.ndarray, t_critical: int) -> EvalReport:
-    """Split per-trajectory time averages at the critical time.
+def losses(mse: np.ndarray, t_critical: int) -> EvalReport:
+    """Split the per-step mean squared error at the critical time.
 
-    ``squared_error`` is (n_traj, t_test) with column j holding step j+1.
-    Transient averages steps 1..t_critical, steady the remainder, full the
-    whole trajectory; each is then averaged over trajectories.  The curve
-    is log10 of the per-step mean squared error.
+    ``mse`` is the (t_test,) curve of mean squared errors, entry j holding
+    step j+1; a (n_traj, t_test) array of per-trajectory squared errors is
+    first averaged over trajectories.  Every trajectory has the same
+    length, so each loss is a plain average of the curve: transient over
+    steps 1..t_critical, steady over the remainder, full over all of it.
+    The report's curve is log10 of ``mse``.
     """
-    se = np.asarray(squared_error, dtype=float)
-    if se.ndim != 2 or se.size == 0:
-        raise ValueError("squared_error must be a non-empty (n_traj, t_test) array")
-    t_test = se.shape[1]
+    curve = np.asarray(mse, dtype=float)
+    if curve.ndim not in (1, 2) or curve.size == 0:
+        raise ValueError("mse must be a non-empty (t_test,) curve or "
+                         "(n_traj, t_test) array")
+    if curve.ndim == 2:
+        curve = curve.mean(axis=0)
+    t_test = len(curve)
     if not 0 < t_critical < t_test:
         raise ValueError(
             f"need 0 < t_critical < t_test={t_test}, got {t_critical}")
-    loss_tran = float(se[:, :t_critical].sum(axis=1).mean() / t_critical)
-    loss_ss = float(se[:, t_critical:].sum(axis=1).mean()
-                    / (t_test - t_critical))
-    loss_full = float(se.sum(axis=1).mean() / t_test)
     with np.errstate(divide="ignore"):
-        curve = np.log10(se.mean(axis=0))
-    return EvalReport(loss_tran=loss_tran, loss_ss=loss_ss,
-                      loss_full=loss_full, logmse_curve=curve)
+        logmse = np.log10(curve)
+    return EvalReport(loss_tran=float(curve[:t_critical].mean()),
+                      loss_ss=float(curve[t_critical:].mean()),
+                      loss_full=float(curve.mean()), logmse_curve=logmse)
 
 
 def detect_critical_time(logmse_curve: np.ndarray, window: int = 50,
@@ -179,26 +213,36 @@ def gain_metrics(pi: np.ndarray, k_inf: np.ndarray
 
 def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
                    ) -> list[dict]:
-    """Evaluate named gains with common trajectory seeds.
+    """Evaluate named gains in one paired pass over one trajectory set.
 
-    ``gains`` is an iterable of (name, gain matrix).  Each gain reruns the
-    same seeded trajectory set, so rows are directly comparable.  A gain
-    whose simulation blows up gets a "diverged" status with NaN losses.
+    ``gains`` is an iterable of (name, gain matrix).  All gains advance
+    together from the same seeded initial errors under the same noise
+    draws, so rows are directly comparable, and each row equals the same
+    gain evaluated alone.  Only the per-step mean squared error is kept
+    per gain (O(K t_test) memory for K gains), and :func:`losses` splits
+    it.  A gain whose errors leave the divergence guard gets a "diverged"
+    status with NaN losses.
 
     Returns:
         One dict per gain: name, loss_tran, loss_ss, loss_full, status,
         and the report (None when diverged).
     """
+    named = list(gains)
+    if not named:
+        return []
+    stack = np.array([gain for _, gain in named], dtype=float)
+    e0, rng = _initial_error(model, cfg)
+    mse = np.full((len(named), cfg.t_test), np.nan)
+    for t, alive, squared in _rollout(model, stack, cfg.t_test, e0, rng):
+        mse[alive, t - 1] = squared.mean(axis=-1)
     rows = []
-    for name, gain in gains:
-        try:
-            se = run_trajectories(model, gain, cfg)
-        except DivergenceError:
+    for k, (name, _) in enumerate(named):
+        if k not in alive:
             rows.append({"name": name, "loss_tran": float("nan"),
                          "loss_ss": float("nan"), "loss_full": float("nan"),
                          "status": "diverged", "report": None})
             continue
-        report = losses(se, cfg.t_critical)
+        report = losses(mse[k], cfg.t_critical)
         rows.append({"name": name, "loss_tran": report.loss_tran,
                      "loss_ss": report.loss_ss, "loss_full": report.loss_full,
                      "status": "ok", "report": report})

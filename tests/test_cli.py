@@ -193,6 +193,19 @@ class TestEval:
         assert [row[4] for row in rows[1:]] == ["ok", "ok"]
         assert float(rows[1][2]) < float(rows[2][2])
 
+    def test_diverged_row_exits_1_and_keeps_every_row(self, tmp_path):
+        # rho[(I - K C) A] = 1.406 for this gain on the bicycle.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"gain": [[0.0, 0.0], [0.0, -0.5]]}))
+        cfg = write_config(tmp_path)
+        code = main(["eval", "--config", str(cfg),
+                     "--gain", "dare", "--gain", f"bad={bad}"])
+        assert code == 1
+        with open(tmp_path / "out" / "eval.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [(row[0], row[4]) for row in rows[1:]] == [
+            ("dare", "ok"), ("bad", "diverged")]
+
 
 class TestSweepGamma:
     def test_singleton_sweep_matches_train(self, tmp_path):

@@ -68,6 +68,32 @@ class TestStep:
             np.testing.assert_allclose(batch_next[i], nxt, rtol=1e-14)
             assert batch_reward[i] == pytest.approx(reward, rel=1e-12)
 
+    def test_shared_noise_broadcasts_over_stack(self, bicycle):
+        rng = np.random.default_rng(5)
+        gains = rng.standard_normal((3, 2, 2)) * 0.05
+        states = rng.standard_normal((3, 8, 2))
+        noise = NoiseDraw(xi=rng.standard_normal((1, 8, 2)),
+                          zeta=rng.standard_normal((1, 8, 2)))
+        nxt, reward = step(bicycle, states, gains, noise)
+        for k in range(3):
+            alone, alone_reward = step(bicycle, states[k:k + 1],
+                                       gains[k:k + 1], noise)
+            np.testing.assert_array_equal(nxt[k], alone[0])
+            np.testing.assert_array_equal(reward[k], alone_reward[0])
+
+    def test_shared_noise_shapes_checked(self, bicycle):
+        states = np.zeros((3, 8, 2))
+        gains = np.zeros((3, 2, 2))
+        for xi, zeta in [((1, 7, 2), (1, 7, 2)), ((1, 8, 3), (1, 8, 2)),
+                         ((1, 8, 2), (3, 8, 2)), ((1, 8, 2), (2, 8, 2))]:
+            with pytest.raises(ValueError):
+                step(bicycle, states, gains,
+                     NoiseDraw(xi=np.zeros(xi), zeta=np.zeros(zeta)))
+        # a leading axis of 1 broadcasts only over a stack
+        with pytest.raises(ValueError):
+            step(bicycle, np.zeros((8, 2)), np.zeros((2, 2)),
+                 NoiseDraw(xi=np.zeros((1, 8, 2)), zeta=np.zeros((1, 8, 2))))
+
     def test_reward_nonpositive(self, bicycle):
         rng = np.random.default_rng(6)
         for _ in range(50):

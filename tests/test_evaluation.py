@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steadygain import (
+    DivergenceError,
     EvalConfig,
     LinearGaussianModel,
     detect_critical_time,
@@ -79,13 +80,14 @@ class TestRunTrajectory:
 class TestLosses:
     def test_constant_error(self):
         se = np.full((3, 10), 2.5)
-        report = losses(se, t_critical=4)
+        report = losses(se.mean(axis=0), t_critical=4)
         assert report.loss_tran == pytest.approx(2.5)
         assert report.loss_ss == pytest.approx(2.5)
         assert report.loss_full == pytest.approx(2.5)
 
     def test_hand_worked_split(self):
-        report = losses(np.array([[1.0, 3.0, 5.0, 7.0]]), t_critical=2)
+        se = np.array([[1.0, 3.0, 5.0, 7.0]])
+        report = losses(se.mean(axis=0), t_critical=2)
         assert report.loss_tran == pytest.approx(2.0)
         assert report.loss_ss == pytest.approx(6.0)
         assert report.loss_full == pytest.approx(4.0)
@@ -94,23 +96,23 @@ class TestLosses:
         rng = np.random.default_rng(21)
         se = rng.uniform(0, 1, (50, 300))
         t_crit = 120
-        report = losses(se, t_crit)
+        report = losses(se.mean(axis=0), t_crit)
         lhs = t_crit * report.loss_tran + (300 - t_crit) * report.loss_ss
         rhs = 300 * report.loss_full
         assert abs(lhs - rhs) / rhs < 1e-12
 
     def test_curve_is_log10_of_mean(self):
         se = np.array([[1.0, 10.0], [1.0, 10.0]])
-        report = losses(se, t_critical=1)
+        report = losses(se.mean(axis=0), t_critical=1)
         np.testing.assert_allclose(report.logmse_curve, [0.0, 1.0])
 
     def test_critical_time_validated(self):
         with pytest.raises(ValueError):
-            losses(np.ones((2, 10)), t_critical=10)
+            losses(np.ones((2, 10)).mean(axis=0), t_critical=10)
         with pytest.raises(ValueError):
-            losses(np.ones((2, 10)), t_critical=0)
+            losses(np.ones((2, 10)).mean(axis=0), t_critical=0)
         with pytest.raises(ValueError):
-            losses(np.zeros((0, 10)), t_critical=5)
+            losses(np.zeros(0), t_critical=5)
 
 
 class TestDetectCriticalTime:
@@ -183,6 +185,52 @@ class TestEvaluateGains:
         rows = evaluate_gains(bicycle, [("bad", bad)], cfg)
         assert rows[0]["status"] == "diverged"
         assert np.isnan(rows[0]["loss_full"])
+
+    def test_guard_flags_destabilizing_gain(self, bicycle):
+        # rho[(I - K C) A] = 1.406: the errors grow without bound but stay
+        # finite for 1 000 steps, so a non-finite check alone misses them.
+        bad = np.array([[0.0, 0.0], [0.0, -0.5]])
+        closed = (np.eye(2) - bad @ bicycle.C) @ bicycle.A
+        assert spectral_radius(closed) == pytest.approx(1.406, abs=1e-3)
+        cfg = EvalConfig(n_traj=500, t_test=1000, t_critical=195, seed=3)
+        rows = evaluate_gains(bicycle, [("bad", bad)], cfg)
+        assert rows[0]["status"] == "diverged"
+        assert np.isnan(rows[0]["loss_full"])
+        with pytest.raises(DivergenceError) as excinfo:
+            run_trajectories(bicycle, bad, cfg)
+        assert 0 < excinfo.value.step < cfg.t_test
+
+    def test_stacked_rows_equal_gains_alone(self, bicycle, bicycle_dare):
+        # A diverging gain between two good ones leaves their rows intact.
+        gains = [("kinf", bicycle_dare.gain),
+                 ("bad", np.array([[0.0, 0.0], [0.0, -40.0]])),
+                 ("zero", np.zeros((2, 2)))]
+        cfg = EvalConfig(n_traj=200, t_test=300, t_critical=100, seed=8)
+        stacked = evaluate_gains(bicycle, gains, cfg)
+        assert [row["status"] for row in stacked] == ["ok", "diverged", "ok"]
+        for row, named in zip(stacked, gains):
+            alone = evaluate_gains(bicycle, [named], cfg)[0]
+            assert row["status"] == alone["status"]
+            np.testing.assert_array_equal(
+                [row[key] for key in ("loss_tran", "loss_ss", "loss_full")],
+                [alone[key] for key in ("loss_tran", "loss_ss", "loss_full")])
+            if row["report"] is not None:
+                np.testing.assert_array_equal(row["report"].logmse_curve,
+                                              alone["report"].logmse_curve)
+
+    def test_reports_match_per_trajectory_losses(self, bicycle, bicycle_dare):
+        gains = [("kinf", bicycle_dare.gain), ("zero", np.zeros((2, 2)))]
+        cfg = EvalConfig(n_traj=300, t_test=400, t_critical=150, seed=9)
+        rows = evaluate_gains(bicycle, gains, cfg)
+        for row, (_, gain) in zip(rows, gains):
+            se = run_trajectories(bicycle, gain, cfg)
+            expected = losses(se.mean(axis=0), cfg.t_critical)
+            for key in ("loss_tran", "loss_ss", "loss_full"):
+                assert row[key] == pytest.approx(getattr(expected, key),
+                                                 rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(row["report"].logmse_curve,
+                                       expected.logmse_curve,
+                                       rtol=1e-12, atol=0.0)
 
     def test_csv_outputs(self, tmp_path, bicycle, bicycle_dare):
         cfg = EvalConfig(n_traj=10, t_test=200, t_critical=80, seed=7)
