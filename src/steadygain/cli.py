@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +60,7 @@ class RunConfig:
             "model must be 'bicycle', {'bicycle': {...}} or {'inline': {...}}")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "trainer": self.trainer.to_dict(),
-            "eval": self.eval.to_dict(),
-            "gamma_sweep": list(self.gamma_sweep),
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -194,6 +188,8 @@ def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
 
 
 def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
+    if not cfg.gamma_sweep:
+        raise ValueError("gamma_sweep must list at least one discount")
     model = cfg.build_model()
     ref = solve_dare(model).gain
     base = replace(cfg.trainer, init_mode="fixed")

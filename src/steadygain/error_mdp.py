@@ -133,6 +133,19 @@ def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
+    _check_transition(model, s, a, noise)
+    if s.ndim == 1:
+        z = model.A @ s + model.E @ noise.xi
+        nxt = z - a @ (model.C @ z + noise.zeta)
+        return nxt, float(-nxt @ nxt)
+    z = s @ model.A.T + noise.xi @ model.E.T
+    nxt = z - (z @ model.C.T + noise.zeta) @ a.swapaxes(-1, -2)
+    return nxt, -np.einsum("...i,...i->...", nxt, nxt)
+
+
+def _check_transition(model: LinearGaussianModel, s: np.ndarray,
+                      a: np.ndarray, noise: NoiseDraw) -> None:
+    """Raise ValueError unless :func:`step` accepts these shapes."""
     if a.ndim not in (2, 3) or a.shape[-2:] != (model.n, model.r):
         raise ValueError(
             f"gain must be {model.n} x {model.r}, got {a.shape}")
@@ -152,14 +165,6 @@ def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
     if zeta.shape != lead + (model.r,):
         raise ValueError(
             f"measurement noise shape {zeta.shape} does not match state")
-
-    if s.ndim == 1:
-        z = model.A @ s + model.E @ xi
-        nxt = z - a @ (model.C @ z + zeta)
-        return nxt, float(-nxt @ nxt)
-    z = s @ model.A.T + xi @ model.E.T
-    nxt = z - (z @ model.C.T + zeta) @ a.swapaxes(-1, -2)
-    return nxt, -np.einsum("...i,...i->...", nxt, nxt)
 
 
 def sample_initial_error(model: LinearGaussianModel, mode: str,

@@ -16,7 +16,7 @@ mean-square-error curve.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,8 +57,7 @@ class EvalConfig:
             raise ValueError("n_traj must be >= 1")
 
     def to_dict(self) -> dict:
-        return {"n_traj": self.n_traj, "t_test": self.t_test,
-                "t_critical": self.t_critical, "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EvalConfig":
@@ -148,18 +147,14 @@ def losses(mse: np.ndarray, t_critical: int) -> EvalReport:
     """Split the per-step mean squared error at the critical time.
 
     ``mse`` is the (t_test,) curve of mean squared errors, entry j holding
-    step j+1; a (n_traj, t_test) array of per-trajectory squared errors is
-    first averaged over trajectories.  Every trajectory has the same
-    length, so each loss is a plain average of the curve: transient over
-    steps 1..t_critical, steady over the remainder, full over all of it.
-    The report's curve is log10 of ``mse``.
+    step j+1.  Every trajectory has the same length, so each loss is a
+    plain average of the curve: transient over steps 1..t_critical, steady
+    over the remainder, full over all of it.  The report's curve is log10
+    of ``mse``.
     """
     curve = np.asarray(mse, dtype=float)
-    if curve.ndim not in (1, 2) or curve.size == 0:
-        raise ValueError("mse must be a non-empty (t_test,) curve or "
-                         "(n_traj, t_test) array")
-    if curve.ndim == 2:
-        curve = curve.mean(axis=0)
+    if curve.ndim != 1 or curve.size == 0:
+        raise ValueError("mse must be a non-empty (t_test,) curve")
     t_test = len(curve)
     if not 0 < t_critical < t_test:
         raise ValueError(

@@ -14,7 +14,7 @@ continuous-to-discrete conversion and a builder for a 2-DOF single-track
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,9 +204,6 @@ class VehicleParams:
                 raise ValueError(f"{name} must be nonnegative")
         if self.l_arm is None:
             object.__setattr__(self, "l_arm", equivalent_moment_arm(self.a, self.b))
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _expm(M: np.ndarray) -> np.ndarray:

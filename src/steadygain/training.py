@@ -2,19 +2,19 @@
 
 The critic is the quadratic value V(s; w) = -s^T w s with a symmetric
 weight matrix w; the actor is the constant gain matrix itself.  Each
-iteration rolls the persistent error pool one transition forward under the
-current gain, evaluates the critic with a semi-gradient temporal-difference
-step (bootstrap target frozen), improves the actor along the exact
-derivative of the one-step return through the linear transition, and
-applies Adam to both.
+iteration forms one law of the pool's next error s' under the current
+gain; against it the critic takes a semi-gradient temporal-difference
+step (bootstrap target frozen), the actor ascends the exact derivative of
+the one-step return through the linear transition, and Adam applies both.
 
-Two gradient estimators are available.  ``"sampled"`` uses the single
-drawn noise realization per pool member, matching
-:func:`critic_loss_and_grad` / :func:`actor_loss_and_grad` exactly.
-``"analytic"`` (the default) integrates the Gaussian noise out of both
-expectations in closed form, which removes the measurement-noise sampling
-variance that otherwise dominates the gain columns tied to low-noise
-measurements; the pool itself still evolves stochastically.
+The two gradient estimators differ only in that law.  ``"sampled"`` draws
+one noise realization per pool member, so the law is the drawn s' itself,
+as in :func:`critic_loss_and_grad` / :func:`actor_loss_and_grad` with a
+noise batch.  ``"analytic"`` (the default) integrates the Gaussian noise
+out into the closed-form moments of s' given s, which removes the
+measurement-noise sampling variance that otherwise dominates the gain
+columns tied to low-noise measurements; the pool itself still evolves
+stochastically.
 
 Every function here also takes a stack of runs on a leading axis: gains
 (K, n, r), critics (K, n, n), pools (K, M, n) and one discount per run.
@@ -26,14 +26,16 @@ seed-averaged forms.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 # draw_noise stays importable here for callers that look it up on this
 # module; the training loop draws through a NoiseStack.
-from .error_mdp import (NoiseStack, diverged_runs,  # noqa: F401
-                        draw_noise, sample_initial_error, step)
+from .error_mdp import (NoiseDraw, NoiseStack,  # noqa: F401
+                        _check_transition, diverged_runs, draw_noise,
+                        sample_initial_error, step)
 from .errors import DivergenceError
 from .kalman import symmetrize
 from .models import LinearGaussianModel
@@ -72,11 +74,9 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: np.ndarray, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: np.ndarray) -> "AdamState":
         return cls(m=np.zeros_like(params, dtype=float),
-                   v=np.zeros_like(params, dtype=float),
-                   t=0, beta1=beta1, beta2=beta2, eps=eps)
+                   v=np.zeros_like(params, dtype=float))
 
 
 def adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState,
@@ -131,19 +131,7 @@ class TrainerConfig:
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "lr_actor": self.lr_actor,
-            "lr_critic": self.lr_critic,
-            "gamma": self.gamma,
-            "max_iters": self.max_iters,
-            "convergence_tol": self.convergence_tol,
-            "seed": self.seed,
-            "init_mode": self.init_mode,
-            "burn_in": self.burn_in,
-            "estimator": self.estimator,
-            "tail_avg_frac": self.tail_avg_frac,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainerConfig":
@@ -159,17 +147,16 @@ class TrainHistory:
     loss arrays the critic/actor objective values seen that iteration.
     """
 
-    theta: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-    diff: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-    critic_loss: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    actor_loss: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    theta: np.ndarray
+    diff: np.ndarray
+    critic_loss: np.ndarray
+    actor_loss: np.ndarray
     converged: bool = False
     iterations: int = 0
 
     def to_csv(self, path) -> None:
         """Write one row per iteration: iter, theta.., d.., losses."""
-        n, r = (self.theta.shape[1], self.theta.shape[2]) \
-            if self.theta.ndim == 3 and self.theta.shape[0] else (0, 0)
+        n, r = self.theta.shape[1:]
         header = (["iter"]
                   + [f"theta{i + 1}{j + 1}" for i in range(n) for j in range(r)]
                   + [f"d{i + 1}{j + 1}" for i in range(n) for j in range(r)]
@@ -200,13 +187,6 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)
 
 
-def _check_batch(batch) -> np.ndarray:
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim not in (2, 3) or batch.shape[-2] == 0:
-        raise ValueError("batch must be a non-empty (M, n) or (K, M, n) array")
-    return batch
-
-
 def critic_value(w: np.ndarray, s: np.ndarray) -> float | np.ndarray:
     """Quadratic value V(s; w) = -s^T w s; batched over leading axes.
 
@@ -219,30 +199,105 @@ def critic_value(w: np.ndarray, s: np.ndarray) -> float | np.ndarray:
     return -np.einsum("...bi,...ij,...bj->...b", s, w, s)
 
 
-def critic_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
-                         theta: np.ndarray, batch: np.ndarray, noise_batch,
-                         gamma=0.99) -> tuple[float | np.ndarray, np.ndarray]:
-    """Semi-gradient TD loss for the quadratic critic on one noise draw.
+class _ErrorLaw(NamedTuple):
+    """Next errors s' (drawn, or E[s' | s]) and batch moments of s'.
 
-    Loss is the batch mean of 0.5 * TD^2 with
-    TD = r' + gamma * V(s'; w) - V(s; w); the bootstrap target
-    r' + gamma * V(s'; w) is treated as a constant, so the gradient is
-    mean(TD * s s^T), symmetrized.  On a stack of runs (leading axis K)
-    ``gamma`` may hold one discount per run and the loss is one per run.
+    Fields as described in :func:`_next_error_law`.
     """
-    batch = _check_batch(batch)
-    w = np.asarray(w, dtype=float)
-    nxt, reward = step(model, batch, np.asarray(theta, dtype=float), noise_batch)
-    td = (reward + _discount(gamma, 1) * critic_value(w, nxt)
-          - critic_value(w, batch))
+
+    mean: np.ndarray
+    cross: np.ndarray
+    cov: np.ndarray | None = None
+    second: np.ndarray | None = None
+
+
+def _next_error_law(model: LinearGaussianModel, theta: np.ndarray,
+                    batch: np.ndarray, noise: NoiseDraw | None = None
+                    ) -> _ErrorLaw:
+    """Law of s' = z - theta v, z = A s + E xi, v = C z + zeta, per member.
+
+    With ``noise`` it is that draw: ``mean`` holds s' and ``cross`` the
+    batch mean of s' v^T.  Without, the noise is integrated out: ``mean``
+    is (I - theta C) A s and ``cov`` the covariance of s' given s,
+    (I - theta C) E Q E^T (I - theta C)^T + theta R theta^T; with P the
+    batch second moment and Sp = A P A^T + E Q E^T, ``cross`` is
+    E[s' v^T] = (I - theta C) Sp C^T - theta R and ``second`` the batch
+    mean of E[s' s'^T] = (I - theta C) Sp (I - theta C)^T + theta R theta^T.
+    """
+    m_count = batch.shape[-2]
+    if noise is not None:
+        z = batch @ model.A.T + noise.xi @ model.E.T
+        v = z @ model.C.T + noise.zeta
+        nxt = z - v @ theta.swapaxes(-1, -2)
+        return _ErrorLaw(mean=nxt, cross=nxt.swapaxes(-1, -2) @ v / m_count)
+    ic = np.eye(model.n) - theta @ model.C
+    ic_t = ic.swapaxes(-1, -2)
+    eqe = model.effective_process_cov()
+    measured = theta @ model.R @ theta.swapaxes(-1, -2)
+    p_batch = batch.swapaxes(-1, -2) @ batch / m_count
+    ic_sp = ic @ (model.A @ p_batch @ model.A.T + eqe)
+    return _ErrorLaw(mean=batch @ (ic @ model.A).swapaxes(-1, -2),
+                     cross=ic_sp @ model.C.T - theta @ model.R,
+                     cov=ic @ eqe @ ic_t + measured,
+                     second=ic_sp @ ic_t + measured)
+
+
+def _checked_law(model, theta, batch, noise) -> tuple[np.ndarray, _ErrorLaw]:
+    """Check a public estimator's inputs; return the batch and its law."""
+    batch = np.asarray(batch, dtype=float)
+    if batch.ndim not in (2, 3) or batch.shape[-2] == 0:
+        raise ValueError("batch must be a non-empty (M, n) or (K, M, n) array")
+    theta = np.asarray(theta, dtype=float)
+    if noise is not None:
+        _check_transition(model, batch, theta, noise)
+    return batch, _next_error_law(model, theta, batch, noise)
+
+
+def _critic_step(law: _ErrorLaw, w: np.ndarray, batch: np.ndarray, gamma):
+    """:func:`critic_loss_and_grad` on ``law``; a covariance adds traces."""
+    reward = -np.einsum("...i,...i->...", law.mean, law.mean)
+    v_next = critic_value(w, law.mean)
+    if law.cov is not None:
+        reward = reward - _trace(law.cov)[..., None]
+        v_next = v_next - _trace(w @ law.cov)[..., None]
+    td = reward + _discount(gamma, 1) * v_next - critic_value(w, batch)
     loss = 0.5 * np.mean(td ** 2, axis=-1)
     grad = (batch * td[..., None]).swapaxes(-1, -2) @ batch / batch.shape[-2]
     return _per_run(loss), symmetrize(grad)
 
 
+def _actor_step(law: _ErrorLaw, w: np.ndarray, gamma):
+    """:func:`actor_loss_and_grad` on ``law``."""
+    mw = np.eye(w.shape[-1]) + _discount(gamma, 2) * w
+    if law.second is None:
+        loss = np.mean(critic_value(mw, law.mean), axis=-1)
+    else:
+        loss = -_trace(mw @ law.second)
+    grad = (mw + mw.swapaxes(-1, -2)) @ law.cross
+    return _per_run(loss), grad
+
+
+def critic_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
+                         theta: np.ndarray, batch: np.ndarray,
+                         noise_batch: NoiseDraw | None = None, gamma=0.99
+                         ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Semi-gradient TD loss for the quadratic critic.
+
+    Loss is the batch mean of 0.5 * TD^2 with
+    TD = r' + gamma * V(s'; w) - V(s; w); the bootstrap target
+    r' + gamma * V(s'; w) is treated as a constant, so the gradient is
+    mean(TD * s s^T), symmetrized.  With ``noise_batch=None`` the noise is
+    integrated out of the target.  On a stack of runs (leading axis K)
+    ``gamma`` may hold one discount per run and the loss is one per run.
+    """
+    batch, law = _checked_law(model, theta, batch, noise_batch)
+    return _critic_step(law, np.asarray(w, dtype=float), batch, gamma)
+
+
 def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
-                        theta: np.ndarray, batch: np.ndarray, noise_batch,
-                        gamma=0.99) -> tuple[float | np.ndarray, np.ndarray]:
+                        theta: np.ndarray, batch: np.ndarray,
+                        noise_batch: NoiseDraw | None = None, gamma=0.99
+                        ) -> tuple[float | np.ndarray, np.ndarray]:
     """One-step return plus bootstrap, differentiated through the transition.
 
     Loss is the batch mean of r' + gamma * V(s'; w) for the sampled noise.
@@ -251,64 +306,12 @@ def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
 
         d loss / d theta = mean[ (Mw + Mw^T) s' v^T ],   Mw = I + gamma w.
 
-    Critic weights are held fixed (policy-improvement step).  Stacks of
-    runs are handled as in :func:`critic_loss_and_grad`.
+    With ``noise_batch=None`` the noise is integrated out of the loss and
+    of mean[s' v^T].  Critic weights are held fixed (policy-improvement
+    step).  Stacks of runs are handled as in :func:`critic_loss_and_grad`.
     """
-    batch = _check_batch(batch)
-    w = np.asarray(w, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    m_count = batch.shape[-2]
-    z = batch @ model.A.T + noise_batch.xi @ model.E.T
-    v = z @ model.C.T + noise_batch.zeta
-    nxt = z - v @ theta.swapaxes(-1, -2)
-    mw = np.eye(model.n) + _discount(gamma, 2) * w
-    loss = np.mean(-np.einsum("...bi,...ij,...bj->...b", nxt, mw, nxt),
-                   axis=-1)
-    grad = (mw + mw.swapaxes(-1, -2)) @ (nxt.swapaxes(-1, -2) @ v) / m_count
-    return _per_run(loss), grad
-
-
-def _analytic_critic_loss_and_grad(model, w, theta, batch, gamma):
-    """Critic semi-gradient with the transition noise integrated out.
-
-    Per member, E_noise[TD] = E[r'] + gamma E[V(s')] - V(s) has closed form
-    because s' is Gaussian given s; the semi-gradient weights s s^T by that
-    expected TD.
-    """
-    eye = np.eye(model.n)
-    ic = eye - theta @ model.C
-    mu = batch @ (ic @ model.A).swapaxes(-1, -2)
-    cov = (ic @ model.effective_process_cov() @ ic.swapaxes(-1, -2)
-           + theta @ model.R @ theta.swapaxes(-1, -2))
-    e_reward = -(np.einsum("...bi,...bi->...b", mu, mu)
-                 + _trace(cov)[..., None])
-    e_vnext = -(np.einsum("...bi,...ij,...bj->...b", mu, w, mu)
-                + _trace(w @ cov)[..., None])
-    td = e_reward + _discount(gamma, 1) * e_vnext - critic_value(w, batch)
-    loss = 0.5 * np.mean(td ** 2, axis=-1)
-    grad = (batch * td[..., None]).swapaxes(-1, -2) @ batch / batch.shape[-2]
-    return _per_run(loss), symmetrize(grad)
-
-
-def _analytic_actor_loss_and_grad(model, w, theta, batch, gamma):
-    """Actor loss/gradient with the transition noise integrated out.
-
-    With P the batch second moment and Sp = A P A^T + E Q E^T, the expected
-    cross moment E[s' v^T] = (I - theta C) Sp C^T - theta R replaces its
-    one-sample estimate in the pathwise gradient.
-    """
-    m_count = batch.shape[-2]
-    eye = np.eye(model.n)
-    ic = eye - theta @ model.C
-    p_batch = batch.swapaxes(-1, -2) @ batch / m_count
-    sp = model.A @ p_batch @ model.A.T + model.effective_process_cov()
-    mw = eye + _discount(gamma, 2) * w
-    second = (ic @ sp @ ic.swapaxes(-1, -2)
-              + theta @ model.R @ theta.swapaxes(-1, -2))
-    loss = -_trace(mw @ second)
-    cross = ic @ sp @ model.C.T - theta @ model.R
-    grad = (mw + mw.swapaxes(-1, -2)) @ cross
-    return _per_run(loss), grad
+    batch, law = _checked_law(model, theta, batch, noise_batch)
+    return _actor_step(law, np.asarray(w, dtype=float), gamma)
 
 
 @dataclass
@@ -364,12 +367,13 @@ class TrainRuns:
                 raise DivergenceError(message, history=self.history(k))
 
 
-def _divergence_message(theta, guard, worst_pool) -> str:
+def _divergence_message(theta, guard, worst_pool, k) -> str:
     if not np.all(np.isfinite(theta)):
         return "gain contains non-finite entries"
     if np.abs(theta).max() > guard:
         return f"gain magnitude exceeded the divergence guard ({guard:.3e})"
-    return f"error pool diverged (max entry {worst_pool:.3e})"
+    during = " during burn-in" if k == 0 else ""
+    return f"error pool diverged{during} (max entry {worst_pool:.3e})"
 
 
 def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
@@ -384,13 +388,14 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     discount, never on what else is in the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
-    iteration shares one pool rollout between the evaluation and
-    improvement steps, then keeps the advanced pool for the next iteration.
-    A run stops when its gain's elementwise spread over the trailing 100
-    iterations falls below ``cfg.convergence_tol`` (``converged``), when it
-    diverges, or at ``cfg.max_iters``; the other runs go on.  A run's gain
-    averages its final ``cfg.tail_avg_frac`` of iterates, which suppresses
-    the stationary jitter of the stochastic updates.
+    iteration forms one law of the pool's next error, shared by the
+    evaluation and improvement steps, then advances the pool.  A run stops
+    when its gain's elementwise spread over the trailing 100 iterations
+    falls below ``cfg.convergence_tol`` (``converged``), when it diverges
+    (at iteration 0 if in burn-in), or at ``cfg.max_iters``; the other runs
+    go on.  A run's gain averages its final ``cfg.tail_avg_frac`` of
+    iterates, which suppresses the stationary jitter of the stochastic
+    updates.
 
     ``ref_gain`` only adds diagnostics (the histories' ``diff``) and a
     divergence guard at 1000x its largest element.  A run also diverges
@@ -424,9 +429,6 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     w = np.tile(np.eye(n), (count, 1, 1))
     adam_theta = AdamState.for_params(theta)
     adam_w = AdamState.for_params(w)
-    for _ in range(cfg.burn_in):
-        pool, _ = step(model, pool, theta, noise_stack.draw())
-
     theta_hist = np.zeros((count, max_iters, n, r))
     critic_hist = np.zeros((count, max_iters))
     actor_hist = np.zeros((count, max_iters))
@@ -436,38 +438,55 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     errors: list = [None] * count
     live = np.arange(count)
     live_gammas = gammas
-    tail_sum = np.zeros_like(theta)
-    tail_count = 0
-    tail_start = int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac)))
+    tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
     sampled = cfg.estimator == "sampled"
 
-    def tail_average():
-        return tail_sum / tail_count if tail_count else theta
+    def tail_average(run, k):
+        """Run's mean iterate from the tail start (or its last alone) to k."""
+        return theta_hist[run, min(tail_start, k) - 1:k].mean(axis=0)
+
+    def retire(stop, failed, worst_pool, k):
+        """Record why the flagged live runs stopped at k, and drop them."""
+        nonlocal live, theta, w, pool, live_gammas, adam_theta, adam_w
+        for j in np.flatnonzero(stop):
+            run = live[j]
+            iterations[run] = k
+            if failed[j]:
+                errors[run] = _divergence_message(theta[j], guard,
+                                                  worst_pool[j], k)
+            else:
+                converged[run] = True
+                gains[run] = tail_average(run, k)
+        keep = ~stop
+        live, theta, w, pool, live_gammas = (
+            a[keep] for a in (live, theta, w, pool, live_gammas))
+        adam_theta = replace(adam_theta, m=adam_theta.m[keep],
+                             v=adam_theta.v[keep])
+        adam_w = replace(adam_w, m=adam_w.m[keep], v=adam_w.v[keep])
+        noise_stack.keep(keep)
+
+    for _ in range(cfg.burn_in):
+        pool, _ = step(model, pool, theta, noise_stack.draw())
+        worst_pool, failed = diverged_runs(pool)
+        if failed.any():
+            retire(failed, failed, worst_pool, 0)
 
     for k in range(1, max_iters + 1):
         if not live.size:
             break
         noise = noise_stack.draw()
-        if sampled:
-            c_loss, c_grad = critic_loss_and_grad(
-                model, w, theta, pool, noise, live_gammas)
-        else:
-            c_loss, c_grad = _analytic_critic_loss_and_grad(
-                model, w, theta, pool, live_gammas)
+        law = _next_error_law(model, theta, pool, noise if sampled else None)
+        c_loss, c_grad = _critic_step(law, w, pool, live_gammas)
         w, adam_w = adam_update(w, c_grad, adam_w, cfg.lr_critic, "descend")
         w = symmetrize(w)
-        if sampled:
-            a_loss, a_grad = actor_loss_and_grad(
-                model, w, theta, pool, noise, live_gammas)
-        else:
-            a_loss, a_grad = _analytic_actor_loss_and_grad(
-                model, w, theta, pool, live_gammas)
+        a_loss, a_grad = _actor_step(law, w, live_gammas)
         updated, adam_theta = adam_update(
             theta, a_grad, adam_theta, cfg.lr_actor, "ascend")
-        # The sampled gradients saw this draw's transition under the old
-        # gain, so the pool takes that transition; with the noise
-        # integrated out, the pool advances under the updated gain.
-        pool, _ = step(model, pool, theta if sampled else updated, noise)
+        # A drawn law is this draw's transition under the old gain, and the
+        # pool takes it; with the noise integrated out, the pool advances
+        # under the updated gain.
+        pool = (law.mean if law.cov is None
+                else step(model, pool, updated, noise)[0])
         last_move = np.abs(updated - theta).max(axis=(1, 2))
         theta = updated
 
@@ -477,9 +496,6 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
 
         worst_pool, failed = diverged_runs(pool)
         failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
-        if k >= tail_start:
-            tail_sum += theta
-            tail_count += 1
         stop = failed
         # A window's spread is at least its last move, so the window is
         # only read once some run has moved less than the tolerance.
@@ -488,29 +504,12 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             window = theta_hist[live, k - _CONVERGENCE_WINDOW - 1:k]
             spread = (window.max(axis=1) - window.min(axis=1)).max(axis=(1, 2))
             stop = failed | (spread < cfg.convergence_tol)
-        if not stop.any():
-            continue
-
-        final = tail_average()
-        for j in np.flatnonzero(stop):
-            run = live[j]
-            iterations[run] = k
-            if failed[j]:
-                errors[run] = _divergence_message(theta[j], guard,
-                                                  worst_pool[j])
-            else:
-                converged[run] = True
-                gains[run] = final[j]
-        keep = ~stop
-        live, theta, w, pool, tail_sum, live_gammas = (
-            a[keep] for a in (live, theta, w, pool, tail_sum, live_gammas))
-        adam_theta = replace(adam_theta, m=adam_theta.m[keep],
-                             v=adam_theta.v[keep])
-        adam_w = replace(adam_w, m=adam_w.m[keep], v=adam_w.v[keep])
-        noise_stack.keep(keep)
+        if stop.any():
+            retire(stop, failed, worst_pool, k)
 
     iterations[live] = max_iters
-    gains[live] = tail_average()
+    for j, run in enumerate(live):
+        gains[run] = tail_average(run, max_iters) if max_iters else theta[j]
     return TrainRuns(
         gains=gains, theta=theta_hist, critic_loss=critic_hist,
         actor_loss=actor_hist, iterations=iterations, converged=converged,

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ class TestTrain:
         doc = json.loads((tmp_path / "out" / "theta.json").read_text())
         np.testing.assert_array_equal(np.array(doc["gain"]),
                                       np.zeros((2, 2)))
+
+    def test_pool_diverging_in_burn_in_exits_one(self, tmp_path, capsys):
+        # Burn-in runs under the zero gain, so the mode at 3 grows by 3x per
+        # step and passes the pool guard long before the 400 steps end.
+        inline = {
+            "A": [[3.0, 0.0], [0.0, 0.5]], "B": [[0.0], [0.0]],
+            "C": np.eye(2).tolist(), "D": [[0.0], [0.0]],
+            "E": np.eye(2).tolist(), "Q": np.eye(2).tolist(),
+            "R": np.eye(2).tolist(), "dt": 0.01,
+        }
+        cfg = write_config(tmp_path, model={"inline": inline},
+                           trainer={**SMALL_TRAINER, "burn_in": 400})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["train", "--config", str(cfg)]) == 1
+        assert "burn-in" in capsys.readouterr().err
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -223,6 +240,12 @@ class TestSweepGamma:
         np.testing.assert_allclose(theta_from_sweep, theta_from_train,
                                    rtol=1e-12)
 
+
+    def test_empty_sweep_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gamma_sweep=[])
+        assert main(["sweep-gamma", "--config", str(cfg)]) == 2
+        assert "gamma_sweep" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_every_run_diverging_exits_one(self, tmp_path):
         cfg = write_config(tmp_path,

@@ -71,7 +71,7 @@ class TestRunTrajectory:
         # Monte Carlo route vs the Riccati fixed point.
         cfg = EvalConfig(n_traj=1000, t_test=1000, t_critical=195, seed=1)
         se = run_trajectories(bicycle, bicycle_dare.gain, cfg)
-        report = losses(se, cfg.t_critical)
+        report = losses(se.mean(axis=0), cfg.t_critical)
         trace = np.trace(
             (np.eye(2) - bicycle_dare.gain @ bicycle.C) @ bicycle_dare.sigma)
         assert abs(report.loss_ss - trace) / trace < 0.05
@@ -113,6 +113,8 @@ class TestLosses:
             losses(np.ones((2, 10)).mean(axis=0), t_critical=0)
         with pytest.raises(ValueError):
             losses(np.zeros(0), t_critical=5)
+        with pytest.raises(ValueError):
+            losses(np.ones((2, 10)), t_critical=4)
 
 
 class TestDetectCriticalTime:
@@ -128,7 +130,7 @@ class TestDetectCriticalTime:
         # flat well before the configured default of 195).
         cfg = EvalConfig(n_traj=2000, t_test=600, t_critical=195, seed=42)
         se = run_trajectories(bicycle, bicycle_dare.gain, cfg)
-        report = losses(se, cfg.t_critical)
+        report = losses(se.mean(axis=0), cfg.t_critical)
         t_detected = detect_critical_time(report.logmse_curve)
         assert 100 <= t_detected <= 250
 

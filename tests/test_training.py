@@ -22,10 +22,6 @@ from steadygain import (
 )
 from steadygain import training
 from steadygain.error_mdp import cov_factor
-from steadygain.training import (
-    _analytic_actor_loss_and_grad,
-    _analytic_critic_loss_and_grad,
-)
 
 from conftest import random_psd, random_system, scalar_model
 
@@ -172,8 +168,8 @@ class TestActorLossAndGrad:
         bound = 3.0 / np.sqrt(m_batch) * np.linalg.norm(g_zero)
         assert np.linalg.norm(g_star) < bound
         # the noise-averaged gradient at that point is zero to roundoff
-        _, g_exact = _analytic_actor_loss_and_grad(
-            model, np.eye(1), a_star, batch, 0.0)
+        _, g_exact = actor_loss_and_grad(
+            model, np.eye(1), a_star, batch, gamma=0.0)
         assert np.abs(g_exact).max() < 1e-12
 
     def test_zero_expected_gradient_at_steady_gain(self, bicycle,
@@ -210,6 +206,15 @@ class TestActorLossAndGrad:
             actor_loss_and_grad(bicycle, np.eye(2), np.zeros((2, 2)),
                                 np.zeros((0, 2)), noise)
 
+    @pytest.mark.parametrize("estimator",
+                             [critic_loss_and_grad, actor_loss_and_grad])
+    def test_noise_shape_checked(self, bicycle, estimator):
+        # One noise row would broadcast over all eight members unchecked.
+        noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="noise shape"):
+            estimator(bicycle, np.eye(2), np.zeros((2, 2)), np.zeros((8, 2)),
+                      noise)
+
 
 class TestAnalyticEstimators:
     def test_match_sampled_estimators_in_expectation(self, bicycle):
@@ -232,10 +237,10 @@ class TestAnalyticEstimators:
             c_grads.append(cg)
             a_losses.append(al)
             a_grads.append(ag)
-        _, cg_exact = _analytic_critic_loss_and_grad(
-            bicycle, w, theta, batch, gamma)
-        al_exact, ag_exact = _analytic_actor_loss_and_grad(
-            bicycle, w, theta, batch, gamma)
+        _, cg_exact = critic_loss_and_grad(bicycle, w, theta, batch,
+                                           gamma=gamma)
+        al_exact, ag_exact = actor_loss_and_grad(bicycle, w, theta, batch,
+                                                 gamma=gamma)
         # gradients agree to Monte Carlo accuracy
         cg_mc = np.mean(c_grads, axis=0)
         ag_mc = np.mean(a_grads, axis=0)
@@ -380,6 +385,14 @@ class TestTrain:
                           "d11,d12,d21,d22,critic_loss,actor_loss")
         assert len(path.read_text().splitlines()) == 6
 
+    def test_empty_history_csv_keeps_gain_columns(self, bicycle, tmp_path):
+        _, history = train(bicycle, TrainerConfig(max_iters=0))
+        path = tmp_path / "history.csv"
+        history.to_csv(path)
+        assert path.read_text().splitlines() == [
+            "iter,theta11,theta12,theta21,theta22,"
+            "d11,d12,d21,d22,critic_loss,actor_loss"]
+
     def test_critic_stays_symmetric(self, bicycle):
         # symmetry is enforced every update; spot-check via the sampled path
         cfg = TrainerConfig(batch_size=16, max_iters=30, burn_in=5, seed=3,
@@ -430,25 +443,32 @@ class TestTrainRuns:
             np.testing.assert_array_equal(runs.gains[k], gain)
             np.testing.assert_array_equal(runs.history(k).theta, history.theta)
 
-    def test_failing_run_stops_alone(self, bicycle, monkeypatch):
-        # Run 1's pool is reported diverged at iteration 5; runs 0 and 2
-        # must finish exactly as they would alone.
-        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
-        seeds = [0, 1, 2]
-        alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
+    @staticmethod
+    def _flag_run_one_at(monkeypatch, call):
+        """Report run 1's pool diverged at the guard's ``call``-th check."""
         real = training.diverged_runs
         calls = []
 
         def flag_run_one(pool):
             worst, diverged = real(pool)
             calls.append(len(diverged))
-            if len(calls) == 5:
+            if len(calls) == call:
                 diverged[1] = True
             return worst, diverged
 
         monkeypatch.setattr(training, "diverged_runs", flag_run_one)
+        return calls
+
+    def test_failing_run_stops_alone(self, bicycle, monkeypatch):
+        # Run 1's pool is reported diverged at iteration 5, after the five
+        # burn-in checks; runs 0 and 2 must finish exactly as they would
+        # alone.
+        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        seeds = [0, 1, 2]
+        alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
+        calls = self._flag_run_one_at(monkeypatch, 10)
         runs = train_runs(bicycle, cfg, seeds=seeds)
-        assert calls[:5] == [3] * 5 and set(calls[5:]) == {2}
+        assert calls[:10] == [3] * 10 and set(calls[10:]) == {2}
         assert runs.iterations.tolist() == [60, 5, 60]
         assert "pool diverged" in runs.errors[1]
         assert runs.errors[0] is None and runs.errors[2] is None
@@ -461,6 +481,38 @@ class TestTrainRuns:
         with pytest.raises(DivergenceError, match="pool diverged") as excinfo:
             runs.raise_divergence()
         assert excinfo.value.history.iterations == 5
+
+    def test_run_diverging_in_burn_in_stops_alone(self, bicycle, monkeypatch):
+        # Flagged at the third burn-in step, run 1 never trains; runs 0 and
+        # 2 draw and train exactly as they would alone.
+        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        seeds = [0, 1, 2]
+        alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
+        calls = self._flag_run_one_at(monkeypatch, 3)
+        runs = train_runs(bicycle, cfg, seeds=seeds)
+        assert calls[:3] == [3] * 3 and set(calls[3:]) == {2}
+        assert runs.iterations.tolist() == [60, 0, 60]
+        assert "diverged during burn-in" in runs.errors[1]
+        assert np.isnan(runs.gains[1]).all()
+        for k in (0, 2):
+            gain, history = alone[k]
+            np.testing.assert_array_equal(runs.gains[k], gain)
+            np.testing.assert_array_equal(runs.history(k).theta, history.theta)
+        with pytest.raises(DivergenceError, match="burn-in") as excinfo:
+            runs.raise_divergence()
+        assert excinfo.value.history.iterations == 0
+
+    def test_gain_is_mean_of_recorded_tail(self, bicycle):
+        # Run 0 converges before the tail starts at iteration 320, so its
+        # gain is its last iterate; runs 1 and 2 average iterates 320-400.
+        cfg = TrainerConfig(max_iters=400, convergence_tol=3e-3,
+                            tail_avg_frac=0.2)
+        runs = train_runs(bicycle, cfg, seeds=[1, 2, 3])
+        assert runs.iterations.tolist() == [263, 400, 400]
+        np.testing.assert_array_equal(runs.gains[0], runs.theta[0, 262])
+        for k in (1, 2):
+            np.testing.assert_array_equal(
+                runs.gains[k], runs.theta[k, 319:400].sum(axis=0) / 81)
 
     def test_converged_run_stops_alone(self, bicycle):
         # With a tolerance between the two runs' smallest 101-iterate
