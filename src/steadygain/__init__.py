@@ -11,9 +11,6 @@ from .models import (
     LinearGaussianModel,
     VehicleParams,
     build_bicycle_model,
-    discretize,
-    equivalent_moment_arm,
-    sigma_from_bound,
 )
 from .kalman import (
     SteadyStateSolution,
@@ -27,22 +24,18 @@ from .kalman import (
     symmetrize,
 )
 from .error_mdp import (
-    FIXED_INITIAL_ERROR,
-    UNIFORM_BOX_BOUNDS,
     NoiseDraw,
     draw_noise,
     sample_initial_error,
     step,
 )
 from .training import (
-    AdamState,
     TrainerConfig,
     TrainHistory,
     TrainRuns,
     actor_loss_and_grad,
     adam_update,
     critic_loss_and_grad,
-    critic_value,
     train,
     train_average,
     train_runs,
@@ -65,9 +58,6 @@ __all__ = [
     "LinearGaussianModel",
     "VehicleParams",
     "build_bicycle_model",
-    "discretize",
-    "equivalent_moment_arm",
-    "sigma_from_bound",
     "SteadyStateSolution",
     "closed_form_one_step_gain",
     "finite_horizon_gains",
@@ -77,20 +67,16 @@ __all__ = [
     "solve_dare",
     "spectral_radius",
     "symmetrize",
-    "FIXED_INITIAL_ERROR",
-    "UNIFORM_BOX_BOUNDS",
     "NoiseDraw",
     "draw_noise",
     "sample_initial_error",
     "step",
-    "AdamState",
     "TrainerConfig",
     "TrainHistory",
     "TrainRuns",
     "actor_loss_and_grad",
     "adam_update",
     "critic_loss_and_grad",
-    "critic_value",
     "train",
     "train_average",
     "train_runs",

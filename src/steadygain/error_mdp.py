@@ -70,27 +70,14 @@ def cov_factor(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
-               size: int | None = None) -> NoiseDraw:
-    """Sample zero-mean Gaussian noise with covariances Q and R."""
-    fq = cov_factor(model.Q)
-    fr = cov_factor(model.R)
-    if size is None:
-        xi = fq @ rng.standard_normal(model.p)
-        zeta = fr @ rng.standard_normal(model.r)
-    else:
-        xi = rng.standard_normal((size, model.p)) @ fq.T
-        zeta = rng.standard_normal((size, model.r)) @ fr.T
-    return NoiseDraw(xi=xi, zeta=zeta)
-
-
 class NoiseStack:
-    """Batched noise for a stack of runs, one generator per run.
+    """Batched Gaussian noise for a stack of runs, one generator per run.
 
-    Each :meth:`draw` gives run k exactly the batch that
-    ``draw_noise(model, rngs[k], size)`` would (xi, then zeta, from that
-    run's generator), stacked on a leading run axis, so a run's noise never
-    depends on the other runs.  Q and R are factored once, not per draw.
+    Each :meth:`draw` gives run k a (size, .) batch of process noise
+    (covariance Q) and then measurement noise (covariance R) from its own
+    generator ``rngs[k]``, stacked on a leading run axis, so a run's noise
+    never depends on the other runs.  Q and R are factored once, not per
+    draw.  :func:`draw_noise` is the one-run form.
     """
 
     def __init__(self, model: LinearGaussianModel, rngs, size: int):
@@ -120,26 +107,44 @@ class NoiseStack:
                          zeta=self._zeta[:count] @ self._fr_t)
 
 
-def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
-         noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray | float]:
-    """Advance the error state one transition under gain ``a``.
+def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
+               size: int) -> NoiseDraw:
+    """A (size, .) noise batch from ``rng``: a one-run NoiseStack's draw."""
+    noise = NoiseStack(model, [rng], size).draw()
+    return NoiseDraw(xi=noise.xi[0], zeta=noise.zeta[0])
 
-    Accepts a single state (n,) or a batch (M, n) with matching noise
-    shapes.  A stack of gains (K, n, r) advances a stack of batches
-    (K, M, n), batch k under gain k.  A stacked state takes noise either
-    per batch, (K, M, .), or shared by all K batches, (1, M, .), in which
-    case E xi is formed once.  Returns the next state(s) and the
-    reward(s) -e'^T e' attached to the transition.
+
+def _transition(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
+                noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray]:
+    """Next errors s' = z - a v and innovations v = C z + zeta.
+
+    Here z = A s + E xi; shapes are as :func:`step` accepts them.
+    """
+    # Accumulating in place keeps a step to two new state-sized arrays.  On
+    # the (3, 10 000, 2) stack of an eval run, allocating a fresh array per
+    # operation made the heap shrink and re-fault its pages every step.
+    nxt = s @ model.A.T
+    nxt += noise.xi @ model.E.T
+    v = nxt @ model.C.T
+    v += noise.zeta
+    nxt -= v @ a.swapaxes(-1, -2)
+    return nxt, v
+
+
+def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
+         noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a batch of error states one transition under gain ``a``.
+
+    ``s`` is a batch (M, n) with noise of matching shapes (M, .).  A stack
+    of gains (K, n, r) advances a stack of batches (K, M, n), batch k under
+    gain k.  A stacked state takes noise either per batch, (K, M, .), or
+    shared by all K batches, (1, M, .), in which case E xi is formed once.
+    Returns the next states and the rewards -e'^T e' of the transitions.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     _check_transition(model, s, a, noise)
-    if s.ndim == 1:
-        z = model.A @ s + model.E @ noise.xi
-        nxt = z - a @ (model.C @ z + noise.zeta)
-        return nxt, float(-nxt @ nxt)
-    z = s @ model.A.T + noise.xi @ model.E.T
-    nxt = z - (z @ model.C.T + noise.zeta) @ a.swapaxes(-1, -2)
+    nxt, _ = _transition(model, s, a, noise)
     return nxt, -np.einsum("...i,...i->...", nxt, nxt)
 
 
@@ -153,8 +158,9 @@ def _check_transition(model: LinearGaussianModel, s: np.ndarray,
         raise ValueError(f"a stack of {a.shape[0]} gains needs a "
                          f"({a.shape[0]}, M, {model.n}) state batch, "
                          f"got {s.shape}")
-    if s.shape[-1] != model.n:
-        raise ValueError(f"state dimension must be {model.n}, got {s.shape}")
+    if s.ndim < 2 or s.shape[-1] != model.n:
+        raise ValueError(f"state must be an (M, {model.n}) batch or a stack "
+                         f"of them, got {s.shape}")
     xi, zeta = noise.xi, noise.zeta
     lead = s.shape[:-1]
     if s.ndim == 3 and xi.shape[:1] == (1,):
@@ -168,28 +174,23 @@ def _check_transition(model: LinearGaussianModel, s: np.ndarray,
 
 
 def sample_initial_error(model: LinearGaussianModel, mode: str,
-                         rng: np.random.Generator | None = None,
-                         size: int | None = None,
+                         rng: np.random.Generator | None = None, *,
+                         size: int,
                          bounds: tuple[float, ...] | None = None) -> np.ndarray:
-    """Draw initial error states.
+    """Draw a (size, n) batch of initial error states.
 
     ``mode="uniform_box"`` draws each component uniformly from
     +-bounds[i]; the default bounds are the 2-D box of
     :data:`UNIFORM_BOX_BOUNDS` and therefore require a 2-dimensional model
-    unless explicit bounds are given.  ``mode="fixed"`` returns
+    unless explicit bounds are given.  ``mode="fixed"`` repeats
     :data:`FIXED_INITIAL_ERROR` (requires a 2-dimensional model).
-
-    Returns shape (n,) for ``size=None`` else (size, n).
     """
     if mode == "fixed":
         if model.n != len(FIXED_INITIAL_ERROR):
             raise ValueError(
                 f"fixed initial error is {len(FIXED_INITIAL_ERROR)}-dimensional "
                 f"but the model has n={model.n}")
-        e0 = FIXED_INITIAL_ERROR
-        if size is None:
-            return e0.copy()
-        return np.tile(e0, (size, 1))
+        return np.tile(FIXED_INITIAL_ERROR, (size, 1))
     if mode == "uniform_box":
         if bounds is None:
             if model.n != len(UNIFORM_BOX_BOUNDS):
@@ -203,8 +204,7 @@ def sample_initial_error(model: LinearGaussianModel, mode: str,
         if rng is None:
             raise ValueError("uniform_box sampling requires an rng")
         half = np.asarray(bounds, dtype=float)
-        shape = (model.n,) if size is None else (size, model.n)
-        return rng.uniform(-1.0, 1.0, shape) * half
+        return rng.uniform(-1.0, 1.0, (size, model.n)) * half
     raise ValueError(f"unknown initial-error mode {mode!r}")
 
 

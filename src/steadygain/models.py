@@ -7,13 +7,12 @@ A model is the discrete-time system
 
 with process noise xi ~ N(0, Q) entering through the noise-input matrix E
 and measurement noise zeta ~ N(0, R).  The module also provides
-continuous-to-discrete conversion and a builder for a 2-DOF single-track
+zero-order-hold discretization and a builder for a 2-DOF single-track
 (bicycle) vehicle model with lateral-acceleration and yaw-rate outputs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "VehicleParams",
     "discretize",
     "equivalent_moment_arm",
-    "sigma_from_bound",
     "build_bicycle_model",
 ]
 
@@ -162,13 +160,6 @@ class LinearGaussianModel:
             E=doc["E"], Q=doc["Q"], R=doc["R"], dt=doc["dt"],
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearGaussianModel":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -187,6 +178,8 @@ class VehicleParams:
     C_f: float = -44000.0 * 2      # front cornering stiffness, N/rad
     C_r: float = -47000.0 * 2      # rear cornering stiffness, N/rad
     I_zz: float = 2420.0           # yaw inertia, kg m^2
+    # The force stds read a bound of +-367.875 N (side slope) and +-300 N
+    # (side wind) as 3 sigma.
     sigma_side_slope: float = 122.625   # side-slope force std, N
     sigma_side_wind: float = 100.0      # side-wind force std, N
     sigma_lat_acc: float = 0.05886      # lateral-acceleration noise std, m/s^2
@@ -228,17 +221,15 @@ def _expm(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def discretize(A_c: np.ndarray, B_c: np.ndarray, dt: float,
-               method: str = "euler") -> tuple[np.ndarray, np.ndarray]:
-    """Convert continuous dynamics (A_c, B_c) to a discrete step of length dt.
+def discretize(A_c: np.ndarray, B_c: np.ndarray, dt: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold discretization of (A_c, B_c) over a step of length dt.
 
-    ``method="euler"`` applies the forward rule A_d = I + A_c dt,
-    B_d = B_c dt.  ``method="exact"`` uses the zero-order-hold solution
-    A_d = exp(A_c dt) with the matching integral for B_d.
+    A_d = exp(A_c dt) and B_d = int_0^dt exp(A_c s) ds B_c, the exact
+    solution for an input held constant over the step.
 
     Raises:
-        ValueError: non-square A_c, row-incompatible B_c, dt <= 0, or an
-            unknown method.
+        ValueError: non-square A_c, row-incompatible B_c, or dt <= 0.
     """
     A_c = _as_matrix("A_c", A_c)
     B_c = _as_matrix("B_c", B_c)
@@ -251,18 +242,14 @@ def discretize(A_c: np.ndarray, B_c: np.ndarray, dt: float,
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    if method == "euler":
-        return np.eye(n) + A_c * dt, B_c * dt
-    if method == "exact":
-        # Augmented-matrix trick: exp([[A, B], [0, 0]] dt) packs both the
-        # state transition and the zero-order-hold input integral.
-        m = B_c.shape[1]
-        blk = np.zeros((n + m, n + m))
-        blk[:n, :n] = A_c * dt
-        blk[:n, n:] = B_c * dt
-        phi = _expm(blk)
-        return phi[:n, :n], phi[:n, n:]
-    raise ValueError(f"unknown discretization method {method!r}")
+    # Augmented-matrix trick: exp([[A, B], [0, 0]] dt) packs both the state
+    # transition and the zero-order-hold input integral.
+    m = B_c.shape[1]
+    blk = np.zeros((n + m, n + m))
+    blk[:n, :n] = A_c * dt
+    blk[:n, n:] = B_c * dt
+    phi = _expm(blk)
+    return phi[:n, :n], phi[:n, n:]
 
 
 def equivalent_moment_arm(a: float, b: float) -> float:
@@ -276,18 +263,8 @@ def equivalent_moment_arm(a: float, b: float) -> float:
     return (a + b) / 2.0 - b
 
 
-def sigma_from_bound(force_bound: float) -> float:
-    """Gaussian standard deviation for a force bounded by +-force_bound.
-
-    Treats the bound as a 3-sigma range.
-    """
-    if force_bound < 0:
-        raise ValueError(f"force bound must be nonnegative, got {force_bound}")
-    return force_bound / 3.0
-
-
-def build_bicycle_model(params: VehicleParams | None = None,
-                        discretization: str = "exact") -> LinearGaussianModel:
+def build_bicycle_model(params: VehicleParams | None = None
+                        ) -> LinearGaussianModel:
     """Assemble the discrete 2-DOF bicycle model.
 
     States are sideslip angle (rad) and yaw rate (rad/s); the measured
@@ -296,12 +273,11 @@ def build_bicycle_model(params: VehicleParams | None = None,
     side-slope and side-wind forces (N) entering through E; Q and R are the
     diagonal covariances built from the configured standard deviations.
 
-    ``discretization`` selects the rule passed to :func:`discretize` for A
-    and B.  The default is "exact": with the reference parameters the
-    exact rule reproduces the established steady-state gain of this plant,
-    while forward Euler shifts its off-diagonal entries by tens of percent.
-    The noise-input matrix E is a first-order (dt-proportional) map by
-    construction, independent of the rule.
+    A and B are discretized exactly by :func:`discretize` (zero-order
+    hold); with the reference parameters this reproduces the established
+    steady-state gain of this plant, which forward Euler would shift by
+    tens of percent in its off-diagonal entries.  The noise-input matrix E
+    is a first-order (dt-proportional) map by construction.
     """
     if params is None:
         params = VehicleParams()
@@ -334,5 +310,5 @@ def build_bicycle_model(params: VehicleParams | None = None,
     Q = np.diag([params.sigma_side_slope ** 2, params.sigma_side_wind ** 2])
     R = np.diag([params.sigma_lat_acc ** 2, params.sigma_yaw_rate ** 2])
 
-    A_d, B_d = discretize(A_c, B_c, dt, method=discretization)
+    A_d, B_d = discretize(A_c, B_c, dt)
     return LinearGaussianModel(A=A_d, B=B_d, C=C, D=D, E=E, Q=Q, R=R, dt=dt)

@@ -5,7 +5,9 @@ weight matrix w; the actor is the constant gain matrix itself.  Each
 iteration forms one law of the pool's next error s' under the current
 gain; against it the critic takes a semi-gradient temporal-difference
 step (bootstrap target frozen), the actor ascends the exact derivative of
-the one-step return through the linear transition, and Adam applies both.
+the one-step return through the linear transition, and Adam applies both:
+:func:`adam_update` is a plain descent step on moment arrays the caller
+holds, so the actor hands it its negated gradient.
 
 The two gradient estimators differ only in that law.  ``"sampled"`` draws
 one noise realization per pool member, so the law is the drawn s' itself,
@@ -26,7 +28,9 @@ seed-averaged forms.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, replace
+import numbers
+import operator
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,14 +38,13 @@ import numpy as np
 # draw_noise stays importable here for callers that look it up on this
 # module; the training loop draws through a NoiseStack.
 from .error_mdp import (NoiseDraw, NoiseStack,  # noqa: F401
-                        _check_transition, diverged_runs, draw_noise,
-                        sample_initial_error, step)
+                        _check_transition, _transition, diverged_runs,
+                        draw_noise, sample_initial_error, step)
 from .errors import DivergenceError
 from .kalman import symmetrize
 from .models import LinearGaussianModel
 
 __all__ = [
-    "AdamState",
     "TrainerConfig",
     "TrainHistory",
     "TrainRuns",
@@ -62,38 +65,24 @@ _CONVERGENCE_WINDOW = 100
 _GUARD_FACTOR = 1e3
 
 
-@dataclass(frozen=True)
-class AdamState:
-    """Adam accumulator state for one parameter array."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def for_params(cls, params: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(params, dtype=float),
-                   v=np.zeros_like(params, dtype=float))
+# Adam's decay rates for the first and second moments, and its
+# denominator floor.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-def adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState,
-                lr: float, direction: str = "descend"
-                ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam step; ``direction`` is "descend" or "ascend"."""
-    if direction not in ("ascend", "descend"):
-        raise ValueError(f"direction must be 'ascend' or 'descend', got {direction!r}")
-    grad = np.asarray(grad, dtype=float)
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    delta = lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    sign = 1.0 if direction == "ascend" else -1.0
-    return params + sign * delta, replace(state, m=m, v=v, t=t)
+def adam_update(params: np.ndarray, grad: np.ndarray, m: np.ndarray,
+                v: np.ndarray, t: int, lr: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adam's bias-corrected step number t (from 1) down ``grad``.
+
+    ``m`` and ``v`` are the first and second moment estimates after step
+    t - 1 (zeros before the first).  Returns the new params, m and v.
+    """
+    m = _BETA1 * m + (1.0 - _BETA1) * grad
+    v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+    m_hat = m / (1.0 - _BETA1 ** t)
+    v_hat = v / (1.0 - _BETA2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + _EPS), m, v
 
 
 @dataclass(frozen=True)
@@ -115,8 +104,18 @@ class TrainerConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.lr_actor <= 0 or self.lr_critic <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0.0 < self.lr_actor < np.inf
+                and 0.0 < self.lr_critic < np.inf):
+            raise ValueError("learning rates must be positive and finite, "
+                             f"got {self.lr_actor} and {self.lr_critic}")
+        if not self.convergence_tol >= 0.0:
+            raise ValueError("convergence_tol must be >= 0, "
+                             f"got {self.convergence_tol}")
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_iters < 0:
@@ -187,15 +186,11 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)
 
 
-def critic_value(w: np.ndarray, s: np.ndarray) -> float | np.ndarray:
-    """Quadratic value V(s; w) = -s^T w s; batched over leading axes.
+def critic_value(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Quadratic value V(s; w) = -s^T w s of each state of a batch (M, n).
 
     A stack of critics (K, n, n) values a stack of batches (K, M, n).
     """
-    s = np.asarray(s, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if s.ndim == 1:
-        return float(-s @ w @ s)
     return -np.einsum("...bi,...ij,...bj->...b", s, w, s)
 
 
@@ -226,9 +221,7 @@ def _next_error_law(model: LinearGaussianModel, theta: np.ndarray,
     """
     m_count = batch.shape[-2]
     if noise is not None:
-        z = batch @ model.A.T + noise.xi @ model.E.T
-        v = z @ model.C.T + noise.zeta
-        nxt = z - v @ theta.swapaxes(-1, -2)
+        nxt, v = _transition(model, batch, theta, noise)
         return _ErrorLaw(mean=nxt, cross=nxt.swapaxes(-1, -2) @ v / m_count)
     ic = np.eye(model.n) - theta @ model.C
     ic_t = ic.swapaxes(-1, -2)
@@ -401,7 +394,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     divergence guard at 1000x its largest element.  A run also diverges
     when its gain turns non-finite or its pool blows up.
     """
-    seeds = [cfg.seed] if seeds is None else [int(seed) for seed in seeds]
+    seeds = ([cfg.seed] if seeds is None
+             else [operator.index(seed) for seed in seeds])
     count = len(seeds)
     gammas = np.asarray([cfg.gamma] * count if gammas is None else gammas,
                         dtype=float)
@@ -427,8 +421,9 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     noise_stack = NoiseStack(model, rngs, size)
     theta = np.zeros((count, n, r))
     w = np.tile(np.eye(n), (count, 1, 1))
-    adam_theta = AdamState.for_params(theta)
-    adam_w = AdamState.for_params(w)
+    # Adam's moment estimates for the critic and the actor.
+    m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
+                                  for a in (w, w, theta, theta))
     theta_hist = np.zeros((count, max_iters, n, r))
     critic_hist = np.zeros((count, max_iters))
     actor_hist = np.zeros((count, max_iters))
@@ -447,7 +442,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
 
     def retire(stop, failed, worst_pool, k):
         """Record why the flagged live runs stopped at k, and drop them."""
-        nonlocal live, theta, w, pool, live_gammas, adam_theta, adam_w
+        nonlocal live, theta, w, pool, live_gammas, m_w, v_w, m_theta, v_theta
         for j in np.flatnonzero(stop):
             run = live[j]
             iterations[run] = k
@@ -458,11 +453,9 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                 converged[run] = True
                 gains[run] = tail_average(run, k)
         keep = ~stop
-        live, theta, w, pool, live_gammas = (
-            a[keep] for a in (live, theta, w, pool, live_gammas))
-        adam_theta = replace(adam_theta, m=adam_theta.m[keep],
-                             v=adam_theta.v[keep])
-        adam_w = replace(adam_w, m=adam_w.m[keep], v=adam_w.v[keep])
+        live, theta, w, pool, live_gammas, m_w, v_w, m_theta, v_theta = (
+            a[keep] for a in (live, theta, w, pool, live_gammas,
+                              m_w, v_w, m_theta, v_theta))
         noise_stack.keep(keep)
 
     for _ in range(cfg.burn_in):
@@ -477,11 +470,12 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         noise = noise_stack.draw()
         law = _next_error_law(model, theta, pool, noise if sampled else None)
         c_loss, c_grad = _critic_step(law, w, pool, live_gammas)
-        w, adam_w = adam_update(w, c_grad, adam_w, cfg.lr_critic, "descend")
+        w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k, cfg.lr_critic)
         w = symmetrize(w)
         a_loss, a_grad = _actor_step(law, w, live_gammas)
-        updated, adam_theta = adam_update(
-            theta, a_grad, adam_theta, cfg.lr_actor, "ascend")
+        # The actor ascends its objective, so Adam descends its negation.
+        updated, m_theta, v_theta = adam_update(
+            theta, -a_grad, m_theta, v_theta, k, cfg.lr_actor)
         # A drawn law is this draw's transition under the old gain, and the
         # pool takes it; with the noise integrated out, the pool advances
         # under the updated gain.

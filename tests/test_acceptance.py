@@ -16,7 +16,6 @@ from steadygain import (
     actor_loss_and_grad,
     closed_form_one_step_gain,
     critic_loss_and_grad,
-    critic_value,
     draw_noise,
     finite_horizon_gains,
     gain_metrics,
@@ -26,6 +25,7 @@ from steadygain import (
     step,
 )
 from steadygain.cli import main
+from steadygain.training import critic_value
 
 from conftest import random_psd, random_system, scalar_model
 

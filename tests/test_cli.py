@@ -297,6 +297,21 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, model={"inline": inline})
         assert main(["solve", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("trainer", [
+        {"lr_actor": float("nan")}, {"lr_critic": float("inf")},
+        {"convergence_tol": float("nan")}])
+    def test_non_finite_setting_exits_two(self, tmp_path, capsys, trainer):
+        cfg = write_config(tmp_path, trainer={**SMALL_TRAINER, **trainer})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "theta.json").exists()
+
+    def test_fractional_seed_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, trainer={**SMALL_TRAINER, "seed": 1.5})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "theta.json").exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--seed", "5"]) == 0

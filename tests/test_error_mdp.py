@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from steadygain import (
-    FIXED_INITIAL_ERROR,
     LinearGaussianModel,
     NoiseDraw,
-    UNIFORM_BOX_BOUNDS,
     draw_noise,
     sample_initial_error,
     spectral_radius,
     step,
 )
-from steadygain.error_mdp import diverged_runs
+from steadygain.error_mdp import (FIXED_INITIAL_ERROR, UNIFORM_BOX_BOUNDS,
+                                  NoiseStack, diverged_runs)
 
 from conftest import scalar_model
 
@@ -28,29 +27,29 @@ class TestStep:
         model = LinearGaussianModel(
             A=[[2.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]], E=[[1.0]],
             Q=[[1.0]], R=[[1.0]], dt=0.01)
-        noise = NoiseDraw(xi=[0.2], zeta=[0.4])
-        nxt, reward = step(model, np.array([1.0]), np.array([[0.5]]), noise)
-        assert nxt[0] == pytest.approx(0.9, rel=1e-14)
-        assert reward == pytest.approx(-0.81, rel=1e-14)
+        noise = NoiseDraw(xi=[[0.2]], zeta=[[0.4]])
+        nxt, reward = step(model, np.array([[1.0]]), np.array([[0.5]]), noise)
+        assert nxt[0, 0] == pytest.approx(0.9, rel=1e-14)
+        assert reward[0] == pytest.approx(-0.81, rel=1e-14)
 
     def test_open_loop_propagation(self, bicycle):
-        noise = NoiseDraw(xi=np.zeros(2), zeta=np.zeros(2))
-        s = np.array([0.1, -0.2])
+        noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
+        s = np.array([[0.1, -0.2]])
         nxt, _ = step(bicycle, s, np.zeros((2, 2)), noise)
-        np.testing.assert_allclose(nxt, bicycle.A @ s, rtol=1e-14)
+        np.testing.assert_allclose(nxt, s @ bicycle.A.T, rtol=1e-14)
 
     def test_perfect_correction(self):
         model = identity_output_model()
-        noise = NoiseDraw(xi=np.zeros(2), zeta=np.zeros(2))
-        nxt, reward = step(model, np.array([0.3, -0.7]), np.eye(2), noise)
-        np.testing.assert_array_equal(nxt, np.zeros(2))
-        assert reward == 0.0
+        noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
+        nxt, reward = step(model, np.array([[0.3, -0.7]]), np.eye(2), noise)
+        np.testing.assert_array_equal(nxt, np.zeros((1, 2)))
+        assert reward[0] == 0.0
 
     def test_linear_in_state_without_noise(self, bicycle):
         rng = np.random.default_rng(2)
         gain = rng.standard_normal((2, 2)) * 0.1
-        s = rng.standard_normal(2)
-        noise = NoiseDraw(xi=np.zeros(2), zeta=np.zeros(2))
+        s = rng.standard_normal((1, 2))
+        noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
         base, _ = step(bicycle, s, gain, noise)
         for alpha in (0.0, -1.5, 3.0):
             scaled, _ = step(bicycle, alpha * s, gain, noise)
@@ -63,10 +62,10 @@ class TestStep:
         noise = draw_noise(bicycle, rng, size=8)
         batch_next, batch_reward = step(bicycle, states, gain, noise)
         for i in range(8):
-            single = NoiseDraw(xi=noise.xi[i], zeta=noise.zeta[i])
-            nxt, reward = step(bicycle, states[i], gain, single)
-            np.testing.assert_allclose(batch_next[i], nxt, rtol=1e-14)
-            assert batch_reward[i] == pytest.approx(reward, rel=1e-12)
+            single = NoiseDraw(xi=noise.xi[i:i + 1], zeta=noise.zeta[i:i + 1])
+            nxt, reward = step(bicycle, states[i:i + 1], gain, single)
+            np.testing.assert_allclose(batch_next[i], nxt[0], rtol=1e-14)
+            assert batch_reward[i] == pytest.approx(reward[0], rel=1e-12)
 
     def test_shared_noise_broadcasts_over_stack(self, bicycle):
         rng = np.random.default_rng(5)
@@ -97,20 +96,24 @@ class TestStep:
     def test_reward_nonpositive(self, bicycle):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            noise = draw_noise(bicycle, rng)
-            _, reward = step(bicycle, rng.standard_normal(2),
+            noise = draw_noise(bicycle, rng, size=1)
+            _, reward = step(bicycle, rng.standard_normal((1, 2)),
                              rng.standard_normal((2, 2)), noise)
-            assert reward <= 0.0
+            assert reward[0] <= 0.0
 
     def test_dimension_errors(self, bicycle):
-        noise = NoiseDraw(xi=np.zeros(2), zeta=np.zeros(2))
+        noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            step(bicycle, np.zeros(3), np.zeros((2, 2)), noise)
+            step(bicycle, np.zeros((1, 3)), np.zeros((2, 2)), noise)
         with pytest.raises(ValueError):
-            step(bicycle, np.zeros(2), np.zeros((3, 2)), noise)
+            step(bicycle, np.zeros((1, 2)), np.zeros((3, 2)), noise)
         with pytest.raises(ValueError):
+            step(bicycle, np.zeros((1, 2)), np.zeros((2, 2)),
+                 NoiseDraw(xi=np.zeros((1, 3)), zeta=np.zeros((1, 2))))
+        # a single state is not a batch
+        with pytest.raises(ValueError, match="batch"):
             step(bicycle, np.zeros(2), np.zeros((2, 2)),
-                 NoiseDraw(xi=np.zeros(3), zeta=np.zeros(2)))
+                 NoiseDraw(xi=np.zeros(2), zeta=np.zeros(2)))
         # a stack of gains needs one state batch per gain
         stack_noise = NoiseDraw(xi=np.zeros((2, 4, 2)), zeta=np.zeros((2, 4, 2)))
         with pytest.raises(ValueError):
@@ -122,7 +125,7 @@ class TestStep:
 
 class TestSampleInitialError:
     def test_fixed_value(self, bicycle):
-        e0 = sample_initial_error(bicycle, "fixed")
+        (e0,) = sample_initial_error(bicycle, "fixed", size=1)
         assert round(e0[0], 5) == 0.08727
         assert round(e0[1], 5) == 0.17453
         np.testing.assert_allclose(e0, [np.pi / 36, np.pi / 18], rtol=1e-15)
@@ -152,7 +155,7 @@ class TestSampleInitialError:
         model = scalar_model()
         with pytest.raises(ValueError, match="2-dimensional"):
             sample_initial_error(model, "uniform_box",
-                                 np.random.default_rng(0))
+                                 np.random.default_rng(0), size=1)
         # explicit bounds lift the restriction
         draws = sample_initial_error(model, "uniform_box",
                                      np.random.default_rng(0), size=3,
@@ -161,12 +164,12 @@ class TestSampleInitialError:
 
     def test_fixed_requires_two_dims(self):
         with pytest.raises(ValueError):
-            sample_initial_error(scalar_model(), "fixed")
+            sample_initial_error(scalar_model(), "fixed", size=1)
 
     def test_unknown_mode(self, bicycle):
         with pytest.raises(ValueError, match="mode"):
             sample_initial_error(bicycle, "gaussian",
-                                 np.random.default_rng(0))
+                                 np.random.default_rng(0), size=1)
 
 
 def refresh(model, pool, gain, rng):
@@ -176,8 +179,8 @@ def refresh(model, pool, gain, rng):
 
 
 class TestRefreshPool:
-    """Pools advanced by ``step`` on ``draw_noise`` (the draws a training
-    run's NoiseStack makes) and checked by the ``diverged_runs`` guard."""
+    """Pools advanced by ``step`` on ``draw_noise`` (a one-run NoiseStack
+    draw, as in training) and checked by the ``diverged_runs`` guard."""
 
     def test_origin_fixed_point_without_noise(self):
         model = identity_output_model(q=0.0, r=1e-30)
@@ -271,8 +274,15 @@ class TestNoiseDraw:
         np.testing.assert_array_equal(a.xi, b.xi)
         np.testing.assert_array_equal(a.zeta, b.zeta)
 
-    def test_single_draw_shapes(self, bicycle):
-        noise = draw_noise(bicycle, np.random.default_rng(22))
-        assert noise.xi.shape == (2,)
-        assert noise.zeta.shape == (2,)
+    def test_is_one_run_of_a_stack(self, bicycle):
+        # Run k of a stack draws what its generator alone would, whatever
+        # the other runs are.
+        stack = NoiseStack(bicycle, [np.random.default_rng(seed)
+                                     for seed in (30, 31, 32)], 6)
+        alone = np.random.default_rng(31)
+        for _ in range(2):
+            drawn = stack.draw()
+            own = draw_noise(bicycle, alone, 6)
+            np.testing.assert_array_equal(drawn.xi[1], own.xi)
+            np.testing.assert_array_equal(drawn.zeta[1], own.zeta)
 

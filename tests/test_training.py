@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from steadygain import (
-    AdamState,
     DivergenceError,
     LinearGaussianModel,
     NoiseDraw,
@@ -13,7 +12,6 @@ from steadygain import (
     adam_update,
     closed_form_one_step_gain,
     critic_loss_and_grad,
-    critic_value,
     draw_noise,
     solve_dare,
     train,
@@ -22,21 +20,22 @@ from steadygain import (
 )
 from steadygain import training
 from steadygain.error_mdp import cov_factor
+from steadygain.training import critic_value
 
 from conftest import random_psd, random_system, scalar_model
 
 
 class TestCriticValue:
     def test_identity_weights(self):
-        assert critic_value(np.eye(2), np.array([1.0, 2.0])) == -5.0
+        assert critic_value(np.eye(2), np.array([[1.0, 2.0]])) == [-5.0]
 
     def test_zero_state(self):
-        assert critic_value(np.eye(2), np.zeros(2)) == 0.0
+        assert critic_value(np.eye(2), np.zeros((1, 2))) == [0.0]
 
     def test_general_weights(self):
         w = np.array([[2.0, 1.0], [1.0, 3.0]])
-        s = np.array([1.0, -1.0])
-        assert critic_value(w, s) == pytest.approx(-3.0)
+        s = np.array([[1.0, -1.0]])
+        assert critic_value(w, s)[0] == pytest.approx(-3.0)
 
     def test_batched(self):
         w = np.eye(2)
@@ -256,18 +255,17 @@ class TestAnalyticEstimators:
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = np.array([[1.0, -2.0]])
-        state = AdamState.for_params(params)
-        out, new_state = adam_update(params, np.zeros_like(params), state,
-                                     lr=0.1)
+        zeros = np.zeros_like(params)
+        out, m, v = adam_update(params, zeros, zeros, zeros, 1, lr=0.1)
         np.testing.assert_array_equal(out, params)
-        assert new_state.t == 1
+        np.testing.assert_array_equal(m, zeros)
+        np.testing.assert_array_equal(v, zeros)
 
     def test_first_step_magnitude_is_learning_rate(self):
         for g in (5.0, -0.25, 1e3):
             params = np.zeros((1, 1))
-            state = AdamState.for_params(params)
-            out, _ = adam_update(params, np.array([[g]]), state, lr=0.01,
-                                 direction="descend")
+            out, _, _ = adam_update(params, np.array([[g]]), params, params,
+                                    1, lr=0.01)
             assert abs(out[0, 0]) == pytest.approx(0.01, rel=1e-6)
             assert np.sign(out[0, 0]) == -np.sign(g)
 
@@ -283,37 +281,34 @@ class TestAdam:
                     np.sqrt(v / (1 - b2 ** t)) + eps)
             return x
 
-        params = np.zeros(1)
-        state = AdamState.for_params(params)
-        params, state = adam_update(params, np.ones(1), state, lr=0.1)
+        params = m = v = np.zeros(1)
+        params, m, v = adam_update(params, np.ones(1), m, v, 1, lr=0.1)
         assert params[0] == pytest.approx(-0.1, abs=1e-3)
         assert params[0] == pytest.approx(oracle([1.0]), rel=1e-12)
-        params, state = adam_update(params, np.ones(1), state, lr=0.1)
+        params, m, v = adam_update(params, np.ones(1), m, v, 2, lr=0.1)
         assert params[0] == pytest.approx(-0.2, abs=1e-3)
         assert params[0] == pytest.approx(oracle([1.0, 1.0]), rel=1e-12)
 
-    def test_ascend_flips_sign(self):
-        params = np.zeros(1)
-        state = AdamState.for_params(params)
-        up, _ = adam_update(params, np.ones(1), state, lr=0.1,
-                            direction="ascend")
-        assert up[0] > 0
+    def test_negated_gradient_mirrors_the_step(self):
+        # The trainer's actor ascends by descending -grad; from the origin
+        # that is the exact mirror image of descending grad.
+        rng = np.random.default_rng(34)
+        down = m_down = v_down = np.zeros((2, 2))
+        up = m_up = v_up = np.zeros((2, 2))
+        for t in range(1, 51):
+            grad = rng.standard_normal((2, 2))
+            down, m_down, v_down = adam_update(down, grad, m_down, v_down,
+                                               t, lr=0.01)
+            up, m_up, v_up = adam_update(up, -grad, m_up, v_up, t, lr=0.01)
+            np.testing.assert_array_equal(up, -down)
 
     def test_second_moment_nonnegative(self):
         rng = np.random.default_rng(33)
-        params = np.zeros((2, 2))
-        state = AdamState.for_params(params)
-        for _ in range(25):
-            params, state = adam_update(
-                params, rng.standard_normal((2, 2)), state, lr=0.01)
-        assert np.all(state.v >= 0)
-        assert state.t == 25
-
-    def test_direction_validated(self):
-        state = AdamState.for_params(np.zeros(1))
-        with pytest.raises(ValueError):
-            adam_update(np.zeros(1), np.ones(1), state, lr=0.1,
-                        direction="sideways")
+        params = m = v = np.zeros((2, 2))
+        for t in range(1, 26):
+            params, m, v = adam_update(
+                params, rng.standard_normal((2, 2)), m, v, t, lr=0.01)
+        assert np.all(v >= 0)
 
 
 class TestTrainerConfig:
@@ -321,6 +316,10 @@ class TestTrainerConfig:
         {"gamma": 1.0}, {"gamma": -0.1}, {"lr_actor": 0.0},
         {"lr_critic": -1.0}, {"batch_size": 0}, {"estimator": "mc"},
         {"init_mode": "gauss"}, {"tail_avg_frac": 1.5},
+        {"lr_actor": float("nan")}, {"lr_critic": float("inf")},
+        {"lr_actor": float("inf")}, {"lr_critic": float("nan")},
+        {"convergence_tol": float("nan")}, {"convergence_tol": -1e-6},
+        {"seed": 1.5}, {"seed": 2.0}, {"seed": -1}, {"seed": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -329,6 +328,9 @@ class TestTrainerConfig:
     def test_roundtrip(self):
         cfg = TrainerConfig(gamma=0.5, seed=9)
         assert TrainerConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_numpy_integer_seed_accepted(self):
+        assert TrainerConfig(seed=np.int64(7)).seed == 7
 
 
 class TestTrain:
@@ -545,3 +547,8 @@ class TestTrainRuns:
             train_runs(bicycle, cfg, seeds=[0, 1], gammas=[0.5, 1.0])
         with pytest.raises(ValueError, match="one discount per seed"):
             train_runs(bicycle, cfg, seeds=[0, 1], gammas=[0.5])
+
+    def test_fractional_seed_rejected(self, bicycle):
+        # Truncating 1.5 would silently train seed 1.
+        with pytest.raises(TypeError):
+            train_runs(bicycle, TrainerConfig(max_iters=1), seeds=[0, 1.5])
