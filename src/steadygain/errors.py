@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
+
+import numbers
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer
+    no smaller than ``minimum``.
+
+    Python and numpy integers pass; bools and floats, even integral ones
+    such as 2.0, do not.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class NumericalError(RuntimeError):

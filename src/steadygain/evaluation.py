@@ -24,7 +24,7 @@ import numpy as np
 # module; trajectories draw noise through a NoiseStack.
 from .error_mdp import (NoiseStack, cov_factor,  # noqa: F401
                         diverged_runs, sample_initial_error, step)
-from .errors import DivergenceError
+from .errors import DivergenceError, check_integer
 from .models import LinearGaussianModel
 
 __all__ = [
@@ -49,12 +49,13 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.t_critical < self.t_test:
+        for name, minimum in (("n_traj", 1), ("t_test", 2),
+                              ("t_critical", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), minimum)
+        if not self.t_critical < self.t_test:
             raise ValueError(
                 f"need 0 < t_critical < t_test, got {self.t_critical} "
                 f"vs {self.t_test}")
-        if self.n_traj < 1:
-            raise ValueError("n_traj must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

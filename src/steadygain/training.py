@@ -28,7 +28,6 @@ seed-averaged forms.
 from __future__ import annotations
 
 import csv
-import numbers
 import operator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -38,9 +37,10 @@ import numpy as np
 # draw_noise stays importable here for callers that look it up on this
 # module; the training loop draws through a NoiseStack.
 from .error_mdp import (NoiseDraw, NoiseStack,  # noqa: F401
-                        _check_transition, _transition, diverged_runs,
-                        draw_noise, sample_initial_error, step)
-from .errors import DivergenceError
+                        _check_transition, _squared_norm, _transition,
+                        _transposed, diverged_runs, draw_noise,
+                        sample_initial_error, step)
+from .errors import DivergenceError, check_integer
 from .kalman import symmetrize
 from .models import LinearGaussianModel
 
@@ -111,17 +111,9 @@ class TrainerConfig:
         if not self.convergence_tol >= 0.0:
             raise ValueError("convergence_tol must be >= 0, "
                              f"got {self.convergence_tol}")
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise ValueError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        for name, minimum in (("seed", 0), ("batch_size", 1),
+                              ("max_iters", 0), ("burn_in", 0)):
+            check_integer(name, getattr(self, name), minimum)
         if not 0.0 <= self.tail_avg_frac <= 1.0:
             raise ValueError("tail_avg_frac must be in [0, 1]")
         if self.estimator not in ("analytic", "sampled"):
@@ -229,7 +221,7 @@ def _next_error_law(model: LinearGaussianModel, theta: np.ndarray,
     measured = theta @ model.R @ theta.swapaxes(-1, -2)
     p_batch = batch.swapaxes(-1, -2) @ batch / m_count
     ic_sp = ic @ (model.A @ p_batch @ model.A.T + eqe)
-    return _ErrorLaw(mean=batch @ (ic @ model.A).swapaxes(-1, -2),
+    return _ErrorLaw(mean=batch @ _transposed(ic @ model.A),
                      cross=ic_sp @ model.C.T - theta @ model.R,
                      cov=ic @ eqe @ ic_t + measured,
                      second=ic_sp @ ic_t + measured)
@@ -248,7 +240,7 @@ def _checked_law(model, theta, batch, noise) -> tuple[np.ndarray, _ErrorLaw]:
 
 def _critic_step(law: _ErrorLaw, w: np.ndarray, batch: np.ndarray, gamma):
     """:func:`critic_loss_and_grad` on ``law``; a covariance adds traces."""
-    reward = -np.einsum("...i,...i->...", law.mean, law.mean)
+    reward = -_squared_norm(law.mean)
     v_next = critic_value(w, law.mean)
     if law.cov is not None:
         reward = reward - _trace(law.cov)[..., None]

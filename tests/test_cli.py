@@ -10,6 +10,7 @@ from scipy.linalg import solve_discrete_are
 
 from steadygain import TrainerConfig
 from steadygain.cli import RunConfig, main
+from steadygain.error_mdp import NoiseStack
 
 TABLE_KINF = np.array([[-5.31e-4, -2.31e-3], [3.25e-5, 5.07e-2]])
 
@@ -312,6 +313,22 @@ class TestConfigHandling:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out" / "theta.json").exists()
 
+    @pytest.mark.parametrize("command,section,name,value", [
+        ("eval", "eval", "t_critical", 195.5),
+        ("train", "trainer", "burn_in", True),
+    ])
+    def test_non_integer_count_exits_two_before_rollout(
+            self, tmp_path, capsys, monkeypatch, command, section, name,
+            value):
+        def no_rollout(self):
+            raise AssertionError("noise drawn before the config was checked")
+
+        monkeypatch.setattr(NoiseStack, "draw", no_rollout)
+        base = SMALL_EVAL if section == "eval" else SMALL_TRAINER
+        cfg = write_config(tmp_path, **{section: {**base, name: value}})
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--seed", "5"]) == 0
@@ -328,3 +345,12 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "dare.json").exists()
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_package_runs_as_module(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "steadygain", "solve",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "dare.json").read_text())
+        assert np.asarray(doc["gain"]).shape == (2, 2)

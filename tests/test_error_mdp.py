@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from steadygain import (
 from steadygain.error_mdp import (FIXED_INITIAL_ERROR, UNIFORM_BOX_BOUNDS,
                                   NoiseStack, diverged_runs)
 
-from conftest import scalar_model
+from conftest import random_system, scalar_model
 
 
 def identity_output_model(a_diag=0.5, q=1.0, r=1.0, n=2):
@@ -100,6 +102,35 @@ class TestStep:
             _, reward = step(bicycle, rng.standard_normal((1, 2)),
                              rng.standard_normal((2, 2)), noise)
             assert reward[0] <= 0.0
+
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["per_batch", "shared"])
+    def test_stack_matches_written_formula_on_random_plants(self, shared):
+        # e' = (I - K C)(A e + E xi) - K zeta per member, reward -sum e'^2.
+        rng = np.random.default_rng(17 + shared)
+        count, size = 3, 5
+        for n, r, p in itertools.product(range(1, 5), repeat=3):
+            model = random_system(rng, n=n, r=r, p=p)
+            gains = 0.3 * rng.standard_normal((count, n, r))
+            states = rng.standard_normal((count, size, n))
+            lead = 1 if shared else count
+            noise = NoiseDraw(xi=rng.standard_normal((lead, size, p)),
+                              zeta=rng.standard_normal((lead, size, r)))
+            nxt, reward = step(model, states, gains, noise)
+            expected = np.empty_like(states)
+            for k, i in itertools.product(range(count), range(size)):
+                j = 0 if shared else k
+                closed = np.eye(n) - gains[k] @ model.C
+                expected[k, i] = (
+                    closed @ (model.A @ states[k, i] + model.E @ noise.xi[j, i])
+                    - gains[k] @ noise.zeta[j, i])
+            # An entry that cancels to near zero is held to the batch's
+            # scale: the two association orders differ by a rounding there.
+            np.testing.assert_allclose(
+                nxt, expected, rtol=1e-13,
+                atol=1e-13 * np.abs(expected).max())
+            np.testing.assert_allclose(reward, -(expected ** 2).sum(axis=-1),
+                                       rtol=1e-13)
 
     def test_dimension_errors(self, bicycle):
         noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))

@@ -254,6 +254,18 @@ class TestEvalConfig:
         with pytest.raises(ValueError):
             EvalConfig(n_traj=0)
 
+    @pytest.mark.parametrize("name", ["n_traj", "t_test", "t_critical",
+                                      "seed"])
+    @pytest.mark.parametrize("value", [195.5, 300.0, True, "300"])
+    def test_integer_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            EvalConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = EvalConfig(n_traj=np.int64(5), t_test=np.int32(10),
+                         t_critical=np.int64(3), seed=np.uint8(1))
+        assert (cfg.n_traj, cfg.t_test, cfg.t_critical) == (5, 10, 3)
+
     def test_roundtrip(self):
         cfg = EvalConfig(n_traj=12, t_test=100, t_critical=30, seed=2)
         assert EvalConfig.from_dict(cfg.to_dict()) == cfg

@@ -325,6 +325,13 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["seed", "batch_size", "max_iters",
+                                      "burn_in"])
+    @pytest.mark.parametrize("value", [2.0, 0.5, True, "10"])
+    def test_integer_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TrainerConfig(**{name: value})
+
     def test_roundtrip(self):
         cfg = TrainerConfig(gamma=0.5, seed=9)
         assert TrainerConfig.from_dict(cfg.to_dict()) == cfg
