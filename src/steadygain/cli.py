@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError
+from .errors import DivergenceError, NumericalError, check_real
 from .evaluation import EvalConfig, evaluate_gains, gain_metrics, write_eval_csv
 from .kalman import solve_dare
 from .models import LinearGaussianModel, VehicleParams, build_bicycle_model
@@ -190,6 +190,8 @@ def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
 def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     if not cfg.gamma_sweep:
         raise ValueError("gamma_sweep must list at least one discount")
+    for i, gamma in enumerate(cfg.gamma_sweep):
+        check_real(f"gamma_sweep[{i}]", gamma)
     model = cfg.build_model()
     ref = solve_dare(model).gain
     base = replace(cfg.trainer, init_mode="fixed")

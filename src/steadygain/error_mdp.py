@@ -128,13 +128,14 @@ def _transition(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
     # (3, 10 000, 2) @ (2, 2), an eval stack, took 34-62 us against
     # 160-210 us with the view; (15, 256, 2), a sweep pool, 9 us against
     # 33 us; and (1, 256, 2) 2.4 us against 3.9 us.  The products are
-    # bitwise equal, and each copy costs under a microsecond.
+    # bitwise equal.  The plant's transposes are derived once per model
+    # (``model.A_T`` and friends); only the gain's is copied per call.
     # Accumulating in place keeps a step to two new state-sized arrays.  On
     # that eval stack, allocating a fresh array per operation made the heap
     # shrink and re-fault its pages every step.
-    nxt = s @ _transposed(model.A)
-    nxt += noise.xi @ _transposed(model.E)
-    v = nxt @ _transposed(model.C)
+    nxt = s @ model.A_T
+    nxt += noise.xi @ model.E_T
+    v = nxt @ model.C_T
     v += noise.zeta
     nxt -= v @ _transposed(a)
     return nxt, v

@@ -16,6 +16,16 @@ def check_integer(name: str, value, minimum: int) -> None:
             f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is a real number.
+
+    Python and numpy integers and floats pass; bools, strings and other
+    objects do not.  Ranges are left to the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 class NumericalError(RuntimeError):
     """A linear-algebra operation failed or is too ill-conditioned to trust.
 

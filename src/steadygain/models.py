@@ -14,6 +14,7 @@ zero-order-hold discretization and a builder for a 2-DOF single-track
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,13 @@ def _as_matrix(name: str, value) -> np.ndarray:
     return m
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """A C-contiguous, read-only copy of m."""
+    m = np.array(m, order="C")
+    m.flags.writeable = False
+    return m
+
+
 def _check_symmetric(name: str, m: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     if np.abs(m - m.T).max(initial=0.0) > _SYM_TOL * scale:
@@ -63,7 +71,10 @@ class LinearGaussianModel:
         dt: sample time in seconds.
 
     The effective process covariance seen by the state is ``E Q E^T``,
-    exposed as :meth:`effective_process_cov`.
+    exposed as :meth:`effective_process_cov`.  It, the identity ``eye``
+    and the C-contiguous transposes ``A_T``, ``C_T`` and ``E_T`` that the
+    error recursion multiplies by are derived once per model, on first
+    use, and are read-only like the matrices themselves.
     """
 
     A: np.ndarray
@@ -133,9 +144,29 @@ class LinearGaussianModel:
     def p(self) -> int:
         return self.E.shape[1]
 
+    @cached_property
+    def A_T(self) -> np.ndarray:
+        return _read_only(self.A.T)
+
+    @cached_property
+    def C_T(self) -> np.ndarray:
+        return _read_only(self.C.T)
+
+    @cached_property
+    def E_T(self) -> np.ndarray:
+        return _read_only(self.E.T)
+
+    @cached_property
+    def eye(self) -> np.ndarray:
+        return _read_only(np.eye(self.n))
+
+    @cached_property
+    def _process_cov(self) -> np.ndarray:
+        return _read_only(self.E @ self.Q @ self.E.T)
+
     def effective_process_cov(self) -> np.ndarray:
         """Process covariance mapped into state space, ``E Q E^T``."""
-        return self.E @ self.Q @ self.E.T
+        return self._process_cov
 
     def to_dict(self) -> dict:
         """Plain-JSON document with row-major nested matrix lists."""

@@ -307,6 +307,20 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "theta.json").exists()
 
+    @pytest.mark.parametrize("command,overrides,name", [
+        ("train", {"trainer": {**SMALL_TRAINER, "lr_actor": True}},
+         "lr_actor"),
+        ("train", {"trainer": {**SMALL_TRAINER, "gamma": "0.5"}}, "gamma"),
+        ("sweep-gamma", {"gamma_sweep": [False, 0.5]}, "gamma_sweep[0]"),
+        ("sweep-gamma", {"gamma_sweep": [0.25, "0.5"]}, "gamma_sweep[1]"),
+    ], ids=["bool-rate", "string-gamma", "bool-discount", "string-discount"])
+    def test_non_real_setting_exits_two(self, tmp_path, capsys, command,
+                                        overrides, name):
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg), "--seeds", "1"]) == 2
+        assert f"{name} must be a real number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fractional_seed_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, trainer={**SMALL_TRAINER, "seed": 1.5})
         assert main(["train", "--config", str(cfg)]) == 2

@@ -186,3 +186,19 @@ class TestLinearGaussianModel:
     def test_matrices_immutable(self, bicycle):
         with pytest.raises(ValueError):
             bicycle.A[0, 0] = 7.0
+
+    def test_derived_operators(self):
+        # Fresh model: the operators are derived on first use, then kept.
+        model = build_bicycle_model()
+        derived = {"A_T": model.A.T, "C_T": model.C.T, "E_T": model.E.T,
+                   "eye": np.eye(model.n)}
+        for name, expected in derived.items():
+            value = getattr(model, name)
+            np.testing.assert_array_equal(value, expected)
+            assert value.flags.c_contiguous
+            assert not value.flags.writeable
+            assert getattr(model, name) is value
+        cov = model.effective_process_cov()
+        assert cov.tobytes() == (model.E @ model.Q @ model.E.T).tobytes()
+        assert not cov.flags.writeable
+        assert model.effective_process_cov() is cov

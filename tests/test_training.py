@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,32 @@ class TestCriticValue:
         w = np.eye(2)
         batch = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
         np.testing.assert_allclose(critic_value(w, batch), [-5.0, 0.0, -9.0])
+
+    @pytest.mark.parametrize("stack", [None, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_keeps_the_bits_of_the_three_operand_einsum(self, n, stack):
+        # The einsum is the form critic_value replaced; its sum must come
+        # out bit for bit, on a training-sized batch whose entries span
+        # six decades.
+        rng = np.random.default_rng(10 * n + (stack or 0))
+        lead = () if stack is None else (stack,)
+
+        def spread(shape):
+            return (rng.standard_normal(shape)
+                    * 10.0 ** rng.uniform(-3.0, 3.0, shape))
+
+        s, w = spread(lead + (256, n)), spread(lead + (n, n))
+        expected = -np.einsum("...bi,...ij,...bj->...b", s, w, s)
+        value = critic_value(w, s)
+        assert value.shape == expected.shape
+        assert value.tobytes() == expected.tobytes()
+
+    def test_signed_zeros_match_einsum(self):
+        # einsum sums from +0.0, so terms that are all -0.0 give +0.0.
+        s = np.zeros((3, 5, 2))
+        w = -np.ones((3, 2, 2))
+        expected = -np.einsum("...bi,...ij,...bj->...b", s, w, s)
+        assert critic_value(w, s).tobytes() == expected.tobytes()
 
 
 class TestCriticLossAndGrad:
@@ -332,6 +359,18 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             TrainerConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["gamma", "lr_actor", "lr_critic",
+                                      "convergence_tol", "tail_avg_frac"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_real_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            TrainerConfig(**{name: value})
+
+    def test_numpy_and_integer_reals_accepted(self):
+        cfg = TrainerConfig(gamma=np.float64(0.5), lr_actor=np.float32(0.01),
+                            tail_avg_frac=1, convergence_tol=0)
+        assert cfg.gamma == 0.5 and cfg.tail_avg_frac == 1
+
     def test_roundtrip(self):
         cfg = TrainerConfig(gamma=0.5, seed=9)
         assert TrainerConfig.from_dict(cfg.to_dict()) == cfg
@@ -433,6 +472,58 @@ class TestTrain:
     def test_train_average_requires_seeds(self, bicycle):
         with pytest.raises(ValueError):
             train_average(bicycle, TrainerConfig(max_iters=1), [])
+
+
+def row_by_row_csv(history, path):
+    """The history writer as it was first written: one list() per row."""
+    n, r = history.theta.shape[1:]
+    header = (["iter"]
+              + [f"theta{i + 1}{j + 1}" for i in range(n) for j in range(r)]
+              + [f"d{i + 1}{j + 1}" for i in range(n) for j in range(r)]
+              + ["critic_loss", "actor_loss"])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(history.iterations):
+            writer.writerow([k + 1]
+                            + list(history.theta[k].ravel())
+                            + list(history.diff[k].ravel())
+                            + [history.critic_loss[k], history.actor_loss[k]])
+
+
+class TestHistoryCsv:
+    """TrainHistory.to_csv writes the bytes of the row-by-row writer."""
+
+    @staticmethod
+    def history(rows, n=2, r=2, seed=0, reference=True, scale=1.0):
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal((rows, n, r)) * scale
+        diff = (theta - rng.standard_normal((n, r)) if reference
+                else np.full_like(theta, np.nan))
+        return training.TrainHistory(
+            theta=theta, diff=diff,
+            critic_loss=rng.standard_normal(rows) ** 2 * scale,
+            actor_loss=-rng.standard_normal(rows) ** 2 * scale,
+            iterations=rows)
+
+    @pytest.mark.parametrize("case", [
+        {"rows": 40},
+        {"rows": 40, "reference": False},
+        {"rows": 40, "n": 3, "r": 1, "scale": 1e-20},
+        {"rows": 40, "n": 1, "r": 3, "scale": 1e20},
+        {"rows": 2 * training._CSV_BLOCK_ROWS + 3},
+        {"rows": 0},
+    ], ids=["values", "nan-diffs", "near-1e-20", "near-1e20",
+            "several-blocks", "zero-iterations"])
+    def test_same_bytes_as_row_by_row_writer(self, tmp_path, case):
+        history = self.history(**case)
+        history.to_csv(tmp_path / "blocked.csv")
+        row_by_row_csv(history, tmp_path / "rows.csv")
+        written = (tmp_path / "blocked.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written.count(b"\n") == case["rows"] + 1
+        if case["rows"]:
+            assert b"-" in written
 
 
 class TestTrainRuns:
