@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import DivergenceError, NumericalError, check_real
 from .evaluation import EvalConfig, evaluate_gains, gain_metrics, write_eval_csv
 from .kalman import solve_dare
 from .models import LinearGaussianModel, VehicleParams, build_bicycle_model
-from .training import TrainerConfig, train_average, train_runs
+from .training import TrainerConfig, gain_columns, train_average, train_runs
 
 __all__ = ["RunConfig", "main"]
 
@@ -59,20 +59,21 @@ class RunConfig:
         raise ValueError(
             "model must be 'bicycle', {'bicycle': {...}} or {'inline': {...}}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         unknown = set(doc) - {"model", "trainer", "eval", "gamma_sweep",
                               "output_dir"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        gamma_sweep = doc.get("gamma_sweep", DEFAULT_GAMMA_SWEEP)
+        if not isinstance(gamma_sweep, (list, tuple)):
+            raise ValueError("gamma_sweep must be a list of discounts, "
+                             f"got {gamma_sweep!r}")
         return cls(
             model=doc.get("model", "bicycle"),
-            trainer=TrainerConfig.from_dict(doc.get("trainer", {})),
-            eval=EvalConfig.from_dict(doc.get("eval", {})),
-            gamma_sweep=tuple(doc.get("gamma_sweep", DEFAULT_GAMMA_SWEEP)),
+            trainer=TrainerConfig(**doc.get("trainer", {})),
+            eval=EvalConfig(**doc.get("eval", {})),
+            gamma_sweep=tuple(gamma_sweep),
             output_dir=doc.get("output_dir", "."),
         )
 
@@ -113,7 +114,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     model = cfg.build_model()
     solution = solve_dare(model)
     out = _out_dir(cfg) / "dare.json"
-    out.write_text(solution.to_json())
+    out.write_text(json.dumps(solution.to_dict(), indent=2))
     print(f"steady-state gain ({solution.iterations} doubling steps, "
           f"relative residual {solution.residual:.3e}):")
     print(_format_gain(solution.gain))
@@ -121,26 +122,21 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _seeds(base: int, count: int) -> list[int]:
-    return [base + i for i in range(count)]
-
-
 def cmd_train(cfg: RunConfig, n_seeds: int = 1) -> int:
     model = cfg.build_model()
     ref = solve_dare(model).gain
     out = _out_dir(cfg)
     history_path = out / "train_history.csv"
+    seeds = list(range(cfg.trainer.seed, cfg.trainer.seed + n_seeds))
     try:
-        theta, history = train_average(
-            model, cfg.trainer, _seeds(cfg.trainer.seed, n_seeds), ref_gain=ref)
+        theta, history = train_average(model, cfg.trainer, seeds, ref_gain=ref)
     except DivergenceError as err:
         if err.history is not None:
             err.history.to_csv(history_path)
             print(f"wrote partial {history_path}", file=sys.stderr)
         raise
     history.to_csv(history_path)
-    theta_doc = {"gain": theta.tolist(),
-                 "seeds": _seeds(cfg.trainer.seed, n_seeds)}
+    theta_doc = {"gain": theta.tolist(), "seeds": seeds}
     theta_path = out / "theta.json"
     theta_path.write_text(json.dumps(theta_doc, indent=2))
     _, err_pct = gain_metrics(theta, ref)
@@ -165,6 +161,8 @@ def _load_gain(source: str, model: LinearGaussianModel) -> np.ndarray:
         raise ValueError(
             f"gain from {source} has shape {gain.shape}, "
             f"expected ({model.n}, {model.r})")
+    if not np.all(np.isfinite(gain)):
+        raise ValueError(f"gain from {source} contains non-finite entries")
     return gain
 
 
@@ -195,9 +193,7 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     model = cfg.build_model()
     ref = solve_dare(model).gain
     base = replace(cfg.trainer, init_mode="fixed")
-    seeds = _seeds(base.seed, n_seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    seeds = list(range(base.seed, base.seed + n_seeds))
     # One stack of runs, discount-major: the seeds of gamma_sweep[i] are
     # runs i * n_seeds .. (i + 1) * n_seeds - 1.
     runs = train_runs(
@@ -206,9 +202,7 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
         ref_gain=ref)
     out = _out_dir(cfg) / "sweep.csv"
     n, r = model.n, model.r
-    header = (["gamma"]
-              + [f"theta{i + 1}{j + 1}" for i in range(n) for j in range(r)]
-              + [f"e{i + 1}{j + 1}" for i in range(n) for j in range(r)]
+    header = (["gamma"] + gain_columns("theta", n, r) + gain_columns("e", n, r)
               + ["status"])
     rows = []
     for i, gamma in enumerate(cfg.gamma_sweep):

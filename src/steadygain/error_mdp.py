@@ -27,16 +27,13 @@ __all__ = [
     "step",
     "sample_initial_error",
     "diverged_runs",
-    "UNIFORM_BOX_BOUNDS",
-    "FIXED_INITIAL_ERROR",
+    "VEHICLE_INITIAL_ERROR",
 ]
 
-# Half-widths of the default uniform initial-error box: 5 deg of sideslip,
-# 10 deg/s of yaw rate, in radians.
-UNIFORM_BOX_BOUNDS = (5.0 * np.pi / 180.0, 10.0 * np.pi / 180.0)
-
-# Deterministic initial error (5 deg, 10 deg/s) used by the fixed sampler.
-FIXED_INITIAL_ERROR = np.array([np.pi / 36.0, np.pi / 18.0])
+# The vehicle's default initial error, 5 deg of sideslip and 10 deg/s of
+# yaw rate in radians: the half-widths of the uniform box, and the error
+# the fixed sampler repeats.
+VEHICLE_INITIAL_ERROR = (5.0 * np.pi / 180.0, 10.0 * np.pi / 180.0)
 
 # Pool entries beyond this magnitude are treated as diverged.
 _DIVERGENCE_GUARD = 1e12
@@ -212,33 +209,28 @@ def sample_initial_error(model: LinearGaussianModel, mode: str,
                          bounds: tuple[float, ...] | None = None) -> np.ndarray:
     """Draw a (size, n) batch of initial error states.
 
-    ``mode="uniform_box"`` draws each component uniformly from
-    +-bounds[i]; the default bounds are the 2-D box of
-    :data:`UNIFORM_BOX_BOUNDS` and therefore require a 2-dimensional model
-    unless explicit bounds are given.  ``mode="fixed"`` repeats
-    :data:`FIXED_INITIAL_ERROR` (requires a 2-dimensional model).
+    ``bounds`` holds one value per state, :data:`VEHICLE_INITIAL_ERROR` by
+    default, which fits only a 2-dimensional model.  ``mode="fixed"``
+    repeats the bounds themselves; ``mode="uniform_box"`` draws each
+    component i uniformly from +-bounds[i] with ``rng``.
     """
+    if mode not in ("fixed", "uniform_box"):
+        raise ValueError(f"unknown initial-error mode {mode!r}")
+    if bounds is None:
+        if model.n != len(VEHICLE_INITIAL_ERROR):
+            raise ValueError(
+                f"default initial error is "
+                f"{len(VEHICLE_INITIAL_ERROR)}-dimensional but the model "
+                f"has n={model.n}; pass explicit bounds")
+        bounds = VEHICLE_INITIAL_ERROR
+    if len(bounds) != model.n:
+        raise ValueError(f"need {model.n} bounds, got {len(bounds)}")
+    bounds = np.asarray(bounds, dtype=float)
     if mode == "fixed":
-        if model.n != len(FIXED_INITIAL_ERROR):
-            raise ValueError(
-                f"fixed initial error is {len(FIXED_INITIAL_ERROR)}-dimensional "
-                f"but the model has n={model.n}")
-        return np.tile(FIXED_INITIAL_ERROR, (size, 1))
-    if mode == "uniform_box":
-        if bounds is None:
-            if model.n != len(UNIFORM_BOX_BOUNDS):
-                raise ValueError(
-                    f"default uniform box is {len(UNIFORM_BOX_BOUNDS)}-dimensional "
-                    f"but the model has n={model.n}; pass explicit bounds")
-            bounds = UNIFORM_BOX_BOUNDS
-        if len(bounds) != model.n:
-            raise ValueError(
-                f"need {model.n} bounds, got {len(bounds)}")
-        if rng is None:
-            raise ValueError("uniform_box sampling requires an rng")
-        half = np.asarray(bounds, dtype=float)
-        return rng.uniform(-1.0, 1.0, (size, model.n)) * half
-    raise ValueError(f"unknown initial-error mode {mode!r}")
+        return np.tile(bounds, (size, 1))
+    if rng is None:
+        raise ValueError("uniform_box sampling requires an rng")
+    return rng.uniform(-1.0, 1.0, (size, model.n)) * bounds
 
 
 def diverged_runs(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,11 +19,17 @@ def check_integer(name: str, value, minimum: int) -> None:
 def check_real(name: str, value) -> None:
     """Raise ValueError, naming ``name``, unless ``value`` is a real number.
 
-    Python and numpy integers and floats pass; bools, strings and other
-    objects do not.  Ranges are left to the caller.
+    Python and numpy integers and floats pass, except an integer too large
+    to convert to a float; bools, strings and other objects do not.  Ranges
+    are left to the caller.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be a real number within float range") from None
 
 
 class NumericalError(RuntimeError):

@@ -16,7 +16,7 @@ mean-square-error curve.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,13 +56,6 @@ class EvalConfig:
             raise ValueError(
                 f"need 0 < t_critical < t_test, got {self.t_critical} "
                 f"vs {self.t_test}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvalConfig":
-        return cls(**doc)
 
 
 @dataclass(frozen=True)

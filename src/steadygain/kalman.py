@@ -21,7 +21,6 @@ Kalman recursion; they are independent of any reward discounting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +78,17 @@ class SteadyStateSolution:
             "residual": self.residual,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+
+def _check_conditioned(what: str, m: np.ndarray) -> None:
+    """Raise NumericalError, naming ``what``, unless m is well conditioned.
+
+    A condition number that is not finite or exceeds 1e12 fails.
+    """
+    cond = np.linalg.cond(m)
+    if not np.isfinite(cond) or cond > _MAX_CONDITION:
+        raise NumericalError(
+            f"{what} is singular or ill-conditioned "
+            f"(condition estimate {cond:.3e})", condition=float(cond))
 
 
 def _solve_innovation(model: LinearGaussianModel, sigma: np.ndarray,
@@ -88,11 +96,7 @@ def _solve_innovation(model: LinearGaussianModel, sigma: np.ndarray,
     """Solve (C sigma C^T + R) x = rhs, guarding against ill-conditioning."""
     s_inn = model.C @ sigma @ model.C.T + model.R
     try:
-        cond = np.linalg.cond(s_inn)
-        if not np.isfinite(cond) or cond > _MAX_CONDITION:
-            raise NumericalError(
-                f"innovation covariance is singular or ill-conditioned "
-                f"(condition estimate {cond:.3e})", condition=float(cond))
+        _check_conditioned("innovation covariance", s_inn)
         return np.linalg.solve(s_inn, rhs)
     except np.linalg.LinAlgError as err:
         raise NumericalError(
@@ -151,18 +155,13 @@ def solve_dare(model: LinearGaussianModel, tol: float = 1e-12,
             returned gain does not stabilize the error dynamics
             (rho[(I - K C) A] >= 1).
     """
-    cond = np.linalg.cond(model.R)
-    if not np.isfinite(cond) or cond > _MAX_CONDITION:
-        raise NumericalError(
-            f"measurement covariance R is singular or ill-conditioned "
-            f"(condition estimate {cond:.3e})", condition=float(cond))
-    eye = np.eye(model.n)
+    _check_conditioned("measurement covariance R", model.R)
     a = model.A.T
     g = symmetrize(model.C.T @ np.linalg.solve(model.R, model.C))
     h = symmetrize(model.effective_process_cov())
     change = np.inf
     for step in range(1, max_iter + 1):
-        w_inv_ag = np.linalg.solve(eye + g @ h, np.hstack([a, g]))
+        w_inv_ag = np.linalg.solve(model.eye + g @ h, np.hstack([a, g]))
         w_inv_a, w_inv_g = w_inv_ag[:, :model.n], w_inv_ag[:, model.n:]
         a, g, h_next = (a @ w_inv_a, symmetrize(g + a @ w_inv_g @ a.T),
                         symmetrize(h + a.T @ h @ w_inv_a))
@@ -181,7 +180,7 @@ def solve_dare(model: LinearGaussianModel, tol: float = 1e-12,
             f"(last relative change {change:.3e})", residual=change)
     gain = gain_from_predicted_cov(model, h)
     residual = _relative_gap(riccati_iterate(model, h), h)
-    rho = spectral_radius((eye - gain @ model.C) @ model.A)
+    rho = spectral_radius((model.eye - gain @ model.C) @ model.A)
     if not rho < 1.0:
         raise DivergenceError(
             f"the Riccati solution does not stabilize the error dynamics "
@@ -206,13 +205,12 @@ def kalman_recursion(model: LinearGaussianModel, sigma0: np.ndarray,
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     sigma_pred = symmetrize(np.asarray(sigma0, dtype=float))
-    eye = np.eye(model.n)
     qeff = model.effective_process_cov()
     out = []
     for _ in range(steps):
         gain = gain_from_predicted_cov(model, sigma_pred)
         out.append((gain, sigma_pred))
-        filtered = symmetrize((eye - gain @ model.C) @ sigma_pred)
+        filtered = symmetrize((model.eye - gain @ model.C) @ sigma_pred)
         sigma_pred = symmetrize(model.A @ filtered @ model.A.T + qeff)
     return out
 
@@ -233,11 +231,7 @@ def closed_form_one_step_gain(model: LinearGaussianModel,
     capa = C @ A @ P0 @ A.T
     numerator = (capa + C @ qeff).T
     denominator = capa @ C.T + C @ qeff @ C.T + R
-    cond = np.linalg.cond(denominator)
-    if not np.isfinite(cond) or cond > _MAX_CONDITION:
-        raise NumericalError(
-            f"one-step gain denominator is singular or ill-conditioned "
-            f"(condition estimate {cond:.3e})", condition=float(cond))
+    _check_conditioned("one-step gain denominator", denominator)
     return np.linalg.solve(denominator.T, numerator.T).T
 
 
@@ -256,13 +250,12 @@ def finite_horizon_gains(model: LinearGaussianModel, P0: np.ndarray,
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     P = symmetrize(np.asarray(P0, dtype=float))
-    eye = np.eye(model.n)
     qeff = model.effective_process_cov()
     gains = []
     for _ in range(n):
         a = closed_form_one_step_gain(model, P)
         gains.append(a)
         pred = model.A @ P @ model.A.T + qeff
-        iac = eye - a @ model.C
+        iac = model.eye - a @ model.C
         P = symmetrize(iac @ pred @ iac.T + a @ model.R @ a.T)
     return gains

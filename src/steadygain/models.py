@@ -13,10 +13,12 @@ zero-order-hold discretization and a builder for a 2-DOF single-track
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+
+from .errors import check_real
 
 __all__ = [
     "LinearGaussianModel",
@@ -55,7 +57,7 @@ def _check_symmetric(name: str, m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearGaussianModel:
     """Immutable discrete-time linear Gaussian plant.
 
@@ -74,7 +76,8 @@ class LinearGaussianModel:
     exposed as :meth:`effective_process_cov`.  It, the identity ``eye``
     and the C-contiguous transposes ``A_T``, ``C_T`` and ``E_T`` that the
     error recursion multiplies by are derived once per model, on first
-    use, and are read-only like the matrices themselves.
+    use, and are read-only like the matrices themselves.  Models compare
+    and hash by identity.
     """
 
     A: np.ndarray
@@ -113,8 +116,9 @@ class LinearGaussianModel:
             raise ValueError(f"Q must be {p} x {p}, got {Q.shape}")
         if R.shape != (r, r):
             raise ValueError(f"R must be {r} x {r}, got {R.shape}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_real("dt", self.dt)
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
         q_scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
         if p and np.linalg.eigvalsh(Q).min() < -_PSD_TOL * q_scale:
@@ -199,7 +203,7 @@ class VehicleParams:
     Cornering stiffnesses follow the signed convention of the plant
     equations (negative for a restoring tire force).  ``l_arm`` defaults to
     the value derived from the axle distances; pass it explicitly to
-    override.
+    override.  Every value must be a finite real number.
     """
 
     m: float = 1500.0              # vehicle mass, kg
@@ -219,6 +223,13 @@ class VehicleParams:
     dt: float = 0.01               # sample time, s
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "l_arm" and value is None:
+                continue
+            check_real(f.name, value)
+            if not -np.inf < value < np.inf:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("m", "v_long", "I_zz", "a", "b", "dt"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -318,28 +329,35 @@ def build_bicycle_model(params: VehicleParams | None = None
     izz = params.I_zz
     dt = params.dt
 
-    A_c = np.array([
-        [(cf + cr) / (m * v), (a * cf - b * cr) / (m * v ** 2) - 1.0],
-        [(a * cf - b * cr) / izz, (a ** 2 * cf + b ** 2 * cr) / (v * izz)],
-    ])
-    B_c = np.array([
-        [-cf / (m * v)],
-        [-a * cf / izz],
-    ])
-    C = np.array([
-        [(cf + cr) / m, (a * cf - b * cr) / (m * v)],
-        [0.0, 1.0],
-    ])
-    D = np.array([
-        [-cf / m],
-        [0.0],
-    ])
-    E = np.array([
-        [dt / (m * v), dt / (m * v)],
-        [0.0, params.l_arm * dt / izz],
-    ])
-    Q = np.diag([params.sigma_side_slope ** 2, params.sigma_side_wind ** 2])
-    R = np.diag([params.sigma_lat_acc ** 2, params.sigma_yaw_rate ** 2])
+    # Float ** raises on overflow and / on a product that underflows to
+    # zero; discretize and the model refuse any other non-finite entry.
+    try:
+        A_c = np.array([
+            [(cf + cr) / (m * v), (a * cf - b * cr) / (m * v ** 2) - 1.0],
+            [(a * cf - b * cr) / izz, (a ** 2 * cf + b ** 2 * cr) / (v * izz)],
+        ])
+        B_c = np.array([
+            [-cf / (m * v)],
+            [-a * cf / izz],
+        ])
+        C = np.array([
+            [(cf + cr) / m, (a * cf - b * cr) / (m * v)],
+            [0.0, 1.0],
+        ])
+        D = np.array([
+            [-cf / m],
+            [0.0],
+        ])
+        E = np.array([
+            [dt / (m * v), dt / (m * v)],
+            [0.0, params.l_arm * dt / izz],
+        ])
+        Q = np.diag([params.sigma_side_slope ** 2,
+                     params.sigma_side_wind ** 2])
+        R = np.diag([params.sigma_lat_acc ** 2, params.sigma_yaw_rate ** 2])
+    except (OverflowError, ZeroDivisionError) as err:
+        raise ValueError(
+            f"vehicle parameters give no finite model: {err}") from err
 
     A_d, B_d = discretize(A_c, B_c, dt)
     return LinearGaussianModel(A=A_d, B=B_d, C=C, D=D, E=E, Q=Q, R=R, dt=dt)

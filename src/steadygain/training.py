@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +53,7 @@ __all__ = [
     "critic_loss_and_grad",
     "actor_loss_and_grad",
     "adam_update",
+    "gain_columns",
     "train",
     "train_average",
     "train_runs",
@@ -131,12 +132,14 @@ class TrainerConfig:
         if self.init_mode not in ("uniform_box", "fixed"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainerConfig":
-        return cls(**doc)
+def gain_columns(prefix: str, n: int, r: int) -> list[str]:
+    """CSV column names of an n x r gain's elements in row-major order.
+
+    ``gain_columns("theta", 2, 2)`` gives theta11, theta12, theta21 and
+    theta22.
+    """
+    return [f"{prefix}{i + 1}{j + 1}" for i in range(n) for j in range(r)]
 
 
 @dataclass
@@ -163,10 +166,8 @@ class TrainHistory:
         """
         count = self.iterations
         n, r = self.theta.shape[1:]
-        header = (["iter"]
-                  + [f"theta{i + 1}{j + 1}" for i in range(n) for j in range(r)]
-                  + [f"d{i + 1}{j + 1}" for i in range(n) for j in range(r)]
-                  + ["critic_loss", "actor_loss"])
+        header = (["iter"] + gain_columns("theta", n, r)
+                  + gain_columns("d", n, r) + ["critic_loss", "actor_loss"])
         columns = (self.theta[:count].reshape(count, n * r),
                    self.diff[:count].reshape(count, n * r),
                    self.critic_loss[:count, None],
@@ -401,10 +402,11 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
 
     Run k uses seed ``seeds[k]`` (default: ``cfg.seed`` alone) and discount
     ``gammas[k]`` (default: ``cfg.gamma`` for every run); all other settings
-    come from ``cfg``.  Each iteration costs one set of array operations for
-    the whole stack.  Every run owns its generator and draws its noise
-    exactly as it would alone, so its result depends only on its seed and
-    discount, never on what else is in the stack.
+    come from ``cfg``; an empty ``seeds`` raises ValueError.  Each iteration
+    costs one set of array operations for the whole stack.  Every run owns
+    its generator and draws its noise exactly as it would alone, so its
+    result depends only on its seed and discount, never on what else is in
+    the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
     iteration forms one law of the pool's next error, shared by the
@@ -422,6 +424,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     """
     seeds = ([cfg.seed] if seeds is None
              else [operator.index(seed) for seed in seeds])
+    if not seeds:
+        raise ValueError("need at least one seed")
     count = len(seeds)
     gammas = np.asarray([cfg.gamma] * count if gammas is None else gammas,
                         dtype=float)
@@ -446,7 +450,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
 
     noise_stack = NoiseStack(model, rngs, size)
     theta = np.zeros((count, n, r))
-    w = np.tile(np.eye(n), (count, 1, 1))
+    w = np.tile(model.eye, (count, 1, 1))
     # Adam's moment estimates for the critic and the actor.
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
                                   for a in (w, w, theta, theta))
@@ -569,9 +573,6 @@ def train_average(model: LinearGaussianModel, cfg: TrainerConfig,
         DivergenceError: for the first seed, in order, whose run diverged,
             with that run's partial history.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
     runs = train_runs(model, cfg, seeds=seeds, ref_gain=ref_gain)
     runs.raise_divergence()
     return runs.gains.mean(axis=0), runs.mean_history()

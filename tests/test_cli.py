@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -266,9 +267,9 @@ class TestConfigHandling:
             trainer=TrainerConfig(seed=3, gamma=0.5),
             gamma_sweep=(0.1, 0.9),
             output_dir="somewhere")
-        again = RunConfig.from_dict(cfg.to_dict())
+        again = RunConfig.from_dict(asdict(cfg))
         assert again == cfg
-        assert RunConfig.from_dict(again.to_dict()) == again
+        assert RunConfig.from_dict(asdict(again)) == again
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -342,6 +343,57 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, **{section: {**base, name: value}})
         assert main([command, "--config", str(cfg)]) == 2
         assert f"{name} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bicycle,name", [
+        ({"v_long": float("inf")}, "v_long"),
+        ({"l_arm": True}, "l_arm"),
+        ({"m": True, "dt": True}, "m"),
+        ({"sigma_lat_acc": float("nan")}, "sigma_lat_acc"),
+    ], ids=["infinite-speed", "bool-arm", "bool-mass", "nan-noise"])
+    def test_bad_vehicle_parameter_exits_two(self, tmp_path, capsys,
+                                             bicycle, name):
+        cfg = write_config(tmp_path, model={"bicycle": bicycle})
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert f"config error: {name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_vehicle_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model={"bicycle": {"v_long": 1e308}})
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert "config error: vehicle parameters" in capsys.readouterr().err
+
+    def test_bool_inline_dt_exits_two(self, tmp_path, capsys):
+        inline = {
+            "A": [[0.5]], "B": [[0.0]], "C": [[1.0]], "D": [[0.0]],
+            "E": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "dt": True,
+        }
+        cfg = write_config(tmp_path, model={"inline": inline})
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert "dt must be a real number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", [0.5, "05", {"0": 0.5}])
+    def test_non_list_gamma_sweep_exits_two(self, tmp_path, capsys, sweep):
+        cfg = write_config(tmp_path, gamma_sweep=sweep)
+        assert main(["sweep-gamma", "--config", str(cfg)]) == 2
+        assert ("gamma_sweep must be a list of discounts"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_gain_file_exits_two_before_rollout(
+            self, tmp_path, capsys, monkeypatch):
+        def no_rollout(self):
+            raise AssertionError("noise drawn before the gains were checked")
+
+        monkeypatch.setattr(NoiseStack, "draw", no_rollout)
+        bad = tmp_path / "theta.json"
+        bad.write_text(json.dumps({"gain": [[0.0, float("nan")],
+                                            [0.0, 0.05]]}))
+        cfg = write_config(tmp_path)
+        code = main(["eval", "--config", str(cfg),
+                     "--gain", "dare", "--gain", f"learned={bad}"])
+        assert code == 2
+        assert f"gain from {bad} contains non-finite entries" in (
+            capsys.readouterr().err)
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -11,8 +11,8 @@ from steadygain import (
     spectral_radius,
     step,
 )
-from steadygain.error_mdp import (FIXED_INITIAL_ERROR, UNIFORM_BOX_BOUNDS,
-                                  NoiseStack, diverged_runs)
+from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, NoiseStack,
+                                  diverged_runs)
 
 from conftest import random_system, scalar_model
 
@@ -164,13 +164,14 @@ class TestSampleInitialError:
     def test_fixed_batch(self, bicycle):
         batch = sample_initial_error(bicycle, "fixed", size=5)
         assert batch.shape == (5, 2)
-        np.testing.assert_array_equal(batch, np.tile(FIXED_INITIAL_ERROR, (5, 1)))
+        np.testing.assert_array_equal(batch,
+                                      np.tile(VEHICLE_INITIAL_ERROR, (5, 1)))
 
     def test_uniform_box_bounds_and_mean(self, bicycle):
         rng = np.random.default_rng(8)
         n_draws = 10_000
         draws = sample_initial_error(bicycle, "uniform_box", rng, size=n_draws)
-        half = np.asarray(UNIFORM_BOX_BOUNDS)
+        half = np.asarray(VEHICLE_INITIAL_ERROR)
         assert np.all(np.abs(draws) <= half)
         # mean of U(-h, h) has std h / sqrt(3 N)
         tol = 3.0 * half / np.sqrt(3.0 * n_draws)
@@ -196,6 +197,31 @@ class TestSampleInitialError:
     def test_fixed_requires_two_dims(self):
         with pytest.raises(ValueError):
             sample_initial_error(scalar_model(), "fixed", size=1)
+
+    def test_default_refused_on_three_states_naming_both(self):
+        model = identity_output_model(n=3)
+        for mode in ("fixed", "uniform_box"):
+            with pytest.raises(ValueError, match="2-dimensional.*n=3"):
+                sample_initial_error(model, mode, np.random.default_rng(0),
+                                     size=2)
+
+    def test_explicit_bounds_on_three_states(self):
+        model = identity_output_model(n=3)
+        bounds = (0.1, 0.2, 0.3)
+        fixed = sample_initial_error(model, "fixed", size=4, bounds=bounds)
+        np.testing.assert_array_equal(fixed, np.tile(bounds, (4, 1)))
+        draws = sample_initial_error(model, "uniform_box",
+                                     np.random.default_rng(3), size=1000,
+                                     bounds=bounds)
+        assert draws.shape == (1000, 3)
+        assert np.all(np.abs(draws) <= bounds)
+        # The draws fill the box: each component comes near its bound.
+        assert np.all(np.abs(draws).max(axis=0) > 0.9 * np.asarray(bounds))
+
+    def test_bound_count_checked(self):
+        with pytest.raises(ValueError, match="need 3 bounds, got 2"):
+            sample_initial_error(identity_output_model(n=3), "fixed", size=1,
+                                 bounds=(0.1, 0.2))
 
     def test_unknown_mode(self, bicycle):
         with pytest.raises(ValueError, match="mode"):

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -268,4 +269,4 @@ class TestEvalConfig:
 
     def test_roundtrip(self):
         cfg = EvalConfig(n_traj=12, t_test=100, t_critical=30, seed=2)
-        assert EvalConfig.from_dict(cfg.to_dict()) == cfg
+        assert EvalConfig(**asdict(cfg)) == cfg

@@ -59,6 +59,32 @@ class TestGainFromPredictedCov:
         assert excinfo.value.condition > 1e12
 
 
+class TestConditioningGuard:
+    @staticmethod
+    def ill_conditioned_r_model():
+        return LinearGaussianModel(
+            A=np.eye(2) * 0.5, B=np.zeros((2, 1)), C=np.eye(2),
+            D=np.zeros((2, 1)), E=np.eye(2), Q=np.zeros((2, 2)),
+            R=np.diag([1.0, 1e-30]), dt=0.01)
+
+    # With Q = 0 and a zero covariance, the innovation covariance and the
+    # one-step denominator are R itself.
+    @pytest.mark.parametrize("what,call", [
+        ("measurement covariance R", solve_dare),
+        ("innovation covariance",
+         lambda model: gain_from_predicted_cov(model, np.zeros((2, 2)))),
+        ("one-step gain denominator",
+         lambda model: closed_form_one_step_gain(model, np.zeros((2, 2)))),
+    ], ids=["R", "innovation", "one-step"])
+    def test_message_names_the_matrix(self, what, call):
+        with pytest.raises(NumericalError) as excinfo:
+            call(self.ill_conditioned_r_model())
+        assert excinfo.value.condition > 1e12
+        assert str(excinfo.value) == (
+            f"{what} is singular or ill-conditioned (condition estimate "
+            f"{excinfo.value.condition:.3e})")
+
+
 class TestRiccatiIterate:
     def test_zero_is_fixed_point_without_noise(self):
         model = scalar_model(q=0.0)

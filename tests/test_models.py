@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,9 @@ from steadygain import (
 from steadygain.models import discretize, equivalent_moment_arm
 
 TABLE_PARAMS = VehicleParams()
+
+# An integer that no float can hold.
+HUGE_INT = pytest.param(10 ** 400, id="huge-int")
 
 
 class TestDiscretize:
@@ -130,6 +134,22 @@ class TestVehicleParamsValidation:
         with pytest.raises(ValueError):
             VehicleParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(VehicleParams)])
+    @pytest.mark.parametrize("value", [True, "1.0", float("inf"),
+                                       float("nan"), HUGE_INT])
+    def test_real_finite_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            VehicleParams(**{name: value})
+
+    def test_integers_and_numpy_reals_accepted(self):
+        params = VehicleParams(m=1500, v_long=np.float64(20.0), l_arm=0)
+        assert params.m == 1500 and params.l_arm == 0
+
+    def test_overflowing_parameters_named(self):
+        with pytest.raises(ValueError, match="vehicle parameters"):
+            build_bicycle_model(VehicleParams(v_long=1e308))
+
 
 class TestLinearGaussianModel:
     def test_json_roundtrip(self, bicycle):
@@ -182,6 +202,20 @@ class TestLinearGaussianModel:
             LinearGaussianModel(
                 A=[[np.nan]], B=[[0.0]], C=[[1.0]], D=[[0.0]],
                 E=[[1.0]], Q=[[1.0]], R=[[1.0]], dt=0.01)
+
+    @pytest.mark.parametrize("dt", [True, "0.01", float("inf"),
+                                    float("nan"), 0.0, HUGE_INT])
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="^dt must be"):
+            LinearGaussianModel(
+                A=[[0.5]], B=[[0.0]], C=[[1.0]], D=[[0.0]],
+                E=[[1.0]], Q=[[1.0]], R=[[1.0]], dt=dt)
+
+    def test_compare_and_hash_by_identity(self):
+        a, b = build_bicycle_model(), build_bicycle_model()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
     def test_matrices_immutable(self, bicycle):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 import csv
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -361,7 +361,8 @@ class TestTrainerConfig:
 
     @pytest.mark.parametrize("name", ["gamma", "lr_actor", "lr_critic",
                                       "convergence_tol", "tail_avg_frac"])
-    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    @pytest.mark.parametrize("value", [
+        True, False, "0.5", None, pytest.param(10 ** 400, id="huge-int")])
     def test_real_field_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a real number"):
             TrainerConfig(**{name: value})
@@ -373,7 +374,7 @@ class TestTrainerConfig:
 
     def test_roundtrip(self):
         cfg = TrainerConfig(gamma=0.5, seed=9)
-        assert TrainerConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainerConfig(**asdict(cfg)) == cfg
 
     def test_numpy_integer_seed_accepted(self):
         assert TrainerConfig(seed=np.int64(7)).seed == 7
@@ -472,6 +473,14 @@ class TestTrain:
     def test_train_average_requires_seeds(self, bicycle):
         with pytest.raises(ValueError):
             train_average(bicycle, TrainerConfig(max_iters=1), [])
+
+    def test_train_runs_requires_seeds(self, bicycle):
+        with pytest.raises(ValueError, match="at least one seed"):
+            train_runs(bicycle, TrainerConfig(max_iters=1), seeds=[])
+
+    def test_gain_columns_row_major(self):
+        assert training.gain_columns("e", 3, 1) == ["e11", "e21", "e31"]
+        assert training.gain_columns("theta", 1, 2) == ["theta11", "theta12"]
 
 
 def row_by_row_csv(history, path):
