@@ -174,8 +174,8 @@ def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
         if not source:
             name, source = spec, spec
         named.append((name, _load_gain(source, model)))
-    rows = evaluate_gains(model, named, cfg.eval)
     out = _out_dir(cfg) / "eval.csv"
+    rows = evaluate_gains(model, named, cfg.eval)
     write_eval_csv(rows, out)
     for row in rows:
         print(f"{row['name']}: loss_tran={row['loss_tran']:.6e} "
@@ -194,13 +194,13 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     ref = solve_dare(model).gain
     base = replace(cfg.trainer, init_mode="fixed")
     seeds = list(range(base.seed, base.seed + n_seeds))
+    out = _out_dir(cfg) / "sweep.csv"
     # One stack of runs, discount-major: the seeds of gamma_sweep[i] are
     # runs i * n_seeds .. (i + 1) * n_seeds - 1.
     runs = train_runs(
         model, base, seeds=seeds * len(cfg.gamma_sweep),
         gammas=np.repeat(np.asarray(cfg.gamma_sweep, dtype=float), n_seeds),
         ref_gain=ref)
-    out = _out_dir(cfg) / "sweep.csv"
     n, r = model.n, model.r
     header = (["gamma"] + gain_columns("theta", n, r) + gain_columns("e", n, r)
               + ["status"])

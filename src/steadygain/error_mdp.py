@@ -76,6 +76,8 @@ class NoiseStack:
     never depends on the other runs.  Q and R are factored once, not per
     draw, and the transposed factors are stored C-contiguous so that
     coloring the standard normals stays on BLAS (see :func:`_transition`).
+    The stack owns its buffers: ``buffers`` holds the (K, size, .) arrays
+    every draw is colored into, so a draw is overwritten by the next one.
     :func:`draw_noise` is the one-run form.
     """
 
@@ -85,6 +87,8 @@ class NoiseStack:
         self._fr_t = _transposed(cov_factor(model.R))
         self._xi = np.empty((len(rngs), size, model.p))
         self._zeta = np.empty((len(rngs), size, model.r))
+        self.buffers = NoiseDraw(xi=np.empty_like(self._xi),
+                                 zeta=np.empty_like(self._zeta))
         self._use(rngs)
 
     def _use(self, rngs: list) -> None:
@@ -97,13 +101,20 @@ class NoiseStack:
         self._use([rng for rng, kept in zip(self._rngs, mask) if kept])
 
     def draw(self) -> NoiseDraw:
-        """One (K, size, .) batch for each of the K runs still drawing."""
+        """One (K, size, .) batch for each of the K runs still drawing.
+
+        The batch is the leading slice of ``buffers``, valid until the
+        next draw overwrites it.
+        """
         for normal, xi, zeta in self._slots:
             normal(out=xi)
             normal(out=zeta)
         count = len(self._slots)
-        return NoiseDraw(xi=self._xi[:count] @ self._fq_t,
-                         zeta=self._zeta[:count] @ self._fr_t)
+        return NoiseDraw(
+            xi=np.matmul(self._xi[:count], self._fq_t,
+                         out=self.buffers.xi[:count]),
+            zeta=np.matmul(self._zeta[:count], self._fr_t,
+                           out=self.buffers.zeta[:count]))
 
 
 def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
@@ -114,10 +125,14 @@ def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
 
 
 def _transition(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
-                noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray]:
+                noise: NoiseDraw, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Next errors s' = z - a v and innovations v = C z + zeta.
 
-    Here z = A s + E xi; shapes are as :func:`step` accepts them.
+    Here z = A s + E xi; shapes are as :func:`step` accepts them.  ``out``
+    is None for fresh arrays, or buffers (s', a v, v, E xi) that the step
+    is written into: s' and a v shaped like s and not overlapping it, v
+    like s with r columns, and E xi like the process noise with n columns.
+    The s' and v buffers are returned.
     """
     # Every right operand is a C-contiguous transpose, because numpy's
     # matmul stays on BLAS only for contiguous operands: a transposed view
@@ -127,14 +142,21 @@ def _transition(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
     # 33 us; and (1, 256, 2) 2.4 us against 3.9 us.  The products are
     # bitwise equal.  The plant's transposes are derived once per model
     # (``model.A_T`` and friends); only the gain's is copied per call.
-    # Accumulating in place keeps a step to two new state-sized arrays.  On
-    # that eval stack, allocating a fresh array per operation made the heap
-    # shrink and re-fault its pages every step.
-    nxt = s @ model.A_T
-    nxt += noise.xi @ model.E_T
-    v = nxt @ model.C_T
+    # Every product is written into a buffer, so a caller that passes the
+    # same ``out`` each step allocates nothing state-sized.  An eval stack
+    # needs that: glibc hands freed 160-480 KB arrays back to the kernel,
+    # so fresh ones fault in zeroed pages on every step.  A default eval
+    # of three gains (2 vCPU, one BLAS thread) took about 101 600 minor
+    # page faults and 0.17-0.23 s of system time with fresh arrays, and
+    # about 790 faults and 0.004 s with one workspace (counted by
+    # getrusage).  Pools under 64 KB, as in training, stay in the heap and
+    # may take fresh arrays.
+    nxt, kv, v, exi = (None,) * 4 if out is None else out
+    nxt = np.matmul(s, model.A_T, out=nxt)
+    nxt += np.matmul(noise.xi, model.E_T, out=exi)
+    v = np.matmul(nxt, model.C_T, out=v)
     v += noise.zeta
-    nxt -= v @ _transposed(a)
+    nxt -= np.matmul(v, _transposed(a), out=kv)
     return nxt, v
 
 
@@ -157,19 +179,20 @@ def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
     return nxt, -_squared_norm(nxt)
 
 
-def _squared_norm(x: np.ndarray) -> np.ndarray:
-    """Sum of squares over the last axis: ``x * x``, columns added in order.
+def _squared_norm(x: np.ndarray, out=None) -> np.ndarray:
+    """Sum of squares over the last axis, columns squared and added in order.
 
     On a trailing axis of length 2 this is bitwise equal to
     ``einsum("...i,...i->...", x, x)`` and faster at every stack size,
     because einsum's two-operand loop over so short an axis is slow: on
-    one core, 90 us against 259 us on (3, 10 000, 2) and 16 us against
-    36 us on (15, 256, 2).
+    one core, 76 us against 212 us on (3, 10 000, 2) and 11 us against
+    28 us on (15, 256, 2).  ``out`` is None for fresh arrays, or buffers
+    (column square, sum) shaped like x[..., 0]; the sum's is returned.
     """
-    sq = x * x
-    total = sq[..., 0].copy()
-    for j in range(1, sq.shape[-1]):
-        total += sq[..., j]
+    square, total = (None, None) if out is None else out
+    total = np.multiply(x[..., 0], x[..., 0], out=total)
+    for j in range(1, x.shape[-1]):
+        total += np.multiply(x[..., j], x[..., j], out=square)
     return total
 
 
@@ -240,6 +263,10 @@ def diverged_runs(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     has diverged when an entry is non-finite or beyond the guard (an error
     process under a destabilizing gain grows without bound).
     """
-    worst = np.abs(pool).max(axis=(-2, -1))
+    # The larger of max and -min is abs(pool).max() without a pool-sized
+    # temporary; adding 0.0 turns the -0.0 that maximum may return for an
+    # all-zero pool into abs's +0.0.
+    axes = (-2, -1)
+    worst = np.maximum(pool.max(axis=axes), -pool.min(axis=axes)) + 0.0
     return worst, ~(worst <= _DIVERGENCE_GUARD)
 

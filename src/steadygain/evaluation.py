@@ -22,8 +22,9 @@ import numpy as np
 
 # cov_factor stays importable here for callers that look it up on this
 # module; trajectories draw noise through a NoiseStack.
-from .error_mdp import (NoiseStack, cov_factor,  # noqa: F401
-                        diverged_runs, sample_initial_error, step)
+from .error_mdp import (NoiseStack, _check_transition,  # noqa: F401
+                        _squared_norm, _transition, cov_factor,
+                        diverged_runs, sample_initial_error)
 from .errors import DivergenceError, check_integer
 from .models import LinearGaussianModel
 
@@ -75,27 +76,43 @@ def _rollout(model: LinearGaussianModel, gains: np.ndarray, t_test: int,
     Every gain in the (K, n, r) stack starts from the same initial errors
     ``e0`` (shape (N, n)) and sees the same noise: each step draws process
     and then measurement noise once from ``rng`` and advances the
-    (K, N, n) error stack through :func:`step`.  A gain leaves the stack at
-    the step where :func:`diverged_runs` flags its errors (non-finite or
-    beyond the guard); the noise is shared, so that never changes another
-    gain's numbers.
+    (K, N, n) error stack by the error transition.  A gain leaves the
+    stack at the step where :func:`diverged_runs` flags its errors
+    (non-finite or beyond the guard); the noise is shared, so that never
+    changes another gain's numbers.
 
     Yields, for steps t = 1..t_test, ``(t, alive, squared)``: the indices
     of the gains still in the stack and their (len(alive), N) squared
-    errors.  Stops after the step at which the last gain leaves.
+    errors.  Stops after the step at which the last gain leaves.  The
+    steps run in one workspace allocated here, so ``squared`` is a view
+    that the next step overwrites.
     """
-    noise = NoiseStack(model, [rng], e0.shape[0])
-    alive = np.arange(len(gains))
-    err = np.repeat(e0[np.newaxis], len(gains), axis=0)
+    count, size = len(gains), len(e0)
+    gains = np.array(gains, dtype=float)
+    noise = NoiseStack(model, [rng], size)
+    # Two state buffers used in turn, since a step cannot overwrite the
+    # state it reads; the live gains and their errors are compacted into
+    # the leading slice of each buffer.
+    state = np.repeat(e0[np.newaxis], count, axis=0)
+    _check_transition(model, state, gains, noise.buffers)
+    spare, kv = np.empty_like(state), np.empty_like(state)
+    v = np.empty((count, size, model.r))
+    exi = np.empty((1, size, model.n))
+    square, squared = np.empty((count, size)), np.empty((count, size))
+    alive = np.arange(count)
     for t in range(1, t_test + 1):
-        err, reward = step(model, err, gains, noise.draw())
-        _, bad = diverged_runs(err)
+        live = alive.size
+        _transition(model, state[:live], gains[:live], noise.draw(),
+                    out=(spare[:live], kv[:live], v[:live], exi))
+        state, spare = spare, state
+        _, bad = diverged_runs(state[:live])
         if bad.any():
-            kept = ~bad
-            alive, err, gains, reward = (alive[kept], err[kept], gains[kept],
-                                         reward[kept])
-        yield t, alive, -reward
-        if not alive.size:
+            kept = np.flatnonzero(~bad)
+            alive, live = alive[kept], kept.size
+            state[:live], gains[:live] = state[kept], gains[kept]
+        yield t, alive, _squared_norm(state[:live],
+                                      out=(square[:live], squared[:live]))
+        if not live:
             return
 
 

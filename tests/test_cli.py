@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
-from steadygain import TrainerConfig
+from steadygain import TrainerConfig, cli
 from steadygain.cli import RunConfig, main
 from steadygain.error_mdp import NoiseStack
 
@@ -343,6 +343,23 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, **{section: {**base, name: value}})
         assert main([command, "--config", str(cfg)]) == 2
         assert f"{name} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,work", [
+        (["eval"], "evaluate_gains"),
+        (["sweep-gamma", "--seeds", "1"], "train_runs"),
+    ], ids=["eval", "sweep-gamma"])
+    def test_uncreatable_output_dir_exits_two_before_work(
+            self, tmp_path, capsys, monkeypatch, argv, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output directory "
+                                 "was made")
+
+        monkeypatch.setattr(cli, work, no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, output_dir=str(blocker / "out"))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bicycle,name", [
         ({"v_long": float("inf")}, "v_long"),

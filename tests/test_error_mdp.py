@@ -301,13 +301,27 @@ class TestRefreshPool:
         assert not diverged_runs(pool)[1]
 
     def test_diverged_runs_flags_each_run(self):
-        pools = np.zeros((4, 3, 2))
+        pools = np.zeros((9, 3, 2))
         pools[1, 2, 0] = np.nan
         pools[2, 0, 1] = -1e13
         pools[3, 1, 1] = np.inf
+        pools[4, 0, 0] = -np.inf
+        pools[5] = np.nan
+        pools[6] = -0.0
+        pools[7, :, 0] = -0.0
+        pools[8, 1] = (-3.0, 2.0)
         worst, diverged = diverged_runs(pools)
-        assert diverged.tolist() == [False, True, True, True]
+        assert diverged.tolist() == [False, True, True, True, True, True,
+                                     False, False, False]
         assert worst[0] == 0.0 and worst[2] == 1e13
+        # Each run's worst is abs(pool).max(), +0.0 for a pool of zeros.
+        reference = np.abs(pools).max(axis=(1, 2))
+        np.testing.assert_array_equal(worst, reference)
+        assert not np.signbit(worst[worst == 0.0]).any()
+        for pool, expected in zip(pools, reference):
+            alone = diverged_runs(pool)[0]
+            np.testing.assert_array_equal(alone, expected)
+            assert not (alone == 0.0 and np.signbit(alone))
 
     def test_pool_validation(self):
         # An empty pool has no largest entry, so the guard refuses it.

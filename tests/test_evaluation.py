@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -15,7 +16,10 @@ from steadygain import (
     run_trajectories,
     spectral_radius,
 )
-from steadygain.evaluation import write_eval_csv
+from steadygain.error_mdp import NoiseStack, diverged_runs, step
+from steadygain.evaluation import _rollout, write_eval_csv
+
+from conftest import random_system
 
 # Reference gain table for the vehicle experiment: steady-state gain,
 # learned-gain difference row, and accuracy row (percent).
@@ -169,7 +173,94 @@ class TestGainMetrics:
             gain_metrics(np.ones((2, 2)), np.ones((2, 1)))
 
 
+def reference_rollout(model, gains, t_test, e0, rng):
+    """The rollout written on ``step``, with fresh arrays every step."""
+    noise = NoiseStack(model, [rng], e0.shape[0])
+    alive = np.arange(len(gains))
+    err = np.repeat(e0[np.newaxis], len(gains), axis=0)
+    for t in range(1, t_test + 1):
+        err, reward = step(model, err, gains, noise.draw())
+        _, bad = diverged_runs(err)
+        if bad.any():
+            kept = ~bad
+            alive, err, gains, reward = (alive[kept], err[kept], gains[kept],
+                                         reward[kept])
+        yield t, alive, -reward
+        if not alive.size:
+            return
+
+
+class TestRollout:
+    """The workspace rollout against :func:`reference_rollout`, bit for bit."""
+
+    @staticmethod
+    def assert_same_steps(model, gains, t_test, e0, seed):
+        gains = np.asarray(gains, dtype=float)
+        # Each yielded array is overwritten by the next step: copy it.
+        got = [(t, alive.copy(), squared.copy()) for t, alive, squared
+               in _rollout(model, gains, t_test, e0,
+                           np.random.default_rng(seed))]
+        want = list(reference_rollout(model, gains, t_test, e0,
+                                      np.random.default_rng(seed)))
+        assert len(got) == len(want)
+        for (t, alive, squared), (t_ref, alive_ref, squared_ref) in zip(
+                got, want):
+            assert t == t_ref
+            np.testing.assert_array_equal(alive, alive_ref)
+            assert squared.shape == squared_ref.shape
+            assert squared.tobytes() == squared_ref.tobytes()
+        return got
+
+    @pytest.mark.parametrize("names", [
+        ("kinf",), ("kinf", "slow"), ("kinf", "slow", "zero"),
+        ("kinf", "slow", "zero", "offopt"), ("slow", "bad"),
+        ("bad", "kinf", "zero"), ("instant", "kinf"),
+        ("kinf", "instant", "bad", "zero"), ("bad",), ("instant",)])
+    def test_gain_stacks_match_reference(self, bicycle, bicycle_dare, names):
+        # "bad" has rho = 1.406 and leaves the stack mid-run; "instant"
+        # leaves it at step 1.
+        table = {"kinf": bicycle_dare.gain, "zero": np.zeros((2, 2)),
+                 "slow": 0.5 * bicycle_dare.gain,
+                 "offopt": bicycle_dare.gain + [[1e-3, 0.0], [0.0, -1e-2]],
+                 "bad": np.array([[0.0, 0.0], [0.0, -0.5]]),
+                 "instant": np.array([[0.0, 0.0], [0.0, -1e14]])}
+        e0 = np.random.default_rng(40).uniform(-0.1, 0.1, (64, 2))
+        got = self.assert_same_steps(bicycle, [table[n] for n in names],
+                                     300, e0, seed=41)
+        left = set(got[-1][1].tolist())
+        for k, name in enumerate(names):
+            assert (k in left) == (name not in ("bad", "instant"))
+        if "instant" in names:
+            assert "instant" not in {names[k] for k in got[0][1]}
+        if "bad" in names:
+            dropped = next(t for t, alive, _ in got
+                           if names.index("bad") not in alive)
+            assert 1 < dropped < 300
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_plants_of_each_size_match_reference(self, n):
+        rng = np.random.default_rng(50 + n)
+        model = random_system(rng, n=n, r=2, p=2)
+        gains = 0.3 * rng.standard_normal((3, n, 2))
+        e0 = rng.standard_normal((40, n))
+        self.assert_same_steps(model, gains, 120, e0, seed=60 + n)
+
+
 class TestEvaluateGains:
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 1), (2,)])
+    def test_wrong_gain_shape_named_before_noise(self, bicycle, monkeypatch,
+                                                 shape):
+        def no_draw(self):
+            raise AssertionError("noise drawn before the gain was checked")
+
+        monkeypatch.setattr(NoiseStack, "draw", no_draw)
+        cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
+        message = re.escape(f"gain must be 2 x 2, got {(1,) + shape}")
+        with pytest.raises(ValueError, match=message):
+            evaluate_gains(bicycle, [("wrong", np.zeros(shape))], cfg)
+        with pytest.raises(ValueError, match=message):
+            run_trajectories(bicycle, np.zeros(shape), cfg)
+
     def test_paired_seeds_give_identical_rows(self, bicycle, bicycle_dare):
         cfg = EvalConfig(n_traj=50, t_test=300, t_critical=100, seed=5)
         rows = evaluate_gains(
@@ -188,6 +279,17 @@ class TestEvaluateGains:
         rows = evaluate_gains(bicycle, [("bad", bad)], cfg)
         assert rows[0]["status"] == "diverged"
         assert np.isnan(rows[0]["loss_full"])
+
+    def test_gain_that_overflows_diverges_without_warning(self, bicycle,
+                                                          bicycle_dare):
+        # Its errors pass 1e154 in the first step, so squaring them would
+        # overflow; a gain leaves the stack before its errors are squared,
+        # and Tier-1 turns any warning into an error.
+        huge = np.array([[0.0, 0.0], [0.0, 1e307]])
+        cfg = EvalConfig(n_traj=20, t_test=50, t_critical=10, seed=4)
+        rows = evaluate_gains(bicycle, [("kinf", bicycle_dare.gain),
+                                        ("huge", huge)], cfg)
+        assert [row["status"] for row in rows] == ["ok", "diverged"]
 
     def test_guard_flags_destabilizing_gain(self, bicycle):
         # rho[(I - K C) A] = 1.406: the errors grow without bound but stay
