@@ -232,10 +232,19 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
     Returns:
         One dict per gain: name, loss_tran, loss_ss, loss_full, status,
         and the report (None when diverged).
+
+    Raises:
+        ValueError: before any noise is drawn, for gains that are not n x r;
+            among gains of different shapes, it names the first misshapen.
     """
     named = list(gains)
     if not named:
         return []
+    mixed = len({np.shape(gain) for _, gain in named}) > 1
+    for name, gain in named:
+        if mixed and np.shape(gain) != (model.n, model.r):
+            raise ValueError(f"gain {name!r} must be {model.n} x {model.r}, "
+                             f"got {np.shape(gain)}")
     stack = np.array([gain for _, gain in named], dtype=float)
     e0, rng = _initial_error(model, cfg)
     mse = np.full((len(named), cfg.t_test), np.nan)

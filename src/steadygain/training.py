@@ -21,15 +21,15 @@ stochastically.
 Every function here also takes a stack of runs on a leading axis: gains
 (K, n, r), critics (K, n, n), pools (K, M, n) and one discount per run.
 :func:`train_runs` advances such a stack with one set of array operations
-per iteration; :func:`train` and :func:`train_average` are its one-run and
-seed-averaged forms.
+per iteration, and :meth:`TrainRuns.history` reads its record;
+:func:`train_average` is its seed-averaged form, :func:`train` one seed's.
 """
 
 from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -156,7 +156,11 @@ class TrainHistory:
     critic_loss: np.ndarray
     actor_loss: np.ndarray
     converged: bool = False
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        """Number of iterations recorded, one row each."""
+        return len(self.theta)
 
     def to_csv(self, path) -> None:
         """Write one row per iteration: iter, theta.., d.., losses.
@@ -168,10 +172,9 @@ class TrainHistory:
         n, r = self.theta.shape[1:]
         header = (["iter"] + gain_columns("theta", n, r)
                   + gain_columns("d", n, r) + ["critic_loss", "actor_loss"])
-        columns = (self.theta[:count].reshape(count, n * r),
-                   self.diff[:count].reshape(count, n * r),
-                   self.critic_loss[:count, None],
-                   self.actor_loss[:count, None])
+        columns = (self.theta.reshape(count, n * r),
+                   self.diff.reshape(count, n * r),
+                   self.critic_loss[:, None], self.actor_loss[:, None])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -343,7 +346,7 @@ class TrainRuns:
     message is in ``errors`` (None for the others).  The unaveraged
     iterates and losses are stored run-major, so that run k's record
     ``theta[k, :iterations[k]]`` is contiguous and a mean over runs adds
-    them in run order.
+    them in run order; :meth:`history` reads them.
     """
 
     gains: np.ndarray
@@ -355,30 +358,23 @@ class TrainRuns:
     errors: list
     ref_gain: np.ndarray | None = None
 
-    def _diff(self, theta: np.ndarray) -> np.ndarray:
-        if self.ref_gain is None:
-            return np.full_like(theta, np.nan)
-        return theta - self.ref_gain
+    def history(self, runs=None) -> TrainHistory:
+        """The record of the selected runs, averaged over them.
 
-    def history(self, k: int) -> TrainHistory:
-        """Run k's per-iteration record."""
-        count = int(self.iterations[k])
-        theta = self.theta[k, :count]
+        ``runs`` is a run index or a list of them (default: every run).
+        The record stops at the shortest selected run's length, and it is
+        converged only if every selected run converged.  The average of
+        one run is that run's record, bit for bit.
+        """
+        picked = slice(None) if runs is None else np.atleast_1d(runs)
+        count = int(self.iterations[picked].min())
+        theta = self.theta[picked, :count]
+        diff = theta - (np.nan if self.ref_gain is None else self.ref_gain)
         return TrainHistory(
-            theta=theta, diff=self._diff(theta),
-            critic_loss=self.critic_loss[k, :count],
-            actor_loss=self.actor_loss[k, :count],
-            converged=bool(self.converged[k]), iterations=count)
-
-    def mean_history(self) -> TrainHistory:
-        """The record averaged over runs, up to the shortest run's length."""
-        count = int(self.iterations.min())
-        theta = self.theta[:, :count]
-        return TrainHistory(
-            theta=theta.mean(axis=0), diff=self._diff(theta).mean(axis=0),
-            critic_loss=self.critic_loss[:, :count].mean(axis=0),
-            actor_loss=self.actor_loss[:, :count].mean(axis=0),
-            converged=bool(self.converged.all()), iterations=count)
+            theta=theta.mean(axis=0), diff=diff.mean(axis=0),
+            critic_loss=self.critic_loss[picked, :count].mean(axis=0),
+            actor_loss=self.actor_loss[picked, :count].mean(axis=0),
+            converged=bool(self.converged[picked].all()))
 
     def raise_divergence(self) -> None:
         """Raise the first diverged run's error, its record attached."""
@@ -402,11 +398,12 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
 
     Run k uses seed ``seeds[k]`` (default: ``cfg.seed`` alone) and discount
     ``gammas[k]`` (default: ``cfg.gamma`` for every run); all other settings
-    come from ``cfg``; an empty ``seeds`` raises ValueError.  Each iteration
-    costs one set of array operations for the whole stack.  Every run owns
-    its generator and draws its noise exactly as it would alone, so its
-    result depends only on its seed and discount, never on what else is in
-    the stack.
+    come from ``cfg``, and each run must pass :class:`TrainerConfig`'s
+    checks; an empty ``seeds`` raises ValueError.  Each iteration costs one
+    set of array operations for the whole stack.  Every run owns its
+    generator and draws its noise exactly as it would alone, so its result
+    depends only on its seed and discount, never on what else is in the
+    stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
     iteration forms one law of the pool's next error, shared by the
@@ -422,19 +419,18 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     divergence guard at 1000x its largest element.  A run also diverges
     when its gain turns non-finite or its pool blows up.
     """
-    seeds = ([cfg.seed] if seeds is None
-             else [operator.index(seed) for seed in seeds])
+    seeds = [cfg.seed] if seeds is None else list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     count = len(seeds)
-    gammas = np.asarray([cfg.gamma] * count if gammas is None else gammas,
-                        dtype=float)
-    if gammas.shape != (count,):
-        raise ValueError(f"need one discount per seed, got {gammas.shape} "
-                         f"for {count} seeds")
-    for gamma in gammas:
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    gammas = [cfg.gamma] * count if gammas is None else gammas
+    if np.shape(gammas) != (count,):
+        raise ValueError(f"need one discount per seed, got "
+                         f"{np.shape(gammas)} for {count} seeds")
+    for seed, gamma in zip(seeds, gammas):
+        operator.index(seed)  # a fractional seed is a TypeError
+        replace(cfg, seed=seed, gamma=gamma)
+    gammas = np.asarray(gammas, dtype=float)
     if ref_gain is not None:
         ref_gain = np.asarray(ref_gain, dtype=float)
         guard = _GUARD_FACTOR * max(np.abs(ref_gain).max(), 1e-300)
@@ -457,7 +453,6 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     theta_hist = np.zeros((count, max_iters, n, r))
     critic_hist = np.zeros((count, max_iters))
     actor_hist = np.zeros((count, max_iters))
-    gains = np.full((count, n, r), np.nan)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     errors: list = [None] * count
@@ -466,22 +461,14 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
     sampled = cfg.estimator == "sampled"
 
-    def tail_average(run, k):
-        """Run's mean iterate from the tail start (or its last alone) to k."""
-        return theta_hist[run, min(tail_start, k) - 1:k].mean(axis=0)
-
     def retire(stop, failed, worst_pool, k):
         """Record why the flagged live runs stopped at k, and drop them."""
         nonlocal live, theta, w, pool, live_gammas, m_w, v_w, m_theta, v_theta
-        for j in np.flatnonzero(stop):
-            run = live[j]
-            iterations[run] = k
-            if failed[j]:
-                errors[run] = _divergence_message(theta[j], guard,
-                                                  worst_pool[j], k)
-            else:
-                converged[run] = True
-                gains[run] = tail_average(run, k)
+        iterations[live[stop]] = k
+        converged[live[stop & ~failed]] = True
+        for j in np.flatnonzero(failed):
+            errors[live[j]] = _divergence_message(
+                theta[j], guard, worst_pool[j], k)
         keep = ~stop
         live, theta, w, pool, live_gammas, m_w, v_w, m_theta, v_theta = (
             a[keep] for a in (live, theta, w, pool, live_gammas,
@@ -534,8 +521,13 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             retire(stop, failed, worst_pool, k)
 
     iterations[live] = max_iters
-    for j, run in enumerate(live):
-        gains[run] = tail_average(run, max_iters) if max_iters else theta[j]
+    # Each surviving run's mean iterate from the tail start (or its last
+    # iterate alone) to its stop; with no iterations, the zero start gain.
+    gains = np.full((count, n, r), np.nan)
+    for run, k in enumerate(iterations):
+        if errors[run] is None:
+            gains[run] = (theta_hist[run, min(tail_start, k) - 1:k]
+                          .mean(axis=0) if k else 0.0)
     return TrainRuns(
         gains=gains, theta=theta_hist, critic_loss=critic_hist,
         actor_loss=actor_hist, iterations=iterations, converged=converged,
@@ -547,17 +539,15 @@ def train(model: LinearGaussianModel, cfg: TrainerConfig,
           ) -> tuple[np.ndarray, TrainHistory]:
     """Run actor-critic policy iteration and return the learned gain.
 
-    The one-run case of :func:`train_runs`, with seed ``cfg.seed`` and
-    discount ``cfg.gamma``; see there for the stopping rule, the tail
+    :func:`train_average` over the one seed ``cfg.seed``, at discount
+    ``cfg.gamma``; see :func:`train_runs` for the stopping rule, the tail
     average and what ``ref_gain`` adds.
 
     Raises:
         DivergenceError: gain guard exceeded or pool blow-up; the partial
             history rides on the exception's ``history`` attribute.
     """
-    runs = train_runs(model, cfg, ref_gain=ref_gain)
-    runs.raise_divergence()
-    return runs.gains[0], runs.history(0)
+    return train_average(model, cfg, [cfg.seed], ref_gain)
 
 
 def train_average(model: LinearGaussianModel, cfg: TrainerConfig,
@@ -565,9 +555,9 @@ def train_average(model: LinearGaussianModel, cfg: TrainerConfig,
                   ) -> tuple[np.ndarray, TrainHistory]:
     """Train one run per seed in one stack; average gains and histories.
 
-    Each run is :func:`train` with ``cfg.seed`` replaced.  Returns the mean
-    gain over the runs and their mean history (see
-    :meth:`TrainRuns.mean_history`).
+    Each run is :func:`train_runs`' run of its seed at ``cfg.gamma``.
+    Returns the mean gain over the runs and their mean history (see
+    :meth:`TrainRuns.history`).
 
     Raises:
         DivergenceError: for the first seed, in order, whose run diverged,
@@ -575,4 +565,4 @@ def train_average(model: LinearGaussianModel, cfg: TrainerConfig,
     """
     runs = train_runs(model, cfg, seeds=seeds, ref_gain=ref_gain)
     runs.raise_divergence()
-    return runs.gains.mean(axis=0), runs.mean_history()
+    return runs.gains.mean(axis=0), runs.history()

@@ -261,6 +261,21 @@ class TestEvaluateGains:
         with pytest.raises(ValueError, match=message):
             run_trajectories(bicycle, np.zeros(shape), cfg)
 
+    @pytest.mark.parametrize("order", ["good-first", "bad-first"])
+    def test_gains_of_different_shapes_name_the_misshapen_one(
+            self, bicycle, monkeypatch, order):
+        def no_draw(self):
+            raise AssertionError("noise drawn before the gains were checked")
+
+        monkeypatch.setattr(NoiseStack, "draw", no_draw)
+        gains = [("a", np.zeros((2, 2))), ("b", np.zeros((3, 3)))]
+        if order == "bad-first":
+            gains.reverse()
+        cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
+        message = re.escape("gain 'b' must be 2 x 2, got (3, 3)")
+        with pytest.raises(ValueError, match=message):
+            evaluate_gains(bicycle, gains, cfg)
+
     def test_paired_seeds_give_identical_rows(self, bicycle, bicycle_dare):
         cfg = EvalConfig(n_traj=50, t_test=300, t_critical=100, seed=5)
         rows = evaluate_gains(

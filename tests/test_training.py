@@ -20,6 +20,7 @@ from steadygain import (
     train_runs,
 )
 from steadygain import training
+from steadygain.cli import DEFAULT_GAMMA_SWEEP
 from steadygain.error_mdp import cov_factor
 from steadygain.training import critic_value
 
@@ -225,6 +226,28 @@ class TestActorLossAndGrad:
         _, g_zero = actor_loss_and_grad(
             bicycle, np.eye(2), np.zeros((2, 2)), pool, noise, gamma=0.99)
         assert np.linalg.norm(g_full) < 0.1 * np.linalg.norm(g_zero)
+
+    @pytest.mark.parametrize("weights", ["identity", "random-spd"])
+    @pytest.mark.parametrize("gamma", DEFAULT_GAMMA_SWEEP)
+    def test_steady_gain_is_the_fixed_point_at_every_discount(
+            self, bicycle, bicycle_dare, gamma, weights):
+        # With the pool's second moment exactly P = (I - K C) S, the
+        # analytic gradient is (Mw + Mw^T) [(I - K C) S C^T - K R], and
+        # K = S C^T (C S C^T + R)^-1 zeroes the bracket whatever the
+        # discount and the critic.
+        k_inf, n = bicycle_dare.gain, bicycle.n
+        filtered = (np.eye(n) - k_inf @ bicycle.C) @ bicycle_dare.sigma
+        batch = np.sqrt(n) * np.linalg.cholesky(
+            0.5 * (filtered + filtered.T)).T
+        np.testing.assert_allclose(batch.T @ batch / n, filtered,
+                                   rtol=1e-14, atol=0.0)
+        w = np.eye(n)
+        if weights == "random-spd":
+            w = random_psd(np.random.default_rng(12), n) + 0.5 * np.eye(n)
+        _, g_star = actor_loss_and_grad(bicycle, w, k_inf, batch, gamma=gamma)
+        _, g_zero = actor_loss_and_grad(bicycle, w, np.zeros_like(k_inf),
+                                        batch, gamma=gamma)
+        assert np.linalg.norm(g_star) < 1e-12 * np.linalg.norm(g_zero)
 
     def test_empty_batch_rejected(self, bicycle):
         noise = NoiseDraw(xi=np.zeros((0, 2)), zeta=np.zeros((0, 2)))
@@ -470,6 +493,26 @@ class TestTrain:
         scale = np.abs(bicycle_dare.gain).max()
         assert np.abs(theta - bicycle_dare.gain).max() / scale < 0.05
 
+    @pytest.mark.parametrize("estimator", ["analytic", "sampled"])
+    def test_train_is_train_average_of_its_seed(self, bicycle, bicycle_dare,
+                                                estimator):
+        # One body: the one-seed call, the seed average over that seed and
+        # the stack's own record of the run agree bit for bit.
+        cfg = TrainerConfig(batch_size=16, max_iters=120, burn_in=10, seed=3,
+                            estimator=estimator)
+        ref = bicycle_dare.gain
+        runs = train_runs(bicycle, cfg, ref_gain=ref)
+        results = [train(bicycle, cfg, ref_gain=ref),
+                   train_average(bicycle, cfg, [cfg.seed], ref_gain=ref),
+                   (runs.gains[0], runs.history(0))]
+        for gain, history in results[1:]:
+            assert gain.tobytes() == results[0][0].tobytes()
+            for field in ("theta", "diff", "critic_loss", "actor_loss"):
+                assert (getattr(history, field).tobytes()
+                        == getattr(results[0][1], field).tobytes())
+            assert history.converged == results[0][1].converged
+            assert history.iterations == results[0][1].iterations == 120
+
     def test_train_average_requires_seeds(self, bicycle):
         with pytest.raises(ValueError):
             train_average(bicycle, TrainerConfig(max_iters=1), [])
@@ -512,8 +555,7 @@ class TestHistoryCsv:
         return training.TrainHistory(
             theta=theta, diff=diff,
             critic_loss=rng.standard_normal(rows) ** 2 * scale,
-            actor_loss=-rng.standard_normal(rows) ** 2 * scale,
-            iterations=rows)
+            actor_loss=-rng.standard_normal(rows) ** 2 * scale)
 
     @pytest.mark.parametrize("case", [
         {"rows": 40},
@@ -533,6 +575,16 @@ class TestHistoryCsv:
         assert written.count(b"\n") == case["rows"] + 1
         if case["rows"]:
             assert b"-" in written
+
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_iterations_is_the_record_length(self, rows):
+        history = self.history(rows)
+        assert history.iterations == len(history.theta) == rows
+        with pytest.raises(TypeError):
+            training.TrainHistory(theta=history.theta, diff=history.diff,
+                                  critic_loss=history.critic_loss,
+                                  actor_loss=history.actor_loss,
+                                  iterations=rows)
 
 
 class TestTrainRuns:
@@ -646,7 +698,36 @@ class TestTrainRuns:
         assert runs.iterations[late] == cfg.max_iters
         np.testing.assert_array_equal(runs.history(late).theta,
                                       free.history(late).theta)
-        assert not runs.mean_history().converged
+        assert not runs.history().converged
+
+    def test_history_reads_any_selection_of_runs(self, bicycle, bicycle_dare,
+                                                 monkeypatch):
+        # Run 1 stops at iteration 5, so a selection holding it is cut to
+        # five rows; an index and its one-element list read the same.
+        cfg = TrainerConfig(batch_size=16, max_iters=30, burn_in=5)
+        self._flag_run_one_at(monkeypatch, 10)
+        runs = train_runs(bicycle, cfg, seeds=[0, 1, 2],
+                          ref_gain=bicycle_dare.gain)
+        fields = ("theta", "diff", "critic_loss", "actor_loss")
+        for k in range(3):
+            alone, listed = runs.history(k), runs.history([k])
+            for field in fields:
+                assert (getattr(alone, field).tobytes()
+                        == getattr(listed, field).tobytes())
+            assert alone.iterations == listed.iterations == runs.iterations[k]
+            assert alone.converged == listed.converged
+        pair = runs.history([0, 2])
+        assert pair.iterations == 30
+        np.testing.assert_array_equal(
+            pair.theta, (runs.theta[0] + runs.theta[2]) / 2)
+        np.testing.assert_array_equal(
+            pair.diff, ((runs.theta[0] - bicycle_dare.gain)
+                        + (runs.theta[2] - bicycle_dare.gain)) / 2)
+        assert runs.history().iterations == 5
+        assert runs.history([0, 1]).iterations == 5
+        np.testing.assert_array_equal(
+            runs.history().critic_loss,
+            runs.critic_loss[:, :5].sum(axis=0) / 3)
 
     def test_discounts_validated(self, bicycle):
         cfg = TrainerConfig(max_iters=1)
@@ -659,3 +740,18 @@ class TestTrainRuns:
         # Truncating 1.5 would silently train seed 1.
         with pytest.raises(TypeError):
             train_runs(bicycle, TrainerConfig(max_iters=1), seeds=[0, 1.5])
+
+    def test_bool_seed_rejected(self, bicycle):
+        # True would silently train seed 1.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            train_runs(bicycle, TrainerConfig(max_iters=1), seeds=[0, True])
+
+    @pytest.mark.parametrize("gamma, message", [
+        (False, "gamma must be a real number, got False"),
+        ("0.5", "gamma must be a real number, got '0.5'"),
+        (float("nan"), r"gamma must be in \[0, 1\), got nan"),
+    ], ids=["bool", "string", "nan"])
+    def test_discount_refused_by_config_checks(self, bicycle, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            train_runs(bicycle, TrainerConfig(max_iters=1), seeds=[0, 1],
+                       gammas=[0.5, gamma])
