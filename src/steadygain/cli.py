@@ -186,6 +186,13 @@ def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
 
 
 def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
+    """Train ``n_seeds`` seeds at every discount of ``cfg.gamma_sweep``.
+
+    All runs train in one :func:`train_runs` stack; each seed's runs share
+    its draws, so a seed's noise is drawn once for all the discounts.
+    Writes one sweep.csv row per discount: the seed-averaged gain and its
+    error to the Riccati gain, or ``diverged``.
+    """
     if not cfg.gamma_sweep:
         raise ValueError("gamma_sweep must list at least one discount")
     for i, gamma in enumerate(cfg.gamma_sweep):
@@ -196,7 +203,8 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     seeds = list(range(base.seed, base.seed + n_seeds))
     out = _out_dir(cfg) / "sweep.csv"
     # One stack of runs, discount-major: the seeds of gamma_sweep[i] are
-    # runs i * n_seeds .. (i + 1) * n_seeds - 1.
+    # runs i * n_seeds .. (i + 1) * n_seeds - 1, so each seed recurs once
+    # per discount and train_runs draws, pools and burns it in once.
     runs = train_runs(
         model, base, seeds=seeds * len(cfg.gamma_sweep),
         gammas=np.repeat(np.asarray(cfg.gamma_sweep, dtype=float), n_seeds),

@@ -71,33 +71,51 @@ class NoiseStack:
     """Batched Gaussian noise for a stack of runs, one generator per run.
 
     Each :meth:`draw` gives run k a (size, .) batch of process noise
-    (covariance Q) and then measurement noise (covariance R) from its own
+    (covariance Q) and then measurement noise (covariance R) from its
     generator ``rngs[k]``, stacked on a leading run axis, so a run's noise
-    never depends on the other runs.  Q and R are factored once, not per
-    draw, and the transposed factors are stored C-contiguous so that
-    coloring the standard normals stays on BLAS (see :func:`_transition`).
-    The stack owns its buffers: ``buffers`` holds the (K, size, .) arrays
-    every draw is colored into, so a draw is overwritten by the next one.
-    :func:`draw_noise` is the one-run form.
+    never depends on the runs that hold other generators.  Runs may share
+    a generator object: it is drawn and colored once per draw, and one
+    gather copies that batch to each run holding it, so sharers get
+    identical arrays.  A stack whose generators are all distinct colors
+    straight into ``buffers`` and gathers nothing.  Q and R are factored
+    once, not per draw, and the transposed factors are stored C-contiguous
+    so that coloring the standard normals stays on BLAS (see
+    :func:`_transition`).  The stack owns its buffers: ``buffers`` holds
+    the (K, size, .) arrays every draw ends in, so a draw is overwritten
+    by the next one.  :func:`draw_noise` is the one-run form.
     """
 
     def __init__(self, model: LinearGaussianModel, rngs, size: int):
         rngs = list(rngs)
+        distinct = len(set(map(id, rngs)))
         self._fq_t = _transposed(cov_factor(model.Q))
         self._fr_t = _transposed(cov_factor(model.R))
-        self._xi = np.empty((len(rngs), size, model.p))
-        self._zeta = np.empty((len(rngs), size, model.r))
-        self.buffers = NoiseDraw(xi=np.empty_like(self._xi),
-                                 zeta=np.empty_like(self._zeta))
+        self._xi = np.empty((distinct, size, model.p))
+        self._zeta = np.empty((distinct, size, model.r))
+        self.buffers = NoiseDraw(xi=np.empty((len(rngs), size, model.p)),
+                                 zeta=np.empty((len(rngs), size, model.r)))
+        # The colored draws of shared generators, before the gather.
+        self._colored = (None if distinct == len(rngs) else
+                         NoiseDraw(xi=np.empty_like(self._xi),
+                                   zeta=np.empty_like(self._zeta)))
         self._use(rngs)
 
     def _use(self, rngs: list) -> None:
         self._rngs = rngs
-        self._slots = [(rng.standard_normal, self._xi[k], self._zeta[k])
-                       for k, rng in enumerate(rngs)]
+        # Each distinct generator draws into one row, in order of first
+        # appearance, so with no sharing run k's row is k.
+        distinct = list({id(rng): rng for rng in rngs}.values())
+        row = {id(rng): u for u, rng in enumerate(distinct)}
+        self._slots = [(rng.standard_normal, self._xi[u], self._zeta[u])
+                       for u, rng in enumerate(distinct)]
+        self._index = (None if len(distinct) == len(rngs) else
+                       np.array([row[id(rng)] for rng in rngs]))
 
     def keep(self, mask) -> None:
-        """Go on drawing only for the runs where ``mask`` is true."""
+        """Go on drawing only for the runs where ``mask`` is true.
+
+        A shared generator is drawn as long as one of its runs is kept.
+        """
         self._use([rng for rng, kept in zip(self._rngs, mask) if kept])
 
     def draw(self) -> NoiseDraw:
@@ -109,12 +127,19 @@ class NoiseStack:
         for normal, xi, zeta in self._slots:
             normal(out=xi)
             normal(out=zeta)
-        count = len(self._slots)
+        count, drawn = len(self._rngs), len(self._slots)
+        colored = self.buffers if self._index is None else self._colored
+        xi = np.matmul(self._xi[:drawn], self._fq_t, out=colored.xi[:drawn])
+        zeta = np.matmul(self._zeta[:drawn], self._fr_t,
+                         out=colored.zeta[:drawn])
+        if self._index is None:
+            return NoiseDraw(xi=xi, zeta=zeta)
+        # mode="clip" writes into ``out`` directly; "raise" would buffer.
         return NoiseDraw(
-            xi=np.matmul(self._xi[:count], self._fq_t,
-                         out=self.buffers.xi[:count]),
-            zeta=np.matmul(self._zeta[:count], self._fr_t,
-                           out=self.buffers.zeta[:count]))
+            xi=np.take(xi, self._index, axis=0, mode="clip",
+                       out=self.buffers.xi[:count]),
+            zeta=np.take(zeta, self._index, axis=0, mode="clip",
+                         out=self.buffers.zeta[:count]))
 
 
 def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,

@@ -234,15 +234,14 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
         and the report (None when diverged).
 
     Raises:
-        ValueError: before any noise is drawn, for gains that are not n x r;
-            among gains of different shapes, it names the first misshapen.
+        ValueError: before any noise is drawn, naming the first gain that
+            is not n x r and its shape.
     """
     named = list(gains)
     if not named:
         return []
-    mixed = len({np.shape(gain) for _, gain in named}) > 1
     for name, gain in named:
-        if mixed and np.shape(gain) != (model.n, model.r):
+        if np.shape(gain) != (model.n, model.r):
             raise ValueError(f"gain {name!r} must be {model.n} x {model.r}, "
                              f"got {np.shape(gain)}")
     stack = np.array([gain for _, gain in named], dtype=float)

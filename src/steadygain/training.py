@@ -21,13 +21,15 @@ stochastically.
 Every function here also takes a stack of runs on a leading axis: gains
 (K, n, r), critics (K, n, n), pools (K, M, n) and one discount per run.
 :func:`train_runs` advances such a stack with one set of array operations
-per iteration, and :meth:`TrainRuns.history` reads its record;
+per iteration, drawing each seed's noise once for all the runs that share
+that seed, and :meth:`TrainRuns.history` reads its record;
 :func:`train_average` is its seed-averaged form, :func:`train` one seed's.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -361,12 +363,14 @@ class TrainRuns:
     def history(self, runs=None) -> TrainHistory:
         """The record of the selected runs, averaged over them.
 
-        ``runs`` is a run index or a list of them (default: every run).
+        ``runs`` is a run index 0 .. K-1 or a non-empty list of them
+        (default: every run); a bool, an empty selection or an index out
+        of range raises ValueError or IndexError naming the selection.
         The record stops at the shortest selected run's length, and it is
         converged only if every selected run converged.  The average of
         one run is that run's record, bit for bit.
         """
-        picked = slice(None) if runs is None else np.atleast_1d(runs)
+        picked = slice(None) if runs is None else self._run_indices(runs)
         count = int(self.iterations[picked].min())
         theta = self.theta[picked, :count]
         diff = theta - (np.nan if self.ref_gain is None else self.ref_gain)
@@ -376,6 +380,21 @@ class TrainRuns:
             actor_loss=self.actor_loss[picked, :count].mean(axis=0),
             converged=bool(self.converged[picked].all()))
 
+    def _run_indices(self, runs) -> list:
+        """The indices ``runs`` selects, checked as :meth:`history` says."""
+        picked = [runs] if np.ndim(runs) == 0 else list(runs)
+        if not picked:
+            raise ValueError(f"runs={runs!r} selects no run")
+        count = len(self.iterations)
+        for k in picked:
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+                raise ValueError(
+                    f"runs={runs!r} must hold run indices, got {k!r}")
+            if not 0 <= k < count:
+                raise IndexError(f"runs={runs!r}: run {k} is not one of "
+                                 f"the {count} runs 0 .. {count - 1}")
+        return picked
+
     def raise_divergence(self) -> None:
         """Raise the first diverged run's error, its record attached."""
         for k, message in enumerate(self.errors):
@@ -383,13 +402,12 @@ class TrainRuns:
                 raise DivergenceError(message, history=self.history(k))
 
 
-def _divergence_message(theta, guard, worst_pool, k) -> str:
+def _divergence_message(theta, guard, worst_pool) -> str:
     if not np.all(np.isfinite(theta)):
         return "gain contains non-finite entries"
     if np.abs(theta).max() > guard:
         return f"gain magnitude exceeded the divergence guard ({guard:.3e})"
-    during = " during burn-in" if k == 0 else ""
-    return f"error pool diverged{during} (max entry {worst_pool:.3e})"
+    return f"error pool diverged (max entry {worst_pool:.3e})"
 
 
 def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
@@ -400,18 +418,20 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     ``gammas[k]`` (default: ``cfg.gamma`` for every run); all other settings
     come from ``cfg``, and each run must pass :class:`TrainerConfig`'s
     checks; an empty ``seeds`` raises ValueError.  Each iteration costs one
-    set of array operations for the whole stack.  Every run owns its
-    generator and draws its noise exactly as it would alone, so its result
-    depends only on its seed and discount, never on what else is in the
-    stack.
+    set of array operations for the whole stack.  What depends on the seed
+    alone is done once per distinct seed: one generator, one initial pool
+    and one burn-in, so runs that share a seed (the discounts of a sweep)
+    share its generator and every noise draw from it.  A run still draws
+    exactly what it would alone, so its result depends only on its seed
+    and discount, never on what else is in the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
     iteration forms one law of the pool's next error, shared by the
     evaluation and improvement steps, then advances the pool.  A run stops
     when its gain's elementwise spread over the trailing 100 iterations
     falls below ``cfg.convergence_tol`` (``converged``), when it diverges
-    (at iteration 0 if in burn-in), or at ``cfg.max_iters``; the other runs
-    go on.  A run's gain averages its final ``cfg.tail_avg_frac`` of
+    (at iteration 0, with every run of its seed, if its seed's pool
+    diverges in burn-in), or at ``cfg.max_iters``; the other runs go on.  A run's gain averages its final ``cfg.tail_avg_frac`` of
     iterates, which suppresses the stationary jitter of the stochastic
     updates.
 
@@ -439,25 +459,49 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         guard = np.finfo(float).max
 
     n, r, size, max_iters = model.n, model.r, cfg.batch_size, cfg.max_iters
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    pool = np.empty((count, size, n))
-    for k, rng in enumerate(rngs):
-        pool[k] = sample_initial_error(model, cfg.init_mode, rng, size=size)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    errors: list = [None] * count
+    # A run's generator, initial pool and burn-in depend on its seed alone,
+    # so they are made once per distinct seed (in order of first
+    # appearance) and the pools reach the runs by index when training
+    # starts.  Runs of one seed share its generator, and so its draws.
+    row = {seed: u for u, seed in enumerate(dict.fromkeys(seeds))}
+    run_seed = np.array([row[seed] for seed in seeds])
+    rngs = [np.random.default_rng(seed) for seed in row]
+    pool = np.stack([sample_initial_error(model, cfg.init_mode, rng,
+                                          size=size) for rng in rngs])
 
+    # Burn-in advances the pools under the zero gain by the transition
+    # alone: the kernel builds its shapes, and step's reward would be
+    # thrown away.  A seed whose pool diverges stops all of its runs.
+    burning = np.arange(len(rngs))
     noise_stack = NoiseStack(model, rngs, size)
-    theta = np.zeros((count, n, r))
-    w = np.tile(model.eye, (count, 1, 1))
+    zero_gain = np.zeros((len(rngs), n, r))
+    for _ in range(cfg.burn_in):
+        pool, _ = _transition(model, pool, zero_gain[:burning.size],
+                              noise_stack.draw())
+        worst_pool, failed = diverged_runs(pool)
+        if failed.any():
+            for u, worst in zip(burning[failed], worst_pool[failed]):
+                for k in np.flatnonzero(run_seed == u):
+                    errors[k] = ("error pool diverged during burn-in "
+                                 f"(max entry {worst:.3e})")
+            pool, burning = pool[~failed], burning[~failed]
+            noise_stack.keep(~failed)
+
+    live = np.flatnonzero(np.isin(run_seed, burning))
+    pool = pool[np.searchsorted(burning, run_seed[live])]
+    noise_stack = NoiseStack(model, [rngs[u] for u in run_seed[live]], size)
+    live_gammas = gammas[live]
+    theta = np.zeros((live.size, n, r))
+    w = np.tile(model.eye, (live.size, 1, 1))
     # Adam's moment estimates for the critic and the actor.
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
                                   for a in (w, w, theta, theta))
     theta_hist = np.zeros((count, max_iters, n, r))
     critic_hist = np.zeros((count, max_iters))
     actor_hist = np.zeros((count, max_iters))
-    iterations = np.zeros(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
-    errors: list = [None] * count
-    live = np.arange(count)
-    live_gammas = gammas
     tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
     sampled = cfg.estimator == "sampled"
 
@@ -467,21 +511,13 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         iterations[live[stop]] = k
         converged[live[stop & ~failed]] = True
         for j in np.flatnonzero(failed):
-            errors[live[j]] = _divergence_message(
-                theta[j], guard, worst_pool[j], k)
+            errors[live[j]] = _divergence_message(theta[j], guard,
+                                                  worst_pool[j])
         keep = ~stop
         live, theta, w, pool, live_gammas, m_w, v_w, m_theta, v_theta = (
             a[keep] for a in (live, theta, w, pool, live_gammas,
                               m_w, v_w, m_theta, v_theta))
         noise_stack.keep(keep)
-
-    # The pool advances by the transition alone: the kernel builds its
-    # shapes, and step's reward would be thrown away.
-    for _ in range(cfg.burn_in):
-        pool, _ = _transition(model, pool, theta, noise_stack.draw())
-        worst_pool, failed = diverged_runs(pool)
-        if failed.any():
-            retire(failed, failed, worst_pool, 0)
 
     for k in range(1, max_iters + 1):
         if not live.size:

@@ -255,11 +255,24 @@ class TestEvaluateGains:
 
         monkeypatch.setattr(NoiseStack, "draw", no_draw)
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
-        message = re.escape(f"gain must be 2 x 2, got {(1,) + shape}")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(
+                f"gain 'wrong' must be 2 x 2, got {shape}")):
             evaluate_gains(bicycle, [("wrong", np.zeros(shape))], cfg)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(
+                f"gain must be 2 x 2, got {(1,) + shape}")):
             run_trajectories(bicycle, np.zeros(shape), cfg)
+
+    def test_gains_sharing_a_wrong_shape_name_the_first(self, bicycle,
+                                                        monkeypatch):
+        def no_draw(self):
+            raise AssertionError("noise drawn before the gains were checked")
+
+        monkeypatch.setattr(NoiseStack, "draw", no_draw)
+        gains = [("a", np.zeros((3, 3))), ("b", np.zeros((3, 3)))]
+        cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
+        message = re.escape("gain 'a' must be 2 x 2, got (3, 3)")
+        with pytest.raises(ValueError, match=message):
+            evaluate_gains(bicycle, gains, cfg)
 
     @pytest.mark.parametrize("order", ["good-first", "bad-first"])
     def test_gains_of_different_shapes_name_the_misshapen_one(

@@ -604,6 +604,38 @@ class TestTrainRuns:
             np.testing.assert_array_equal(runs.gains[k], gain)
             np.testing.assert_array_equal(runs.history(k).theta, history.theta)
 
+    @pytest.mark.parametrize("init_mode", ["uniform_box", "fixed"])
+    @pytest.mark.parametrize("estimator", ["analytic", "sampled"])
+    def test_runs_sharing_a_seed_match_each_run_alone(self, bicycle,
+                                                      bicycle_dare, estimator,
+                                                      init_mode):
+        # Seeds 1 and 2 each hold runs at several discounts, which share
+        # the seed's generator, initial pool and burn-in; each run still
+        # equals the same seed and discount trained alone, also when runs
+        # of one seed stop at different iterations.  Every run stops early:
+        # converged, or (sampled from the uniform box, at this small batch)
+        # with its pool diverged.
+        cfg = TrainerConfig(batch_size=16, max_iters=400, burn_in=20,
+                            convergence_tol=3e-3, estimator=estimator,
+                            init_mode=init_mode)
+        seeds, gammas = [1, 1, 2, 2, 1], [0.5, 0.99, 0.25, 0.75, 0.01]
+        ref = bicycle_dare.gain
+        runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
+                          ref_gain=ref)
+        assert (runs.iterations < cfg.max_iters).all()
+        assert len({runs.iterations[k] for k in (0, 1, 4)}) > 1
+        for k, (seed, gamma) in enumerate(zip(seeds, gammas)):
+            alone = train_runs(bicycle, replace(cfg, seed=seed, gamma=gamma),
+                               ref_gain=ref)
+            assert runs.gains[k].tobytes() == alone.gains[0].tobytes()
+            assert runs.iterations[k] == alone.iterations[0]
+            assert runs.converged[k] == alone.converged[0]
+            assert runs.errors[k] == alone.errors[0]
+            mine, own = runs.history(k), alone.history(0)
+            for field in ("theta", "diff", "critic_loss", "actor_loss"):
+                assert (getattr(mine, field).tobytes()
+                        == getattr(own, field).tobytes())
+
     @staticmethod
     def _flag_run_one_at(monkeypatch, call):
         """Report run 1's pool diverged at the guard's ``call``-th check."""
@@ -662,6 +694,31 @@ class TestTrainRuns:
         with pytest.raises(DivergenceError, match="burn-in") as excinfo:
             runs.raise_divergence()
         assert excinfo.value.history.iterations == 0
+
+    def test_shared_seed_diverging_in_burn_in_stops_all_its_runs(
+            self, bicycle, monkeypatch):
+        # Burn-in runs once per distinct seed, in order of first
+        # appearance (0, 1, 2), so flagging row 1 at the third burn-in
+        # check fails seed 1: its runs 1 and 3 never train, and the runs
+        # of seeds 0 and 2 train exactly as they would alone.
+        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        seeds, gammas = [0, 1, 0, 1, 2], [0.5, 0.5, 0.9, 0.9, 0.5]
+        alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
+                 for seed, gamma in zip(seeds, gammas)]
+        calls = self._flag_run_one_at(monkeypatch, 3)
+        runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
+        assert calls[:5] == [3, 3, 3, 2, 2] and set(calls[5:]) == {3}
+        assert runs.iterations.tolist() == [60, 0, 60, 0, 60]
+        for k in (1, 3):
+            assert "diverged during burn-in" in runs.errors[k]
+            assert np.isnan(runs.gains[k]).all()
+            assert runs.history(k).iterations == 0
+        assert runs.errors[1] == runs.errors[3]
+        for k in (0, 2, 4):
+            gain, history = alone[k]
+            assert runs.errors[k] is None
+            np.testing.assert_array_equal(runs.gains[k], gain)
+            np.testing.assert_array_equal(runs.history(k).theta, history.theta)
 
     def test_gain_is_mean_of_recorded_tail(self, bicycle):
         # Run 0 converges before the tail starts at iteration 320, so its
@@ -728,6 +785,21 @@ class TestTrainRuns:
         np.testing.assert_array_equal(
             runs.history().critic_loss,
             runs.critic_loss[:, :5].sum(axis=0) / 3)
+
+    @pytest.mark.parametrize("selection, error, message", [
+        ([], ValueError, r"runs=\[\] selects no run"),
+        (True, ValueError, "runs=True must hold run indices, got True"),
+        ([True, False], ValueError,
+         r"runs=\[True, False\] must hold run indices, got True"),
+        (2, IndexError, "runs=2: run 2 is not one of the 2 runs 0 .. 1"),
+        ([0, -1], IndexError, r"runs=\[0, -1\]: run -1 is not one of"),
+    ], ids=["empty", "bool", "bool-list", "past-the-end", "negative"])
+    def test_history_refuses_a_bad_selection(self, bicycle, selection, error,
+                                             message):
+        runs = train_runs(bicycle, TrainerConfig(batch_size=4, max_iters=3,
+                                                 burn_in=1), seeds=[0, 1])
+        with pytest.raises(error, match=message):
+            runs.history(selection)
 
     def test_discounts_validated(self, bicycle):
         cfg = TrainerConfig(max_iters=1)
