@@ -122,9 +122,23 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
+def _reference_gain(model: LinearGaussianModel) -> np.ndarray:
+    """The steady-state gain that training is checked against.
+
+    A zero gain leaves nothing to learn and no scale for training's
+    divergence guard or its percentage errors, so it is a configuration
+    error, raised before any training.
+    """
+    gain = solve_dare(model).gain
+    if not gain.any():
+        raise ValueError("the steady-state gain of this model is identically "
+                         "zero, so there is no gain to learn")
+    return gain
+
+
 def cmd_train(cfg: RunConfig, n_seeds: int = 1) -> int:
     model = cfg.build_model()
-    ref = solve_dare(model).gain
+    ref = _reference_gain(model)
     out = _out_dir(cfg)
     history_path = out / "train_history.csv"
     seeds = list(range(cfg.trainer.seed, cfg.trainer.seed + n_seeds))
@@ -198,7 +212,7 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     for i, gamma in enumerate(cfg.gamma_sweep):
         check_real(f"gamma_sweep[{i}]", gamma)
     model = cfg.build_model()
-    ref = solve_dare(model).gain
+    ref = _reference_gain(model)
     base = replace(cfg.trainer, init_mode="fixed")
     seeds = list(range(base.seed, base.seed + n_seeds))
     out = _out_dir(cfg) / "sweep.csv"

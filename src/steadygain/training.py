@@ -5,18 +5,14 @@ weight matrix w; the actor is the constant gain matrix itself.  Each
 iteration forms one law of the pool's next error s' under the current
 gain; against it the critic takes a semi-gradient temporal-difference
 step (bootstrap target frozen), the actor ascends the exact derivative of
-the one-step return through the linear transition, and Adam applies both:
-:func:`adam_update` is a plain descent step on moment arrays the caller
-holds, so the actor hands it its negated gradient.
+the one-step return through the linear transition, and Adam applies both
+(:func:`adam_update` descends, so the actor hands it its negated gradient).
 
-The two gradient estimators differ only in that law.  ``"sampled"`` draws
-one noise realization per pool member, so the law is the drawn s' itself,
-as in :func:`critic_loss_and_grad` / :func:`actor_loss_and_grad` with a
-noise batch.  ``"analytic"`` (the default) integrates the Gaussian noise
-out into the closed-form moments of s' given s, which removes the
-measurement-noise sampling variance that otherwise dominates the gain
-columns tied to low-noise measurements; the pool itself still evolves
-stochastically.
+The two gradient estimators differ only in that law: ``"sampled"`` draws
+one noise realization per pool member, and ``"analytic"`` (the default)
+integrates the Gaussian noise out, which removes the measurement-noise
+sampling variance that otherwise dominates the gain columns tied to
+low-noise measurements; the pool itself still evolves stochastically.
 
 Every function here also takes a stack of runs on a leading axis: gains
 (K, n, r), critics (K, n, n), pools (K, M, n) and one discount per run.
@@ -36,13 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# draw_noise and step stay importable here for callers that look them up
-# on this module; the training loop draws through a NoiseStack and advances
-# its pools by the unchecked transition.
+# draw_noise and step are unused here but stay importable from this module.
 from .error_mdp import (NoiseDraw, NoiseStack,  # noqa: F401
-                        _check_transition, _squared_norm, _transition,
-                        _transposed, diverged_runs, draw_noise,
-                        sample_initial_error, step)
+                        _check_transition, _transition, diverged_runs,
+                        draw_noise, sample_initial_error, step)
 from .errors import DivergenceError, check_integer, check_real
 from .kalman import symmetrize
 from .models import LinearGaussianModel
@@ -68,15 +61,13 @@ _CONVERGENCE_WINDOW = 100
 # max element (when a reference is supplied) stops the run as diverged.
 _GUARD_FACTOR = 1e3
 
-
 # Adam's decay rates for the first and second moments, and its
 # denominator floor.
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-# History rows converted to Python lists at a time by TrainHistory.to_csv:
-# a block converts far faster per row than list() of each row's arrays,
-# and a bounded block keeps the conversion's memory flat however long the
-# run.
+# History rows TrainHistory.to_csv converts to Python lists at a time: a
+# block converts far faster per row than list() of each row's arrays, and a
+# bounded one keeps the conversion's memory flat however long the run.
 _CSV_BLOCK_ROWS = 256
 
 
@@ -107,7 +98,9 @@ class TrainerConfig:
     convergence_tol: float = 1e-6
     seed: int = 0
     init_mode: str = "uniform_box"   # pool seeding: "uniform_box" | "fixed"
-    burn_in: int = 400               # pool transitions before training
+    # Zero-gain pool steps before training.  Sampled at batch 32 from the
+    # uniform box, seeds 1-3 diverge (iterations 185-209) after 20, not 100.
+    burn_in: int = 400
     estimator: str = "analytic"      # "analytic" | "sampled"
     tail_avg_frac: float = 0.5       # fraction of final iterates averaged
 
@@ -188,19 +181,9 @@ class TrainHistory:
                                  enumerate(block.tolist(), start + 1))
 
 
-def _discount(gamma, trailing: int) -> np.ndarray:
-    """One discount, or one per run, shaped to broadcast over a run's axes."""
-    gamma = np.asarray(gamma, dtype=float)
-    return gamma.reshape(gamma.shape + (1,) * trailing)
-
-
 def _per_run(loss: np.ndarray) -> float | np.ndarray:
     """A float for a single run, one value per run for a stack."""
     return float(loss) if loss.ndim == 0 else loss
-
-
-def _trace(m: np.ndarray) -> np.ndarray:
-    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def critic_value(w: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -212,9 +195,8 @@ def critic_value(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     ``einsum("...bi,...ij,...bj->...b", s, w, s)`` sums, so the values
     keep its bits (signed zeros included) for any batch of three or more
     states; only on one or two states of a 2-state plant does einsum
-    reorder its loops.  On one core at n = 2 and M = 256, a stack of
-    K = 15 runs takes 46 against 140 us and K = 50 takes 126 against
-    657 us; one run takes 23 against 20 us.
+    reorder its loops.  On one core at n = 2 and M = 256 it takes 13-25 us
+    (einsum 12-21) on one run, 49-74 (155-240) on 15 and 117-171 on 50.
     """
     n = s.shape[-1]
     total = 0.0  # the first += makes the array
@@ -227,13 +209,15 @@ def critic_value(w: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class _ErrorLaw(NamedTuple):
-    """Next errors s' (drawn, or E[s' | s]) and batch moments of s'.
+    """Law of s' given the pool s, with fields as in :func:`_next_error_law`.
 
-    Fields as described in :func:`_next_error_law`.
+    With M_w = I + gamma w, the critic's TD error is V(s'; M_w) - V(s; w)
+    on a drawn law, V(s; F^T M_w F - w) - tr(M_w Sigma) on an integrated one.
     """
 
-    mean: np.ndarray
     cross: np.ndarray
+    drawn: np.ndarray | None = None
+    closed: np.ndarray | None = None
     cov: np.ndarray | None = None
     second: np.ndarray | None = None
 
@@ -243,27 +227,28 @@ def _next_error_law(model: LinearGaussianModel, theta: np.ndarray,
                     ) -> _ErrorLaw:
     """Law of s' = z - theta v, z = A s + E xi, v = C z + zeta, per member.
 
-    With ``noise`` it is that draw: ``mean`` holds s' and ``cross`` the
-    batch mean of s' v^T.  Without, the noise is integrated out: ``mean``
-    is (I - theta C) A s and ``cov`` the covariance of s' given s,
-    (I - theta C) E Q E^T (I - theta C)^T + theta R theta^T; with P the
-    batch second moment and Sp = A P A^T + E Q E^T, ``cross`` is
-    E[s' v^T] = (I - theta C) Sp C^T - theta R and ``second`` the batch
-    mean of E[s' s'^T] = (I - theta C) Sp (I - theta C)^T + theta R theta^T.
+    With ``noise`` it is that draw: ``drawn`` holds s' and ``cross`` the
+    batch mean of s' v^T.  Without, the noise is integrated out: E[s' | s]
+    is F s with ``closed`` F = (I - theta C) A, and ``cov`` the covariance
+    Sigma of s' given s, (I - theta C) E Q E^T (I - theta C)^T + theta R
+    theta^T; with P the batch second moment and Sp = A P A^T + E Q E^T,
+    ``cross`` is E[s' v^T] = (I - theta C) Sp C^T - theta R and ``second``
+    the batch mean of E[s' s'^T] = (I - theta C) Sp (I - theta C)^T +
+    theta R theta^T.  With M_w = I + gamma w the TD error is V(s'; M_w) -
+    V(s; w) drawn, V(s; F^T M_w F - w) - tr(M_w Sigma) integrated.
     """
     m_count = batch.shape[-2]
     if noise is not None:
         nxt, v = _transition(model, batch, theta, noise)
-        return _ErrorLaw(mean=nxt, cross=nxt.swapaxes(-1, -2) @ v / m_count)
+        return _ErrorLaw(cross=nxt.swapaxes(-1, -2) @ v / m_count, drawn=nxt)
     ic = model.eye - theta @ model.C
     ic_t = ic.swapaxes(-1, -2)
     eqe = model.effective_process_cov()
     measured = theta @ model.R @ theta.swapaxes(-1, -2)
     p_batch = batch.swapaxes(-1, -2) @ batch / m_count
     ic_sp = ic @ (model.A @ p_batch @ model.A_T + eqe)
-    return _ErrorLaw(mean=batch @ _transposed(ic @ model.A),
-                     cross=ic_sp @ model.C_T - theta @ model.R,
-                     cov=ic @ eqe @ ic_t + measured,
+    return _ErrorLaw(cross=ic_sp @ model.C_T - theta @ model.R,
+                     closed=ic @ model.A, cov=ic @ eqe @ ic_t + measured,
                      second=ic_sp @ ic_t + measured)
 
 
@@ -278,26 +263,42 @@ def _checked_law(model, theta, batch, noise) -> tuple[np.ndarray, _ErrorLaw]:
     return batch, _next_error_law(model, theta, batch, noise)
 
 
-def _critic_step(law: _ErrorLaw, w: np.ndarray, batch: np.ndarray, gamma):
-    """:func:`critic_loss_and_grad` on ``law``; a covariance adds traces."""
-    reward = -_squared_norm(law.mean)
-    v_next = critic_value(w, law.mean)
-    if law.cov is not None:
-        reward = reward - _trace(law.cov)[..., None]
-        v_next = v_next - _trace(w @ law.cov)[..., None]
-    td = reward + _discount(gamma, 1) * v_next - critic_value(w, batch)
+def _bootstrap_weight(model: LinearGaussianModel, w: np.ndarray, gamma):
+    """M_w = I + gamma w, for one discount or one per run of a stack."""
+    return model.eye + np.reshape(gamma, np.shape(gamma) + (1, 1)) * w
+
+
+def _quadratic_form(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s^T g s of each state, the n columns of (s g) * s added in order:
+    on one core at n = 2, M = 256, a third of :func:`critic_value`'s cost.
+    """
+    gs = (s @ g) * s
+    return sum(gs[..., j] for j in range(s.shape[-1]))
+
+
+def _critic_step(model, law: _ErrorLaw, w: np.ndarray, batch, gamma):
+    """:func:`critic_loss_and_grad` on ``law``; with M_w = I + gamma w, td
+    is V(s'; M_w) - V(s; w) drawn, else V(s; F^T M_w F - w) - tr(M_w Sigma).
+    """
+    mw = _bootstrap_weight(model, w, gamma)
+    if law.drawn is not None:
+        td = _quadratic_form(w, batch) - _quadratic_form(mw, law.drawn)
+    else:
+        g = w - law.closed.swapaxes(-1, -2) @ mw @ law.closed
+        td = _quadratic_form(g, batch) - np.trace(
+            mw @ law.cov, axis1=-2, axis2=-1)[..., None]
     loss = 0.5 * np.mean(td ** 2, axis=-1)
     grad = (batch * td[..., None]).swapaxes(-1, -2) @ batch / batch.shape[-2]
     return _per_run(loss), symmetrize(grad)
 
 
-def _actor_step(law: _ErrorLaw, w: np.ndarray, gamma):
-    """:func:`actor_loss_and_grad` on ``law``."""
-    mw = np.eye(w.shape[-1]) + _discount(gamma, 2) * w
+def _actor_step(model: LinearGaussianModel, law: _ErrorLaw, w, gamma):
+    """:func:`actor_loss_and_grad` on ``law``, with M_w = I + gamma w."""
+    mw = _bootstrap_weight(model, w, gamma)
     if law.second is None:
-        loss = np.mean(critic_value(mw, law.mean), axis=-1)
+        loss = np.mean(critic_value(mw, law.drawn), axis=-1)
     else:
-        loss = -_trace(mw @ law.second)
+        loss = -np.trace(mw @ law.second, axis1=-2, axis2=-1)
     grad = (mw + mw.swapaxes(-1, -2)) @ law.cross
     return _per_run(loss), grad
 
@@ -308,15 +309,16 @@ def critic_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
                          ) -> tuple[float | np.ndarray, np.ndarray]:
     """Semi-gradient TD loss for the quadratic critic.
 
-    Loss is the batch mean of 0.5 * TD^2 with
-    TD = r' + gamma * V(s'; w) - V(s; w); the bootstrap target
-    r' + gamma * V(s'; w) is treated as a constant, so the gradient is
-    mean(TD * s s^T), symmetrized.  With ``noise_batch=None`` the noise is
-    integrated out of the target.  On a stack of runs (leading axis K)
+    Loss is the batch mean of 0.5 * TD^2 with TD = r' + gamma V(s'; w) -
+    V(s; w) = V(s'; M_w) - V(s; w), M_w = I + gamma w; the target is held
+    constant, so the gradient is mean(TD * s s^T), symmetrized.  With
+    ``noise_batch=None`` the noise is integrated out of the target:
+    TD = V(s; F^T M_w F - w) - tr(M_w Sigma), F = (I - theta C) A, Sigma
+    the covariance of s' given s.  On a stack of runs (leading axis K)
     ``gamma`` may hold one discount per run and the loss is one per run.
     """
     batch, law = _checked_law(model, theta, batch, noise_batch)
-    return _critic_step(law, np.asarray(w, dtype=float), batch, gamma)
+    return _critic_step(model, law, np.asarray(w, dtype=float), batch, gamma)
 
 
 def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
@@ -328,15 +330,13 @@ def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
     Loss is the batch mean of r' + gamma * V(s'; w) for the sampled noise.
     With z = A s + E xi and v = C z + zeta the next state is
     s' = z - theta v, so the exact derivative with the noise held fixed is
-
-        d loss / d theta = mean[ (Mw + Mw^T) s' v^T ],   Mw = I + gamma w.
-
-    With ``noise_batch=None`` the noise is integrated out of the loss and
-    of mean[s' v^T].  Critic weights are held fixed (policy-improvement
-    step).  Stacks of runs are handled as in :func:`critic_loss_and_grad`.
+    mean[(M_w + M_w^T) s' v^T], M_w = I + gamma w.  With
+    ``noise_batch=None`` the noise is integrated out of the loss and of
+    mean[s' v^T].  Critic weights are held fixed (policy-improvement step).
+    Stacks of runs are handled as in :func:`critic_loss_and_grad`.
     """
-    batch, law = _checked_law(model, theta, batch, noise_batch)
-    return _actor_step(law, np.asarray(w, dtype=float), gamma)
+    _, law = _checked_law(model, theta, batch, noise_batch)
+    return _actor_step(model, law, np.asarray(w, dtype=float), gamma)
 
 
 @dataclass
@@ -417,8 +417,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     Run k uses seed ``seeds[k]`` (default: ``cfg.seed`` alone) and discount
     ``gammas[k]`` (default: ``cfg.gamma`` for every run); all other settings
     come from ``cfg``, and each run must pass :class:`TrainerConfig`'s
-    checks; an empty ``seeds`` raises ValueError.  Each iteration costs one
-    set of array operations for the whole stack.  What depends on the seed
+    checks; an empty ``seeds`` raises ValueError.  What depends on the seed
     alone is done once per distinct seed: one generator, one initial pool
     and one burn-in, so runs that share a seed (the discounts of a sweep)
     share its generator and every noise draw from it.  A run still draws
@@ -431,13 +430,13 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     when its gain's elementwise spread over the trailing 100 iterations
     falls below ``cfg.convergence_tol`` (``converged``), when it diverges
     (at iteration 0, with every run of its seed, if its seed's pool
-    diverges in burn-in), or at ``cfg.max_iters``; the other runs go on.  A run's gain averages its final ``cfg.tail_avg_frac`` of
-    iterates, which suppresses the stationary jitter of the stochastic
-    updates.
+    diverges in burn-in), or at ``cfg.max_iters``; the other runs go on.
+    A run's gain averages its final ``cfg.tail_avg_frac`` of iterates,
+    which suppresses the stationary jitter of the stochastic updates.
 
-    ``ref_gain`` only adds diagnostics (the histories' ``diff``) and a
-    divergence guard at 1000x its largest element.  A run also diverges
-    when its gain turns non-finite or its pool blows up.
+    ``ref_gain``, if not all zero, only adds diagnostics (the histories'
+    ``diff``) and a divergence guard at 1000x its largest element.  A run
+    also diverges when its gain turns non-finite or its pool blows up.
     """
     seeds = [cfg.seed] if seeds is None else list(seeds)
     if not seeds:
@@ -453,7 +452,9 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     gammas = np.asarray(gammas, dtype=float)
     if ref_gain is not None:
         ref_gain = np.asarray(ref_gain, dtype=float)
-        guard = _GUARD_FACTOR * max(np.abs(ref_gain).max(), 1e-300)
+        if not ref_gain.any():
+            raise ValueError("ref_gain is all zero: it sets no guard scale")
+        guard = _GUARD_FACTOR * np.abs(ref_gain).max()
     else:
         # Only non-finite gains fail the comparison below.
         guard = np.finfo(float).max
@@ -500,8 +501,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
                                   for a in (w, w, theta, theta))
     theta_hist = np.zeros((count, max_iters, n, r))
-    critic_hist = np.zeros((count, max_iters))
-    actor_hist = np.zeros((count, max_iters))
+    critic_hist, actor_hist = np.zeros((2, count, max_iters))
     tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
     sampled = cfg.estimator == "sampled"
 
@@ -524,17 +524,17 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             break
         noise = noise_stack.draw()
         law = _next_error_law(model, theta, pool, noise if sampled else None)
-        c_loss, c_grad = _critic_step(law, w, pool, live_gammas)
+        c_loss, c_grad = _critic_step(model, law, w, pool, live_gammas)
         w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k, cfg.lr_critic)
         w = symmetrize(w)
-        a_loss, a_grad = _actor_step(law, w, live_gammas)
+        a_loss, a_grad = _actor_step(model, law, w, live_gammas)
         # The actor ascends its objective, so Adam descends its negation.
         updated, m_theta, v_theta = adam_update(
             theta, -a_grad, m_theta, v_theta, k, cfg.lr_actor)
         # A drawn law is this draw's transition under the old gain, and the
         # pool takes it; with the noise integrated out, the pool advances
         # under the updated gain.
-        pool = (law.mean if law.cov is None
+        pool = (law.drawn if law.cov is None
                 else _transition(model, pool, updated, noise)[0])
         last_move = np.abs(updated - theta).max(axis=(1, 2))
         theta = updated

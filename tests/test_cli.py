@@ -322,6 +322,29 @@ class TestConfigHandling:
         assert f"{name} must be a real number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep-gamma"])
+    def test_zero_steady_state_gain_exits_two_before_work(
+            self, tmp_path, capsys, command):
+        # The unmeasured second state takes no process noise, so solve
+        # finds K = 0: there is nothing to learn and no scale for the
+        # divergence guard or the percentage errors.
+        inline = {
+            "A": [[0.9, 0.0], [0.1, 0.8]], "B": [[0.0], [0.0]],
+            "C": [[1.0, 0.0]], "D": [[0.0]], "E": [[1.0], [0.0]],
+            "Q": [[0.0]], "R": [[1.0]], "dt": 0.01,
+        }
+        cfg = write_config(tmp_path, model={"inline": inline})
+        assert main(["solve", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "dare.json").read_text())
+        assert not np.any(doc["gain"])
+        (tmp_path / "out" / "dare.json").unlink()
+        (tmp_path / "out").rmdir()
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--seeds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "steady-state gain" in err and "identically zero" in err
+        assert not (tmp_path / "out").exists()
+
     def test_fractional_seed_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, trainer={**SMALL_TRAINER, "seed": 1.5})
         assert main(["train", "--config", str(cfg)]) == 2

@@ -140,6 +140,70 @@ class TestCriticLossAndGrad:
             bicycle, np.eye(2), np.zeros((2, 2)), batch, noise, gamma=0.9)
         np.testing.assert_array_equal(grad, grad.T)
 
+    @staticmethod
+    def random_stacks(n):
+        """Seeded random plants with n states and stacks of 1-4 runs.
+
+        Each yields the plant, a (K, M, n) pool, K gains, K symmetric
+        critics and one discount per run; r and p range over 1-3.
+        """
+        rng = np.random.default_rng(300 + n)
+        for _ in range(6):
+            model = random_system(rng, n=n, r=int(rng.integers(1, 4)),
+                                  p=int(rng.integers(1, 4)))
+            runs = int(rng.integers(1, 5))
+            yield (model, rng.standard_normal((runs, 24, n)),
+                   0.3 * rng.standard_normal((runs, n, model.r)),
+                   np.stack([random_psd(rng, n) + 0.5 * np.eye(n)
+                             for _ in range(runs)]),
+                   rng.uniform(0.0, 0.99, runs), rng)
+
+    @staticmethod
+    def assert_loss_and_grad(loss, grad, td, batch):
+        """The loss and gradient are 0.5 mean td^2 and mean td s s^T."""
+        np.testing.assert_allclose(loss, 0.5 * np.mean(td ** 2, axis=-1),
+                                   rtol=1e-12, atol=0.0)
+        expected = np.einsum("kb,kbi,kbj->kij", td, batch,
+                             batch) / batch.shape[1]
+        np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_analytic_td_is_the_written_expectation(self, n):
+        # E[td | s] = -|Fs|^2 - tr Sigma + gamma (-(Fs)^T w (Fs) - tr(w
+        # Sigma)) + s^T w s, written term by term for each run.
+        for model, batch, theta, w, gamma, _ in self.random_stacks(n):
+            loss, grad = critic_loss_and_grad(model, w, theta, batch,
+                                              gamma=gamma)
+            ic = np.eye(n) - theta @ model.C
+            f_s = np.einsum("kij,kbj->kbi", ic @ model.A, batch)
+            sigma = (ic @ model.effective_process_cov()
+                     @ ic.transpose(0, 2, 1)
+                     + theta @ model.R @ theta.transpose(0, 2, 1))
+            td = (-np.einsum("kbi,kbi->kb", f_s, f_s)
+                  - np.trace(sigma, axis1=1, axis2=2)[:, None]
+                  + gamma[:, None] * (
+                      -np.einsum("kbi,kij,kbj->kb", f_s, w, f_s)
+                      - np.trace(w @ sigma, axis1=1, axis2=2)[:, None])
+                  + np.einsum("kbi,kij,kbj->kb", batch, w, batch))
+            self.assert_loss_and_grad(loss, grad, td, batch)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_drawn_td_is_reward_plus_discounted_value(self, n):
+        # td = r' + gamma V(s'; w) - V(s; w), with step's s' and reward.
+        from steadygain import step
+        for model, batch, theta, w, gamma, rng in self.random_stacks(n):
+            runs, size = batch.shape[:2]
+            noise = NoiseDraw(
+                xi=rng.standard_normal((runs, size, model.p)),
+                zeta=rng.standard_normal((runs, size, model.r)))
+            loss, grad = critic_loss_and_grad(model, w, theta, batch, noise,
+                                              gamma=gamma)
+            nxt, reward = step(model, batch, theta, noise)
+            td = (reward
+                  - gamma[:, None] * np.einsum("kbi,kij,kbj->kb", nxt, w, nxt)
+                  + np.einsum("kbi,kij,kbj->kb", batch, w, batch))
+            self.assert_loss_and_grad(loss, grad, td, batch)
+
 
 class TestActorLossAndGrad:
     def test_origin_batch_vanishes(self, bicycle):
@@ -800,6 +864,12 @@ class TestTrainRuns:
                                                  burn_in=1), seeds=[0, 1])
         with pytest.raises(error, match=message):
             runs.history(selection)
+
+    def test_all_zero_reference_gain_refused(self, bicycle):
+        # A zero reference would set the divergence guard at zero scale.
+        with pytest.raises(ValueError, match="ref_gain is all zero"):
+            train_runs(bicycle, TrainerConfig(max_iters=1),
+                       ref_gain=np.zeros((2, 2)))
 
     def test_discounts_validated(self, bicycle):
         cfg = TrainerConfig(max_iters=1)
