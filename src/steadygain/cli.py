@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError, check_real
+from .errors import DivergenceError, NumericalError, check_integer, check_real
 from .evaluation import EvalConfig, evaluate_gains, gain_metrics, write_eval_csv
 from .kalman import solve_dare
 from .models import LinearGaussianModel, VehicleParams, build_bicycle_model
@@ -137,6 +137,7 @@ def _reference_gain(model: LinearGaussianModel) -> np.ndarray:
 
 
 def cmd_train(cfg: RunConfig, n_seeds: int = 1) -> int:
+    check_integer("--seeds", n_seeds, 1)
     model = cfg.build_model()
     ref = _reference_gain(model)
     out = _out_dir(cfg)
@@ -205,8 +206,10 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     All runs train in one :func:`train_runs` stack; each seed's runs share
     its draws, so a seed's noise is drawn once for all the discounts.
     Writes one sweep.csv row per discount: the seed-averaged gain and its
-    error to the Riccati gain, or ``diverged``.
+    error to the Riccati gain, or ``diverged``.  Every run starts from the
+    fixed initial error, whatever ``cfg.trainer.init_mode`` says.
     """
+    check_integer("--seeds", n_seeds, 1)
     if not cfg.gamma_sweep:
         raise ValueError("gamma_sweep must list at least one discount")
     for i, gamma in enumerate(cfg.gamma_sweep):

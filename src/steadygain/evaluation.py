@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# cov_factor stays importable here for callers that look it up on this
-# module; trajectories draw noise through a NoiseStack.
+# cov_factor is unused here; trajectories draw noise through a NoiseStack.
+# It stays because the benchmark (perfbench/cases.py, trace_targets) wraps
+# it at this name, and its smoke test fails without it; it goes when the
+# benchmark traces what runs.
 from .error_mdp import (NoiseStack, _check_transition,  # noqa: F401
                         _squared_norm, _transition, cov_factor,
                         diverged_runs, sample_initial_error)

@@ -32,7 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# draw_noise and step are unused here but stay importable from this module.
+# draw_noise and step are unused here.  They stay because the benchmark
+# (perfbench/cases.py, trace_targets) wraps them at these names, and its
+# smoke test fails without them; they go when it traces what runs.
 from .error_mdp import (NoiseDraw, NoiseStack,  # noqa: F401
                         _check_transition, _transition, diverged_runs,
                         draw_noise, sample_initial_error, step)
@@ -410,6 +412,18 @@ def _divergence_message(theta, guard, worst_pool) -> str:
     return f"error pool diverged (max entry {worst_pool:.3e})"
 
 
+def _row_index(rows: np.ndarray, count: int) -> np.ndarray | None:
+    """``rows``, or None when it takes each of ``count`` rows in order."""
+    return None if np.array_equal(rows, np.arange(count)) else rows
+
+
+def _rows(noise: NoiseDraw, index: np.ndarray | None) -> NoiseDraw:
+    """Row index[k] of a draw for each k; the draw itself for None."""
+    if index is None:
+        return noise
+    return NoiseDraw(xi=noise.xi[index], zeta=noise.zeta[index])
+
+
 def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                gammas=None, ref_gain: np.ndarray | None = None) -> TrainRuns:
     """Train a stack of runs together and return every run's outcome.
@@ -419,10 +433,11 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     come from ``cfg``, and each run must pass :class:`TrainerConfig`'s
     checks; an empty ``seeds`` raises ValueError.  What depends on the seed
     alone is done once per distinct seed: one generator, one initial pool
-    and one burn-in, so runs that share a seed (the discounts of a sweep)
-    share its generator and every noise draw from it.  A run still draws
-    exactly what it would alone, so its result depends only on its seed
-    and discount, never on what else is in the stack.
+    and one burn-in.  Each step draws one noise batch per distinct seed,
+    and every run reads its seed's batch, so runs that share a seed (the
+    discounts of a sweep) share each draw.  A run still reads exactly what
+    it would draw alone, so its result depends only on its seed and
+    discount, never on what else is in the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
     iteration forms one law of the pool's next error, shared by the
@@ -465,23 +480,25 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     errors: list = [None] * count
     # A run's generator, initial pool and burn-in depend on its seed alone,
     # so they are made once per distinct seed (in order of first
-    # appearance) and the pools reach the runs by index when training
-    # starts.  Runs of one seed share its generator, and so its draws.
+    # appearance), and run k reads row run_seed[k] of them.  One NoiseStack
+    # draws every seed's generator once per step, burn-in and training
+    # alike, also after all of a seed's runs have stopped: that generator
+    # feeds no other seed, so no run's numbers change.
     row = {seed: u for u, seed in enumerate(dict.fromkeys(seeds))}
     run_seed = np.array([row[seed] for seed in seeds])
     rngs = [np.random.default_rng(seed) for seed in row]
     pool = np.stack([sample_initial_error(model, cfg.init_mode, rng,
                                           size=size) for rng in rngs])
+    noise_stack = NoiseStack(model, rngs, size)
 
     # Burn-in advances the pools under the zero gain by the transition
     # alone: the kernel builds its shapes, and step's reward would be
     # thrown away.  A seed whose pool diverges stops all of its runs.
-    burning = np.arange(len(rngs))
-    noise_stack = NoiseStack(model, rngs, size)
+    burning, burn_rows = np.arange(len(rngs)), None
     zero_gain = np.zeros((len(rngs), n, r))
     for _ in range(cfg.burn_in):
         pool, _ = _transition(model, pool, zero_gain[:burning.size],
-                              noise_stack.draw())
+                              _rows(noise_stack.draw(), burn_rows))
         worst_pool, failed = diverged_runs(pool)
         if failed.any():
             for u, worst in zip(burning[failed], worst_pool[failed]):
@@ -489,11 +506,11 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                     errors[k] = ("error pool diverged during burn-in "
                                  f"(max entry {worst:.3e})")
             pool, burning = pool[~failed], burning[~failed]
-            noise_stack.keep(~failed)
+            burn_rows = _row_index(burning, len(rngs))
 
     live = np.flatnonzero(np.isin(run_seed, burning))
     pool = pool[np.searchsorted(burning, run_seed[live])]
-    noise_stack = NoiseStack(model, [rngs[u] for u in run_seed[live]], size)
+    seed_rows = _row_index(run_seed[live], len(rngs))
     live_gammas = gammas[live]
     theta = np.zeros((live.size, n, r))
     w = np.tile(model.eye, (live.size, 1, 1))
@@ -508,6 +525,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     def retire(stop, failed, worst_pool, k):
         """Record why the flagged live runs stopped at k, and drop them."""
         nonlocal live, theta, w, pool, live_gammas, m_w, v_w, m_theta, v_theta
+        nonlocal seed_rows
         iterations[live[stop]] = k
         converged[live[stop & ~failed]] = True
         for j in np.flatnonzero(failed):
@@ -517,12 +535,12 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         live, theta, w, pool, live_gammas, m_w, v_w, m_theta, v_theta = (
             a[keep] for a in (live, theta, w, pool, live_gammas,
                               m_w, v_w, m_theta, v_theta))
-        noise_stack.keep(keep)
+        seed_rows = _row_index(run_seed[live], len(rngs))
 
     for k in range(1, max_iters + 1):
         if not live.size:
             break
-        noise = noise_stack.draw()
+        noise = _rows(noise_stack.draw(), seed_rows)
         law = _next_error_law(model, theta, pool, noise if sampled else None)
         c_loss, c_grad = _critic_step(model, law, w, pool, live_gammas)
         w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k, cfg.lr_critic)

@@ -345,6 +345,20 @@ class TestConfigHandling:
         assert "steady-state gain" in err and "identically zero" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["train", "sweep-gamma"])
+    def test_seed_count_below_one_exits_two_before_work(
+            self, tmp_path, capsys, monkeypatch, command, seeds):
+        def no_solve(model):
+            raise AssertionError("solved before --seeds was checked")
+
+        monkeypatch.setattr(cli, "solve_dare", no_solve)
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--seeds", seeds]) == 2
+        assert f"--seeds must be an integer >= 1, got {seeds}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_fractional_seed_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, trainer={**SMALL_TRAINER, "seed": 1.5})
         assert main(["train", "--config", str(cfg)]) == 2

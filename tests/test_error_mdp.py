@@ -356,64 +356,3 @@ class TestNoiseDraw:
             own = draw_noise(bicycle, alone, 6)
             np.testing.assert_array_equal(drawn.xi[1], own.xi)
             np.testing.assert_array_equal(drawn.zeta[1], own.zeta)
-
-
-
-class CountingGenerator:
-    """A seeded generator that counts its standard_normal calls."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.calls = 0
-
-    def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        return self._rng.standard_normal(*args, **kwargs)
-
-
-class TestSharedGenerators:
-    """Runs holding one generator object share each draw from it."""
-
-    def test_shared_generator_drawn_once_per_draw(self, bicycle):
-        shared, own = CountingGenerator(40), CountingGenerator(41)
-        stack = NoiseStack(bicycle, [shared, own, shared], 6)
-        alone = [np.random.default_rng(40), np.random.default_rng(41)]
-        for draws in range(1, 4):
-            drawn = stack.draw()
-            # One process and one measurement batch per generator.
-            assert shared.calls == own.calls == 2 * draws
-            expected = [draw_noise(bicycle, rng, 6) for rng in alone]
-            for k, source in enumerate((0, 1, 0)):
-                np.testing.assert_array_equal(drawn.xi[k],
-                                              expected[source].xi)
-                np.testing.assert_array_equal(drawn.zeta[k],
-                                              expected[source].zeta)
-
-    def test_keep_draws_while_one_sharer_is_left(self, bicycle):
-        shared, own = CountingGenerator(42), CountingGenerator(43)
-        stack = NoiseStack(bicycle, [shared, own, shared], 5)
-        alone = np.random.default_rng(42)
-        stack.draw()
-        draw_noise(bicycle, alone, 5)
-        stack.keep([True, True, False])
-        drawn = stack.draw()
-        expected = draw_noise(bicycle, alone, 5)
-        assert drawn.xi.shape == (2, 5, bicycle.p)
-        np.testing.assert_array_equal(drawn.xi[0], expected.xi)
-        np.testing.assert_array_equal(drawn.zeta[0], expected.zeta)
-        assert shared.calls == 4
-        # With its last run dropped, the shared generator stops drawing.
-        stack.keep([False, True])
-        assert stack.draw().xi.shape == (1, 5, bicycle.p)
-        assert shared.calls == 4 and own.calls == 6
-
-    def test_distinct_generators_gather_nothing(self, bicycle, monkeypatch):
-        def no_gather(*args, **kwargs):
-            raise AssertionError("a stack without sharers gathered")
-
-        stack = NoiseStack(bicycle, [np.random.default_rng(seed)
-                                     for seed in (44, 45)], 4)
-        monkeypatch.setattr(np, "take", no_gather)
-        stack.draw()
-        stack.keep([False, True])
-        stack.draw()

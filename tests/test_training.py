@@ -784,6 +784,50 @@ class TestTrainRuns:
             np.testing.assert_array_equal(runs.gains[k], gain)
             np.testing.assert_array_equal(runs.history(k).theta, history.theta)
 
+    def test_each_seed_drawn_once_per_step(self, bicycle, monkeypatch):
+        # Seeds 1 and 2 hold three and two runs.  Each seed's generator
+        # gives one process and one measurement batch per burn-in step and
+        # per iteration, however many runs read it, and goes on doing so
+        # after run 1 (seed 1) stops at iteration 5.
+        real = np.random.default_rng
+
+        class Counting:
+            """A seeded generator that counts its standard_normal calls."""
+
+            def __init__(self, seed):
+                self._rng = real(seed)
+                self.calls = 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.calls += 1
+                return self._rng.standard_normal(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        made = {}
+
+        def counting_rng(seed):
+            made[seed] = Counting(seed)
+            return made[seed]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        self._flag_run_one_at(monkeypatch, 10)
+        flagged = training.diverged_runs
+        drawn = []
+
+        def count_draws(pool):
+            drawn.append([made[seed].calls for seed in (1, 2)])
+            return flagged(pool)
+
+        monkeypatch.setattr(training, "diverged_runs", count_draws)
+        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        runs = train_runs(bicycle, cfg, seeds=[1, 1, 2, 2, 1])
+        assert sorted(made) == [1, 2]
+        assert runs.iterations.tolist() == [60, 5, 60, 60, 60]
+        # One guard check per burn-in step and per iteration.
+        assert drawn == [[2 * step] * 2 for step in range(1, 66)]
+
     def test_gain_is_mean_of_recorded_tail(self, bicycle):
         # Run 0 converges before the tail starts at iteration 320, so its
         # gain is its last iterate; runs 1 and 2 average iterates 320-400.
