@@ -61,6 +61,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("the config document must be a JSON object, "
+                             f"got {type(doc).__name__}")
+        sections = {key: doc.get(key, {}) for key in ("trainer", "eval")}
+        for key, section in sections.items():
+            if not isinstance(section, dict):
+                raise ValueError(f"the {key} section must be a JSON object, "
+                                 f"got {type(section).__name__}")
         unknown = set(doc) - {"model", "trainer", "eval", "gamma_sweep",
                               "output_dir"}
         if unknown:
@@ -71,8 +79,8 @@ class RunConfig:
                              f"got {gamma_sweep!r}")
         return cls(
             model=doc.get("model", "bicycle"),
-            trainer=TrainerConfig(**doc.get("trainer", {})),
-            eval=EvalConfig(**doc.get("eval", {})),
+            trainer=TrainerConfig(**sections["trainer"]),
+            eval=EvalConfig(**sections["eval"]),
             gamma_sweep=tuple(gamma_sweep),
             output_dir=doc.get("output_dir", "."),
         )

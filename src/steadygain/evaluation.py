@@ -186,8 +186,10 @@ def detect_critical_time(logmse_curve: np.ndarray, window: int = 50,
 
     Fits a least-squares line to each trailing ``window``-step segment and
     returns the smallest end step whose slope magnitude is below
-    ``slope_tol``; if no segment qualifies, returns ``fallback``.
+    ``slope_tol``; if no segment qualifies, returns ``fallback``.  A line
+    needs two points, so ``window`` must be at least 2.
     """
+    check_integer("window", window, 2)
     curve = np.asarray(logmse_curve, dtype=float)
     if curve.ndim != 1 or len(curve) < window:
         raise ValueError(f"curve must hold at least {window} steps")
@@ -237,15 +239,18 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
 
     Raises:
         ValueError: before any noise is drawn, naming the first gain that
-            is not n x r and its shape.
+            is not n x r and its shape, or the first name given twice.
     """
     named = list(gains)
     if not named:
         return []
-    for name, gain in named:
+    names = [name for name, _ in named]
+    for k, (name, gain) in enumerate(named):
         if np.shape(gain) != (model.n, model.r):
             raise ValueError(f"gain {name!r} must be {model.n} x {model.r}, "
                              f"got {np.shape(gain)}")
+        if name in names[:k]:
+            raise ValueError(f"gain name {name!r} is given twice")
     stack = np.array([gain for _, gain in named], dtype=float)
     e0, rng = _initial_error(model, cfg)
     mse = np.full((len(named), cfg.t_test), np.nan)

@@ -192,36 +192,25 @@ def critic_value(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Quadratic value V(s; w) = -s^T w s of each state of a batch (M, n).
 
     A stack of critics (K, n, n) values a stack of batches (K, M, n).
-    The form is accumulated as the terms (s_i w_ij) s_j, i outer and j
-    inner, added in that order to +0.0.  That is how the three-operand
-    ``einsum("...bi,...ij,...bj->...b", s, w, s)`` sums, so the values
-    keep its bits (signed zeros included) for any batch of three or more
-    states; only on one or two states of a 2-state plant does einsum
-    reorder its loops.  On one core at n = 2 and M = 256 it takes 13-25 us
-    (einsum 12-21) on one run, 49-74 (155-240) on 15 and 117-171 on 50.
+    Training reads the actor's loss as a trace instead; this is its reference.
     """
-    n = s.shape[-1]
-    total = 0.0  # the first += makes the array
-    for i in range(n):
-        for j in range(n):
-            term = s[..., i] * w[..., i, j, None]
-            term *= s[..., j]
-            total += term
-    return -total
+    return -np.einsum("...bi,...ij,...bj->...b", s, w, s)
 
 
 class _ErrorLaw(NamedTuple):
     """Law of s' given the pool s, with fields as in :func:`_next_error_law`.
 
-    With M_w = I + gamma w, the critic's TD error is V(s'; M_w) - V(s; w)
-    on a drawn law, V(s; F^T M_w F - w) - tr(M_w Sigma) on an integrated one.
+    Both laws carry ``cross`` and ``second``; only ``drawn``, None when the
+    noise was integrated out, tells them apart.  With M_w = I + gamma w, the
+    critic's TD error is V(s'; M_w) - V(s; w) drawn, V(s; F^T M_w F - w) -
+    tr(M_w Sigma) integrated, and the actor's loss -tr(M_w second) on both.
     """
 
     cross: np.ndarray
+    second: np.ndarray
     drawn: np.ndarray | None = None
     closed: np.ndarray | None = None
     cov: np.ndarray | None = None
-    second: np.ndarray | None = None
 
 
 def _next_error_law(model: LinearGaussianModel, theta: np.ndarray,
@@ -229,20 +218,21 @@ def _next_error_law(model: LinearGaussianModel, theta: np.ndarray,
                     ) -> _ErrorLaw:
     """Law of s' = z - theta v, z = A s + E xi, v = C z + zeta, per member.
 
-    With ``noise`` it is that draw: ``drawn`` holds s' and ``cross`` the
-    batch mean of s' v^T.  Without, the noise is integrated out: E[s' | s]
-    is F s with ``closed`` F = (I - theta C) A, and ``cov`` the covariance
-    Sigma of s' given s, (I - theta C) E Q E^T (I - theta C)^T + theta R
-    theta^T; with P the batch second moment and Sp = A P A^T + E Q E^T,
-    ``cross`` is E[s' v^T] = (I - theta C) Sp C^T - theta R and ``second``
-    the batch mean of E[s' s'^T] = (I - theta C) Sp (I - theta C)^T +
-    theta R theta^T.  With M_w = I + gamma w the TD error is V(s'; M_w) -
-    V(s; w) drawn, V(s; F^T M_w F - w) - tr(M_w Sigma) integrated.
+    ``cross`` is the batch mean of s' v^T and ``second`` that of s' s'^T.
+    With ``noise`` they are that draw's, and ``drawn`` holds s'.  Without,
+    the noise is integrated out: E[s' | s] is F s with ``closed`` F =
+    (I - theta C) A, and ``cov`` the covariance Sigma of s' given s,
+    (I - theta C) E Q E^T (I - theta C)^T + theta R theta^T; with P the
+    batch second moment and Sp = A P A^T + E Q E^T, ``cross`` is
+    (I - theta C) Sp C^T - theta R and ``second`` (I - theta C) Sp
+    (I - theta C)^T + theta R theta^T.
     """
     m_count = batch.shape[-2]
     if noise is not None:
         nxt, v = _transition(model, batch, theta, noise)
-        return _ErrorLaw(cross=nxt.swapaxes(-1, -2) @ v / m_count, drawn=nxt)
+        nxt_t = nxt.swapaxes(-1, -2)
+        return _ErrorLaw(cross=nxt_t @ v / m_count,
+                         second=nxt_t @ nxt / m_count, drawn=nxt)
     ic = model.eye - theta @ model.C
     ic_t = ic.swapaxes(-1, -2)
     eqe = model.effective_process_cov()
@@ -250,8 +240,8 @@ def _next_error_law(model: LinearGaussianModel, theta: np.ndarray,
     p_batch = batch.swapaxes(-1, -2) @ batch / m_count
     ic_sp = ic @ (model.A @ p_batch @ model.A_T + eqe)
     return _ErrorLaw(cross=ic_sp @ model.C_T - theta @ model.R,
-                     closed=ic @ model.A, cov=ic @ eqe @ ic_t + measured,
-                     second=ic_sp @ ic_t + measured)
+                     second=ic_sp @ ic_t + measured, closed=ic @ model.A,
+                     cov=ic @ eqe @ ic_t + measured)
 
 
 def _checked_law(model, theta, batch, noise) -> tuple[np.ndarray, _ErrorLaw]:
@@ -271,9 +261,7 @@ def _bootstrap_weight(model: LinearGaussianModel, w: np.ndarray, gamma):
 
 
 def _quadratic_form(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """s^T g s of each state, the n columns of (s g) * s added in order:
-    on one core at n = 2, M = 256, a third of :func:`critic_value`'s cost.
-    """
+    """s^T g s of each state, the n columns of (s g) * s added in order."""
     gs = (s @ g) * s
     return sum(gs[..., j] for j in range(s.shape[-1]))
 
@@ -295,12 +283,9 @@ def _critic_step(model, law: _ErrorLaw, w: np.ndarray, batch, gamma):
 
 
 def _actor_step(model: LinearGaussianModel, law: _ErrorLaw, w, gamma):
-    """:func:`actor_loss_and_grad` on ``law``, with M_w = I + gamma w."""
+    """Loss -tr(M_w second) and gradient (M_w + M_w^T) cross, either law."""
     mw = _bootstrap_weight(model, w, gamma)
-    if law.second is None:
-        loss = np.mean(critic_value(mw, law.drawn), axis=-1)
-    else:
-        loss = -np.trace(mw @ law.second, axis1=-2, axis2=-1)
+    loss = -np.trace(mw @ law.second, axis1=-2, axis2=-1)
     grad = (mw + mw.swapaxes(-1, -2)) @ law.cross
     return _per_run(loss), grad
 
@@ -329,12 +314,13 @@ def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
                         ) -> tuple[float | np.ndarray, np.ndarray]:
     """One-step return plus bootstrap, differentiated through the transition.
 
-    Loss is the batch mean of r' + gamma * V(s'; w) for the sampled noise.
-    With z = A s + E xi and v = C z + zeta the next state is
-    s' = z - theta v, so the exact derivative with the noise held fixed is
-    mean[(M_w + M_w^T) s' v^T], M_w = I + gamma w.  With
-    ``noise_batch=None`` the noise is integrated out of the loss and of
-    mean[s' v^T].  Critic weights are held fixed (policy-improvement step).
+    Loss is the batch mean of r' + gamma * V(s'; w) for the sampled noise,
+    which is -tr(M_w mean[s' s'^T]) with M_w = I + gamma w.  With
+    z = A s + E xi and v = C z + zeta the next state is s' = z - theta v,
+    so the exact derivative with the noise held fixed is
+    (M_w + M_w^T) mean[s' v^T].  With ``noise_batch=None`` the noise is
+    integrated out of both batch moments, and the loss is the same trace.
+    Critic weights are held fixed (policy-improvement step).
     Stacks of runs are handled as in :func:`critic_loss_and_grad`.
     """
     _, law = _checked_law(model, theta, batch, noise_batch)
@@ -552,7 +538,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         # A drawn law is this draw's transition under the old gain, and the
         # pool takes it; with the noise integrated out, the pool advances
         # under the updated gain.
-        pool = (law.drawn if law.cov is None
+        pool = (law.drawn if law.drawn is not None
                 else _transition(model, pool, updated, noise)[0])
         last_move = np.abs(updated - theta).max(axis=(1, 2))
         theta = updated

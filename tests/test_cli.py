@@ -449,6 +449,30 @@ class TestConfigHandling:
         assert f"gain from {bad} contains non-finite entries" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("text,part", [
+        ("[]", "the config document"), ("42", "the config document"),
+        ("null", "the config document"), ('"x"', "the config document"),
+        ('{"trainer": []}', "the trainer section"),
+        ('{"eval": null}', "the eval section"),
+    ], ids=["list", "number", "null", "string", "trainer-list", "eval-null"])
+    def test_non_object_config_exits_two_before_work(self, tmp_path, capsys,
+                                                     text, part):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: {part} must be a JSON object" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_repeated_gain_name_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = main(["eval", "--config", str(cfg),
+                     "--gain", "a=dare", "--gain", "a=zero"])
+        assert code == 2
+        assert "gain name 'a' is given twice" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval.csv").exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--seed", "5"]) == 0

@@ -143,6 +143,12 @@ class TestDetectCriticalTime:
         with pytest.raises(ValueError):
             detect_critical_time(np.zeros(10))
 
+    @pytest.mark.parametrize("window", [1, 0, -3])
+    def test_window_below_two_named(self, window):
+        # A least-squares slope needs two points.
+        with pytest.raises(ValueError, match="window must be an integer >= 2"):
+            detect_critical_time(np.zeros(300), window=window)
+
 
 class TestGainMetrics:
     def test_identical_gains(self):
@@ -287,6 +293,17 @@ class TestEvaluateGains:
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
         message = re.escape("gain 'b' must be 2 x 2, got (3, 3)")
         with pytest.raises(ValueError, match=message):
+            evaluate_gains(bicycle, gains, cfg)
+
+    def test_repeated_name_refused_before_noise(self, bicycle, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("noise drawn before the names were checked")
+
+        monkeypatch.setattr(NoiseStack, "draw", no_draw)
+        gains = [("a", np.zeros((2, 2))), ("b", np.zeros((2, 2))),
+                 ("a", np.eye(2))]
+        cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
+        with pytest.raises(ValueError, match="gain name 'a' is given twice"):
             evaluate_gains(bicycle, gains, cfg)
 
     def test_paired_seeds_give_identical_rows(self, bicycle, bicycle_dare):

@@ -319,6 +319,38 @@ class TestActorLossAndGrad:
             actor_loss_and_grad(bicycle, np.eye(2), np.zeros((2, 2)),
                                 np.zeros((0, 2)), noise)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("law", ["drawn", "integrated"])
+    def test_loss_is_the_one_step_return(self, law, n):
+        # Drawn: the batch mean of step's reward + gamma V(s'; w).
+        # Integrated: -tr(M_w E[s' s'^T]), M_w = I + gamma w, with the
+        # pool's second moment P and E[s' s'^T] written out.
+        from steadygain import step
+        stacks = TestCriticLossAndGrad.random_stacks(n)
+        for model, batch, theta, w, gamma, rng in stacks:
+            runs, size = batch.shape[:2]
+            if law == "drawn":
+                noise = NoiseDraw(
+                    xi=rng.standard_normal((runs, size, model.p)),
+                    zeta=rng.standard_normal((runs, size, model.r)))
+                nxt, reward = step(model, batch, theta, noise)
+                expected = np.mean(
+                    reward - gamma[:, None]
+                    * np.einsum("kbi,kij,kbj->kb", nxt, w, nxt), axis=1)
+            else:
+                noise = None
+                ic = np.eye(n) - theta @ model.C
+                p = np.einsum("kbi,kbj->kij", batch, batch) / size
+                second = (ic @ (model.A @ p @ model.A.T
+                                + model.effective_process_cov())
+                          @ ic.transpose(0, 2, 1)
+                          + theta @ model.R @ theta.transpose(0, 2, 1))
+                mw = np.eye(n) + gamma[:, None, None] * w
+                expected = -np.trace(mw @ second, axis1=1, axis2=2)
+            loss, _ = actor_loss_and_grad(model, w, theta, batch, noise,
+                                          gamma=gamma)
+            np.testing.assert_allclose(loss, expected, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("estimator",
                              [critic_loss_and_grad, actor_loss_and_grad])
     def test_noise_shape_checked(self, bicycle, estimator):
