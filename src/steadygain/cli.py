@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, NumericalError, check_integer, check_real
-from .evaluation import EvalConfig, evaluate_gains, gain_metrics, write_eval_csv
+from .evaluation import (EvalConfig, _check_named_gains, evaluate_gains,
+                         gain_metrics, write_eval_csv)
 from .kalman import solve_dare
 from .models import LinearGaussianModel, VehicleParams, build_bicycle_model
 from .training import TrainerConfig, gain_columns, train_average, train_runs
@@ -73,6 +74,10 @@ class RunConfig:
                               "output_dir"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        output_dir = doc.get("output_dir", ".")
+        if not isinstance(output_dir, str):
+            raise ValueError("output_dir must be a string, "
+                             f"got {output_dir!r}")
         gamma_sweep = doc.get("gamma_sweep", DEFAULT_GAMMA_SWEEP)
         if not isinstance(gamma_sweep, (list, tuple)):
             raise ValueError("gamma_sweep must be a list of discounts, "
@@ -82,7 +87,7 @@ class RunConfig:
             trainer=TrainerConfig(**sections["trainer"]),
             eval=EvalConfig(**sections["eval"]),
             gamma_sweep=tuple(gamma_sweep),
-            output_dir=doc.get("output_dir", "."),
+            output_dir=output_dir,
         )
 
 
@@ -197,6 +202,7 @@ def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
         if not source:
             name, source = spec, spec
         named.append((name, _load_gain(source, model)))
+    _check_named_gains(model, named)
     out = _out_dir(cfg) / "eval.csv"
     rows = evaluate_gains(model, named, cfg.eval)
     write_eval_csv(rows, out)

@@ -114,38 +114,24 @@ def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
 
 
 def _transition(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
-                noise: NoiseDraw, out=None) -> tuple[np.ndarray, np.ndarray]:
+                noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray]:
     """Next errors s' = z - a v and innovations v = C z + zeta.
 
-    Here z = A s + E xi; shapes are as :func:`step` accepts them.  ``out``
-    is None for fresh arrays, or buffers (s', a v, v, E xi) that the step
-    is written into: s' and a v shaped like s and not overlapping it, v
-    like s with r columns, and E xi like the process noise with n columns.
-    The s' and v buffers are returned.
+    Here z = A s + E xi; shapes are as :func:`step` accepts them.
     """
     # Every right operand is a C-contiguous transpose, because numpy's
     # matmul stays on BLAS only for contiguous operands: a transposed view
     # such as A.T sends it to a slow generic loop.  With one BLAS thread,
-    # (3, 10 000, 2) @ (2, 2), an eval stack, took 34-62 us against
-    # 160-210 us with the view; (15, 256, 2), a sweep pool, 9 us against
-    # 33 us; and (1, 256, 2) 2.4 us against 3.9 us.  The products are
-    # bitwise equal.  The plant's transposes are derived once per model
-    # (``model.A_T`` and friends); only the gain's is copied per call.
-    # Every product is written into a buffer, so a caller that passes the
-    # same ``out`` each step allocates nothing state-sized.  An eval stack
-    # needs that: glibc hands freed 160-480 KB arrays back to the kernel,
-    # so fresh ones fault in zeroed pages on every step.  A default eval
-    # of three gains (2 vCPU, one BLAS thread) took about 101 600 minor
-    # page faults and 0.17-0.23 s of system time with fresh arrays, and
-    # about 790 faults and 0.004 s with one workspace (counted by
-    # getrusage).  Pools under 64 KB, as in training, stay in the heap and
-    # may take fresh arrays.
-    nxt, kv, v, exi = (None,) * 4 if out is None else out
-    nxt = np.matmul(s, model.A_T, out=nxt)
-    nxt += np.matmul(noise.xi, model.E_T, out=exi)
-    v = np.matmul(nxt, model.C_T, out=v)
+    # (3, 10 000, 2) @ (2, 2) took 34-62 us against 160-210 us with the
+    # view; (15, 256, 2), a sweep pool, 9 us against 33 us; and
+    # (1, 256, 2) 2.4 us against 3.9 us.  The products are bitwise equal.
+    # The plant's transposes are derived once per model (``model.A_T`` and
+    # friends); only the gain's is copied per call.
+    nxt = np.matmul(s, model.A_T)
+    nxt += np.matmul(noise.xi, model.E_T)
+    v = np.matmul(nxt, model.C_T)
     v += noise.zeta
-    nxt -= np.matmul(v, _transposed(a), out=kv)
+    nxt -= np.matmul(v, _transposed(a))
     return nxt, v
 
 
@@ -168,20 +154,18 @@ def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
     return nxt, -_squared_norm(nxt)
 
 
-def _squared_norm(x: np.ndarray, out=None) -> np.ndarray:
+def _squared_norm(x: np.ndarray) -> np.ndarray:
     """Sum of squares over the last axis, columns squared and added in order.
 
     On a trailing axis of length 2 this is bitwise equal to
     ``einsum("...i,...i->...", x, x)`` and faster at every stack size,
     because einsum's two-operand loop over so short an axis is slow: on
     one core, 76 us against 212 us on (3, 10 000, 2) and 11 us against
-    28 us on (15, 256, 2).  ``out`` is None for fresh arrays, or buffers
-    (column square, sum) shaped like x[..., 0]; the sum's is returned.
+    28 us on (15, 256, 2).
     """
-    square, total = (None, None) if out is None else out
-    total = np.multiply(x[..., 0], x[..., 0], out=total)
+    total = x[..., 0] * x[..., 0]
     for j in range(1, x.shape[-1]):
-        total += np.multiply(x[..., j], x[..., j], out=square)
+        total += x[..., j] * x[..., j]
     return total
 
 

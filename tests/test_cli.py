@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
-from steadygain import TrainerConfig, cli
+from steadygain import TrainerConfig, cli, evaluation
 from steadygain.cli import RunConfig, main
 from steadygain.error_mdp import NoiseStack
 
@@ -372,10 +372,15 @@ class TestConfigHandling:
     def test_non_integer_count_exits_two_before_rollout(
             self, tmp_path, capsys, monkeypatch, command, section, name,
             value):
-        def no_rollout(self):
+        def no_rollout(*args, **kwargs):
             raise AssertionError("noise drawn before the config was checked")
 
-        monkeypatch.setattr(NoiseStack, "draw", no_rollout)
+        # eval's generator is made and first drawn in _initial_error;
+        # training draws its noise through a NoiseStack.
+        if command == "eval":
+            monkeypatch.setattr(evaluation, "_initial_error", no_rollout)
+        else:
+            monkeypatch.setattr(NoiseStack, "draw", no_rollout)
         base = SMALL_EVAL if section == "eval" else SMALL_TRAINER
         cfg = write_config(tmp_path, **{section: {**base, name: value}})
         assert main([command, "--config", str(cfg)]) == 2
@@ -435,10 +440,10 @@ class TestConfigHandling:
 
     def test_non_finite_gain_file_exits_two_before_rollout(
             self, tmp_path, capsys, monkeypatch):
-        def no_rollout(self):
+        def no_rollout(*args, **kwargs):
             raise AssertionError("noise drawn before the gains were checked")
 
-        monkeypatch.setattr(NoiseStack, "draw", no_rollout)
+        monkeypatch.setattr(evaluation, "_initial_error", no_rollout)
         bad = tmp_path / "theta.json"
         bad.write_text(json.dumps({"gain": [[0.0, float("nan")],
                                             [0.0, 0.05]]}))
@@ -471,7 +476,15 @@ class TestConfigHandling:
                      "--gain", "a=dare", "--gain", "a=zero"])
         assert code == 2
         assert "gain name 'a' is given twice" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "eval.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [5, None, []],
+                             ids=["number", "null", "list"])
+    def test_non_string_output_dir_exits_two(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, output_dir=value)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert (f"config error: output_dir must be a string, got {value!r}"
+                in capsys.readouterr().err)
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)

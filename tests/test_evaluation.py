@@ -16,7 +16,9 @@ from steadygain import (
     run_trajectories,
     spectral_radius,
 )
-from steadygain.error_mdp import NoiseStack, diverged_runs, step
+from steadygain import evaluation
+from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, NoiseStack,
+                                  diverged_runs, step)
 from steadygain.evaluation import _rollout, write_eval_csv
 
 from conftest import random_system
@@ -197,13 +199,19 @@ def reference_rollout(model, gains, t_test, e0, rng):
 
 
 class TestRollout:
-    """The workspace rollout against :func:`reference_rollout`, bit for bit."""
+    """The closed-loop rollout against :func:`reference_rollout`.
+
+    Both draw the same noise and drop the same gains at the same steps.
+    The rollout forms F e + D w, which associates the products differently
+    from ``step``, so the squared errors agree to rounding.
+    """
 
     @staticmethod
     def assert_same_steps(model, gains, t_test, e0, seed):
         gains = np.asarray(gains, dtype=float)
-        # Each yielded array is overwritten by the next step: copy it.
-        got = [(t, alive.copy(), squared.copy()) for t, alive, squared
+        # Each yielded array is overwritten by the next step: square it now.
+        got = [(t, alive.copy(), (errors ** 2).sum(axis=1))
+               for t, alive, errors
                in _rollout(model, gains, t_test, e0,
                            np.random.default_rng(seed))]
         want = list(reference_rollout(model, gains, t_test, e0,
@@ -214,7 +222,11 @@ class TestRollout:
             assert t == t_ref
             np.testing.assert_array_equal(alive, alive_ref)
             assert squared.shape == squared_ref.shape
-            assert squared.tobytes() == squared_ref.tobytes()
+            # An entry that cancels to near zero is held to the batch's
+            # scale, as in TestStep.
+            np.testing.assert_allclose(
+                squared, squared_ref, rtol=1e-12,
+                atol=1e-13 * np.abs(squared_ref).max(initial=0.0))
         return got
 
     @pytest.mark.parametrize("names", [
@@ -251,15 +263,63 @@ class TestRollout:
         e0 = rng.standard_normal((40, n))
         self.assert_same_steps(model, gains, 120, e0, seed=60 + n)
 
+    @pytest.mark.parametrize("p,r", [(1, 3), (3, 1)])
+    def test_noise_widths_unlike_match_reference(self, p, r):
+        # xi and zeta take different shares of each step's draw.
+        rng = np.random.default_rng(70 + p)
+        model = random_system(rng, n=2, r=r, p=p)
+        gains = 0.3 * rng.standard_normal((2, 2, r))
+        e0 = rng.standard_normal((30, 2))
+        self.assert_same_steps(model, gains, 80, e0, seed=80 + p)
+
+
+def exact_mse(model, gain, t_test):
+    """tr P_t for t = 1..t_test, P_t the error covariance under ``gain``.
+
+    P_0 is the covariance of the default uniform box, diag(b^2) / 3, and
+    P_{t+1} = F P_t F^T + (I - K C) E Q E^T (I - K C)^T + K R K^T with
+    F = (I - K C) A.
+    """
+    filtered = np.eye(model.n) - gain @ model.C
+    closed = filtered @ model.A
+    drive = (filtered @ model.E @ model.Q @ model.E.T @ filtered.T
+             + gain @ model.R @ gain.T)
+    cov = np.diag(np.square(VEHICLE_INITIAL_ERROR)) / 3.0
+    traces = []
+    for _ in range(t_test):
+        cov = closed @ cov @ closed.T + drive
+        traces.append((np.trace(cov), np.trace(cov @ cov)))
+    return np.array(traces).T
+
+
+class TestExactCovariance:
+    def test_mse_curves_follow_the_covariance_recursion(self, bicycle,
+                                                        bicycle_dare):
+        # The mean of N squared errors of covariance P has standard error
+        # sqrt(2 tr P^2 / N) when the errors are Gaussian; the initial box
+        # is flatter than a Gaussian, which only narrows it.
+        gains = [("dare", bicycle_dare.gain), ("zero", np.zeros((2, 2))),
+                 ("offopt", np.array([[-0.0003, -0.0012],
+                                      [0.00002, 0.025]]))]
+        cfg = EvalConfig(n_traj=20000, t_test=300, t_critical=100, seed=12)
+        rows = evaluate_gains(bicycle, gains, cfg)
+        for row, (name, gain) in zip(rows, gains):
+            assert row["status"] == "ok", name
+            trace, trace_sq = exact_mse(bicycle, gain, cfg.t_test)
+            mse = 10.0 ** row["report"].logmse_curve
+            bound = 6.0 * np.sqrt(2.0 * trace_sq / cfg.n_traj)
+            worst = np.max(np.abs(mse - trace) / bound)
+            assert worst < 1.0, (name, worst)
+
 
 class TestEvaluateGains:
     @pytest.mark.parametrize("shape", [(3, 3), (2, 1), (2,)])
     def test_wrong_gain_shape_named_before_noise(self, bicycle, monkeypatch,
                                                  shape):
-        def no_draw(self):
-            raise AssertionError("noise drawn before the gain was checked")
+        def no_draw(*args, **kwargs):
+            raise AssertionError("errors drawn before the gain was checked")
 
-        monkeypatch.setattr(NoiseStack, "draw", no_draw)
+        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
         with pytest.raises(ValueError, match=re.escape(
                 f"gain 'wrong' must be 2 x 2, got {shape}")):
@@ -270,10 +330,10 @@ class TestEvaluateGains:
 
     def test_gains_sharing_a_wrong_shape_name_the_first(self, bicycle,
                                                         monkeypatch):
-        def no_draw(self):
-            raise AssertionError("noise drawn before the gains were checked")
+        def no_draw(*args, **kwargs):
+            raise AssertionError("errors drawn before the gains were checked")
 
-        monkeypatch.setattr(NoiseStack, "draw", no_draw)
+        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
         gains = [("a", np.zeros((3, 3))), ("b", np.zeros((3, 3)))]
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
         message = re.escape("gain 'a' must be 2 x 2, got (3, 3)")
@@ -283,10 +343,10 @@ class TestEvaluateGains:
     @pytest.mark.parametrize("order", ["good-first", "bad-first"])
     def test_gains_of_different_shapes_name_the_misshapen_one(
             self, bicycle, monkeypatch, order):
-        def no_draw(self):
-            raise AssertionError("noise drawn before the gains were checked")
+        def no_draw(*args, **kwargs):
+            raise AssertionError("errors drawn before the gains were checked")
 
-        monkeypatch.setattr(NoiseStack, "draw", no_draw)
+        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
         gains = [("a", np.zeros((2, 2))), ("b", np.zeros((3, 3)))]
         if order == "bad-first":
             gains.reverse()
@@ -296,10 +356,10 @@ class TestEvaluateGains:
             evaluate_gains(bicycle, gains, cfg)
 
     def test_repeated_name_refused_before_noise(self, bicycle, monkeypatch):
-        def no_draw(self):
-            raise AssertionError("noise drawn before the names were checked")
+        def no_draw(*args, **kwargs):
+            raise AssertionError("errors drawn before the names were checked")
 
-        monkeypatch.setattr(NoiseStack, "draw", no_draw)
+        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
         gains = [("a", np.zeros((2, 2))), ("b", np.zeros((2, 2))),
                  ("a", np.eye(2))]
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
@@ -329,12 +389,16 @@ class TestEvaluateGains:
                                                           bicycle_dare):
         # Its errors pass 1e154 in the first step, so squaring them would
         # overflow; a gain leaves the stack before its errors are squared,
-        # and Tier-1 turns any warning into an error.
+        # and Tier-1 turns any warning into an error.  "all_huge" makes
+        # (I - K C) A overflow to inf, so its first step meets inf - inf.
         huge = np.array([[0.0, 0.0], [0.0, 1e307]])
         cfg = EvalConfig(n_traj=20, t_test=50, t_critical=10, seed=4)
         rows = evaluate_gains(bicycle, [("kinf", bicycle_dare.gain),
-                                        ("huge", huge)], cfg)
-        assert [row["status"] for row in rows] == ["ok", "diverged"]
+                                        ("huge", huge),
+                                        ("all_huge", np.full((2, 2), 1e307))],
+                              cfg)
+        assert [row["status"] for row in rows] == ["ok", "diverged",
+                                                   "diverged"]
 
     def test_guard_flags_destabilizing_gain(self, bicycle):
         # rho[(I - K C) A] = 1.406: the errors grow without bound but stay
