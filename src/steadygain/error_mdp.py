@@ -113,6 +113,25 @@ def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
     return NoiseDraw(xi=noise.xi[0], zeta=noise.zeta[0])
 
 
+def _draw_normals(normals, raw: np.ndarray, out: np.ndarray, p: int
+                  ) -> np.ndarray:
+    """One step's raw normals, ``out`` (S, p + r, M), one call per generator.
+
+    ``normals`` holds the ``standard_normal`` methods of S generators, and
+    ``raw`` an (S, M (p + r)) buffer.  Generator u fills row u of ``raw``
+    with M p normals for xi and then M r for zeta, the stream a
+    :class:`NoiseStack` draws in two calls.  One copy moves them into
+    ``out``, xi's p rows over zeta's r, the M members on the last axis.
+    Training and the evaluation rollout draw their noise through this.
+    """
+    for normal, row in zip(normals, raw):
+        normal(out=row)
+    seeds, size = len(raw), out.shape[-1]
+    out[:, :p] = raw[:, :size * p].reshape(seeds, size, p).swapaxes(1, 2)
+    out[:, p:] = raw[:, size * p:].reshape(seeds, size, -1).swapaxes(1, 2)
+    return out
+
+
 def _transition(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
                 noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray]:
     """Next errors s' = z - a v and innovations v = C z + zeta.
@@ -133,6 +152,24 @@ def _transition(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
     v += noise.zeta
     nxt -= np.matmul(v, _transposed(a))
     return nxt, v
+
+
+def _closed_loop(model: LinearGaussianModel, gains: np.ndarray,
+                 process_factor: np.ndarray, measurement_factor: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I - K C, F = (I - K C) A and D = [(I - K C) G_Q, -K G_R] per gain K.
+
+    ``gains`` is one n x r gain or a stack of them.  With ``process_factor``
+    G_Q = E L_Q and ``measurement_factor`` G_R = L_R, for factors L L^T of
+    Q and R, the transition of an error e under K is e' = F e + D w on the
+    raw standard normals w = (xi, zeta), and D D^T is the covariance of e'
+    given e.  Training and evaluation both advance their errors by this.
+    """
+    filtered = model.eye - gains @ model.C
+    closed = filtered @ model.A
+    drive = np.concatenate((filtered @ process_factor,
+                            -gains @ measurement_factor), axis=-1)
+    return filtered, closed, drive
 
 
 def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,

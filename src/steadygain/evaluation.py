@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_mdp import (_squared_norm, cov_factor, diverged_runs,
-                        sample_initial_error)
+from .error_mdp import (_closed_loop, _draw_normals, _squared_norm,
+                        cov_factor, diverged_runs, sample_initial_error)
 from .errors import DivergenceError, check_integer
 from .models import LinearGaussianModel
 
@@ -83,8 +83,9 @@ def _rollout(model: LinearGaussianModel, gains: np.ndarray, t_test: int,
     w = (xi, zeta) stacks the raw standard normals.  This is the error
     transition e' = (I - K C)(A e + E L_Q xi) - K L_R zeta with the noise
     colouring folded into D.  Each step draws N p normals for xi and then
-    N r for zeta from ``rng``, the stream a :class:`NoiseStack` draws, and
-    advances the (count, n, N) error stack, trajectories on the last axis.
+    N r for zeta from ``rng`` by :func:`_draw_normals`, the stream a
+    :class:`NoiseStack` draws, as training does, and advances the
+    (count, n, N) error stack, trajectories on the last axis.
     A gain leaves the stack at the step where :func:`diverged_runs` flags its
     errors (non-finite or beyond the guard); the noise is shared, so that
     never changes another gain's numbers.
@@ -101,10 +102,9 @@ def _rollout(model: LinearGaussianModel, gains: np.ndarray, t_test: int,
     # A gain so large that F or D overflows gives inf and nan errors, which
     # the guard drops at step 1; they are not warned about, here or below.
     with np.errstate(over="ignore", invalid="ignore"):
-        filtered = np.eye(model.n) - gains @ model.C
-        closed = filtered @ model.A
-        drive = np.concatenate((filtered @ (model.E @ cov_factor(model.Q)),
-                                -gains @ cov_factor(model.R)), axis=-1)
+        _, closed, drive = _closed_loop(model, gains,
+                                        model.E @ cov_factor(model.Q),
+                                        cov_factor(model.R))
     # Two state buffers used in turn, since a product cannot overwrite the
     # state it reads; the live gains and their errors are compacted into
     # the leading slice of each buffer.  Fresh state-sized arrays each step
@@ -112,15 +112,13 @@ def _rollout(model: LinearGaussianModel, gains: np.ndarray, t_test: int,
     # the kernel, so new ones fault in zeroed pages.
     state = np.repeat(e0.T[np.newaxis], count, axis=0)
     spare, driven = np.empty_like(state), np.empty_like(state)
-    raw = np.empty(size * (p + model.r))
-    xi_t = raw[:size * p].reshape(size, p).T
-    zeta_t = raw[size * p:].reshape(size, model.r).T
-    w = np.empty((p + model.r, size))
+    normals = [rng.standard_normal]
+    raw = np.empty((1, size * (p + model.r)))
+    w = np.empty((1, p + model.r, size))
     alive = np.arange(count)
     for t in range(1, t_test + 1):
         live = alive.size
-        rng.standard_normal(out=raw)
-        w[:p], w[p:] = xi_t, zeta_t
+        _draw_normals(normals, raw, w, p)
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(closed[:live], state[:live], out=spare[:live])
             spare[:live] += np.matmul(drive[:live], w, out=driven[:live])
@@ -164,10 +162,10 @@ def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
         DivergenceError: at the first step ``step`` at which an error
             entry is non-finite or beyond the divergence guard.
     """
-    gains = np.asarray(gain, dtype=float)[np.newaxis]
-    if gains.shape[1:] != (model.n, model.r):
+    if np.shape(gain) != (model.n, model.r):
         raise ValueError(
-            f"gain must be {model.n} x {model.r}, got {gains.shape}")
+            f"gain must be {model.n} x {model.r}, got {np.shape(gain)}")
+    gains = np.asarray(gain, dtype=float)[np.newaxis]
     e0, rng = _initial_error(model, cfg, bounds)
     squared = np.empty((cfg.n_traj, cfg.t_test))
     for t, alive, errors in _rollout(model, gains, cfg.t_test, e0, rng):

@@ -15,11 +15,13 @@ sampling variance that otherwise dominates the gain columns tied to
 low-noise measurements; the pool itself still evolves stochastically.
 
 Every function here also takes a stack of runs on a leading axis: gains
-(K, n, r), critics (K, n, n), pools (K, M, n) and one discount per run.
+(K, n, r), critics (K, n, n), batches (K, M, n) and one discount per run.
 :func:`train_runs` advances such a stack with one set of array operations
-per iteration, drawing each seed's noise once for all the runs that share
-that seed, and :meth:`TrainRuns.history` reads its record;
-:func:`train_average` is its seed-averaged form, :func:`train` one seed's.
+per iteration, on pools held as (K, n, M), members on the last axis, so
+that each moment summed over a pool is a BLAS product.  The public
+estimators transpose their batches into such pools, so they run the same
+kernel.  :meth:`TrainRuns.history` reads the record; :func:`train_average`
+is the seed-averaged form of :func:`train_runs`, :func:`train` one seed's.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ import numpy as np
 # draw_noise and step are unused here.  They stay because the benchmark
 # (perfbench/cases.py, trace_targets) wraps them at these names, and its
 # smoke test fails without them; they go when it traces what runs.
-from .error_mdp import (NoiseDraw, NoiseStack,  # noqa: F401
-                        _check_transition, _transition, diverged_runs,
-                        draw_noise, sample_initial_error, step)
+from .error_mdp import (NoiseDraw, _check_transition,  # noqa: F401
+                        _closed_loop, _draw_normals, _transposed, cov_factor,
+                        diverged_runs, draw_noise, sample_initial_error, step)
 from .errors import DivergenceError, check_integer, check_real
 from .kalman import symmetrize
 from .models import LinearGaussianModel
@@ -198,7 +200,8 @@ def critic_value(w: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class _ErrorLaw(NamedTuple):
-    """Law of s' given the pool s, with fields as in :func:`_next_error_law`.
+    """Law of s' given the pool s, from :func:`_drawn_law` or
+    :func:`_integrated_law`.
 
     Both laws carry ``cross`` and ``second``; only ``drawn``, None when the
     noise was integrated out, tells them apart.  With M_w = I + gamma w, the
@@ -213,81 +216,100 @@ class _ErrorLaw(NamedTuple):
     cov: np.ndarray | None = None
 
 
-def _next_error_law(model: LinearGaussianModel, theta: np.ndarray,
-                    batch: np.ndarray, noise: NoiseDraw | None = None
-                    ) -> _ErrorLaw:
-    """Law of s' = z - theta v, z = A s + E xi, v = C z + zeta, per member.
+def _drawn_law(model: LinearGaussianModel, theta: np.ndarray,
+               pool: np.ndarray, process: np.ndarray, measured: np.ndarray
+               ) -> _ErrorLaw:
+    """Law of one draw: s' = z - theta v, z = A s + E xi, v = C z + zeta.
 
-    ``cross`` is the batch mean of s' v^T and ``second`` that of s' s'^T.
-    With ``noise`` they are that draw's, and ``drawn`` holds s'.  Without,
-    the noise is integrated out: E[s' | s] is F s with ``closed`` F =
-    (I - theta C) A, and ``cov`` the covariance Sigma of s' given s,
-    (I - theta C) E Q E^T (I - theta C)^T + theta R theta^T; with P the
-    batch second moment and Sp = A P A^T + E Q E^T, ``cross`` is
-    (I - theta C) Sp C^T - theta R and ``second`` (I - theta C) Sp
-    (I - theta C)^T + theta R theta^T.
+    ``pool`` holds the errors s on its last axis, (..., n, M), and
+    ``process`` and ``measured`` the noise E xi and zeta of each member,
+    (..., n, M) and (..., r, M).  ``drawn`` is s', ``cross`` the batch mean
+    of s' v^T and ``second`` that of s' s'^T.
     """
-    m_count = batch.shape[-2]
-    if noise is not None:
-        nxt, v = _transition(model, batch, theta, noise)
-        nxt_t = nxt.swapaxes(-1, -2)
-        return _ErrorLaw(cross=nxt_t @ v / m_count,
-                         second=nxt_t @ nxt / m_count, drawn=nxt)
-    ic = model.eye - theta @ model.C
-    ic_t = ic.swapaxes(-1, -2)
-    eqe = model.effective_process_cov()
-    measured = theta @ model.R @ theta.swapaxes(-1, -2)
-    p_batch = batch.swapaxes(-1, -2) @ batch / m_count
-    ic_sp = ic @ (model.A @ p_batch @ model.A_T + eqe)
-    return _ErrorLaw(cross=ic_sp @ model.C_T - theta @ model.R,
-                     second=ic_sp @ ic_t + measured, closed=ic @ model.A,
-                     cov=ic @ eqe @ ic_t + measured)
+    m_count = pool.shape[-1]
+    nxt = model.A @ pool
+    nxt += process
+    v = model.C @ nxt
+    v += measured
+    nxt -= theta @ v
+    return _ErrorLaw(cross=nxt @ v.swapaxes(-1, -2) / m_count,
+                     second=nxt @ nxt.swapaxes(-1, -2) / m_count, drawn=nxt)
 
 
-def _checked_law(model, theta, batch, noise) -> tuple[np.ndarray, _ErrorLaw]:
-    """Check a public estimator's inputs; return the batch and its law."""
+def _integrated_law(model: LinearGaussianModel, theta: np.ndarray,
+                    pool: np.ndarray, loop) -> _ErrorLaw:
+    """Law of s' with the noise integrated out, for a pool (..., n, M).
+
+    ``loop`` is theta's :func:`_closed_loop`, (I - theta C, F, D): E[s' | s]
+    is F s with ``closed`` F, and ``cov`` Sigma = D D^T is the covariance of
+    s' given s.  With P = s s^T / M the pool's second moment, ``second`` is
+    F P F^T + Sigma and ``cross`` (F P A^T + (I - theta C) E Q E^T) C^T -
+    theta R.
+    """
+    filtered, closed, drive = loop
+    fp = closed @ (pool @ pool.swapaxes(-1, -2) / pool.shape[-1])
+    cov = drive @ drive.swapaxes(-1, -2)
+    cross = (fp @ model.A_T + filtered @ model.effective_process_cov()
+             ) @ model.C_T - theta @ model.R
+    return _ErrorLaw(cross=cross, second=fp @ closed.swapaxes(-1, -2) + cov,
+                     closed=closed, cov=cov)
+
+
+def _quadratic_form(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x^T g x of each member of a pool x (..., n, M)."""
+    return np.add.reduce((g @ x) * x, axis=-2)
+
+
+def _critic_step(model, law: _ErrorLaw, w: np.ndarray, pool, gamma_col):
+    """:func:`critic_loss_and_grad` on ``law`` for a pool (..., n, M), with
+    the discounts as a column (..., 1, 1).  With M_w = I + gamma w, td is
+    V(s'; M_w) - V(s; w) drawn, else V(s; F^T M_w F - w) - tr(M_w Sigma).
+    """
+    mw = model.eye + gamma_col * w
+    if law.drawn is not None:
+        td = _quadratic_form(w, pool) - _quadratic_form(mw, law.drawn)
+    else:
+        g = w - law.closed.swapaxes(-1, -2) @ mw @ law.closed
+        td = _quadratic_form(g, pool) - np.trace(
+            mw @ law.cov, axis1=-2, axis2=-1)[..., None]
+    m_count = pool.shape[-1]
+    loss = 0.5 * (np.add.reduce(td * td, -1) / m_count)
+    grad = (pool * td[..., None, :]) @ pool.swapaxes(-1, -2) / m_count
+    return loss, symmetrize(grad)
+
+
+def _actor_step(model: LinearGaussianModel, law: _ErrorLaw, w, gamma_col):
+    """Loss -tr(M_w second) and its gradient -2 M_w cross, either law.
+
+    The gradient is that of the negated objective, which Adam descends;
+    it is -(M_w + M_w^T) cross because the critic ``w`` is symmetric.
+    """
+    mw = model.eye + gamma_col * w
+    loss = -np.trace(mw @ law.second, axis1=-2, axis2=-1)
+    return loss, (-2.0 * mw) @ law.cross
+
+
+def _checked_law(model, theta, batch, noise, gamma):
+    """Check a public estimator's inputs; return the pool, its law and the
+    discounts as a column.
+
+    The member-major batch (..., M, n) becomes the pool (..., n, M).  The
+    noise given is coloured already, so the drawn law takes E xi and zeta.
+    """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim not in (2, 3) or batch.shape[-2] == 0:
         raise ValueError("batch must be a non-empty (M, n) or (K, M, n) array")
     theta = np.asarray(theta, dtype=float)
     if noise is not None:
         _check_transition(model, batch, theta, noise)
-    return batch, _next_error_law(model, theta, batch, noise)
-
-
-def _bootstrap_weight(model: LinearGaussianModel, w: np.ndarray, gamma):
-    """M_w = I + gamma w, for one discount or one per run of a stack."""
-    return model.eye + np.reshape(gamma, np.shape(gamma) + (1, 1)) * w
-
-
-def _quadratic_form(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """s^T g s of each state, the n columns of (s g) * s added in order."""
-    gs = (s @ g) * s
-    return sum(gs[..., j] for j in range(s.shape[-1]))
-
-
-def _critic_step(model, law: _ErrorLaw, w: np.ndarray, batch, gamma):
-    """:func:`critic_loss_and_grad` on ``law``; with M_w = I + gamma w, td
-    is V(s'; M_w) - V(s; w) drawn, else V(s; F^T M_w F - w) - tr(M_w Sigma).
-    """
-    mw = _bootstrap_weight(model, w, gamma)
-    if law.drawn is not None:
-        td = _quadratic_form(w, batch) - _quadratic_form(mw, law.drawn)
+    pool = _transposed(batch)
+    if noise is None:
+        law = _integrated_law(model, theta, pool, _closed_loop(
+            model, theta, model.E @ cov_factor(model.Q), cov_factor(model.R)))
     else:
-        g = w - law.closed.swapaxes(-1, -2) @ mw @ law.closed
-        td = _quadratic_form(g, batch) - np.trace(
-            mw @ law.cov, axis1=-2, axis2=-1)[..., None]
-    loss = 0.5 * np.mean(td ** 2, axis=-1)
-    grad = (batch * td[..., None]).swapaxes(-1, -2) @ batch / batch.shape[-2]
-    return _per_run(loss), symmetrize(grad)
-
-
-def _actor_step(model: LinearGaussianModel, law: _ErrorLaw, w, gamma):
-    """Loss -tr(M_w second) and gradient (M_w + M_w^T) cross, either law."""
-    mw = _bootstrap_weight(model, w, gamma)
-    loss = -np.trace(mw @ law.second, axis1=-2, axis2=-1)
-    grad = (mw + mw.swapaxes(-1, -2)) @ law.cross
-    return _per_run(loss), grad
+        law = _drawn_law(model, theta, pool, model.E @ _transposed(noise.xi),
+                         _transposed(noise.zeta))
+    return pool, law, np.reshape(gamma, np.shape(gamma) + (1, 1))
 
 
 def critic_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
@@ -304,8 +326,11 @@ def critic_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
     the covariance of s' given s.  On a stack of runs (leading axis K)
     ``gamma`` may hold one discount per run and the loss is one per run.
     """
-    batch, law = _checked_law(model, theta, batch, noise_batch)
-    return _critic_step(model, law, np.asarray(w, dtype=float), batch, gamma)
+    pool, law, gamma_col = _checked_law(model, theta, batch, noise_batch,
+                                        gamma)
+    loss, grad = _critic_step(model, law, np.asarray(w, dtype=float), pool,
+                              gamma_col)
+    return _per_run(loss), grad
 
 
 def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
@@ -320,11 +345,14 @@ def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
     so the exact derivative with the noise held fixed is
     (M_w + M_w^T) mean[s' v^T].  With ``noise_batch=None`` the noise is
     integrated out of both batch moments, and the loss is the same trace.
-    Critic weights are held fixed (policy-improvement step).
-    Stacks of runs are handled as in :func:`critic_loss_and_grad`.
+    Critic weights are held fixed (policy-improvement step); only their
+    symmetric part enters.  Stacks of runs are handled as in
+    :func:`critic_loss_and_grad`.
     """
-    _, law = _checked_law(model, theta, batch, noise_batch)
-    return _actor_step(model, law, np.asarray(w, dtype=float), gamma)
+    _, law, gamma_col = _checked_law(model, theta, batch, noise_batch, gamma)
+    loss, descent = _actor_step(
+        model, law, symmetrize(np.asarray(w, dtype=float)), gamma_col)
+    return _per_run(loss), -descent
 
 
 @dataclass
@@ -398,16 +426,10 @@ def _divergence_message(theta, guard, worst_pool) -> str:
     return f"error pool diverged (max entry {worst_pool:.3e})"
 
 
-def _row_index(rows: np.ndarray, count: int) -> np.ndarray | None:
-    """``rows``, or None when it takes each of ``count`` rows in order."""
-    return None if np.array_equal(rows, np.arange(count)) else rows
-
-
-def _rows(noise: NoiseDraw, index: np.ndarray | None) -> NoiseDraw:
-    """Row index[k] of a draw for each k; the draw itself for None."""
-    if index is None:
-        return noise
-    return NoiseDraw(xi=noise.xi[index], zeta=noise.zeta[index])
+def _row_index(rows: np.ndarray, count: int) -> np.ndarray | slice:
+    """``rows``, or a slice of all when it takes each of ``count`` rows in
+    order, so that indexing by it gathers nothing."""
+    return slice(None) if np.array_equal(rows, np.arange(count)) else rows
 
 
 def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
@@ -419,21 +441,25 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     come from ``cfg``, and each run must pass :class:`TrainerConfig`'s
     checks; an empty ``seeds`` raises ValueError.  What depends on the seed
     alone is done once per distinct seed: one generator, one initial pool
-    and one burn-in.  Each step draws one noise batch per distinct seed,
-    and every run reads its seed's batch, so runs that share a seed (the
-    discounts of a sweep) share each draw.  A run still reads exactly what
-    it would draw alone, so its result depends only on its seed and
-    discount, never on what else is in the stack.
+    and one burn-in.  Each step makes one ``standard_normal`` call per
+    distinct seed, the stream :func:`draw_noise` draws, and every run reads
+    its seed's normals, so runs that share a seed (the discounts of a
+    sweep) share each draw.  A run still reads exactly what it would draw
+    alone, so its result depends only on its seed and discount, never on
+    what else is in the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
     iteration forms one law of the pool's next error, shared by the
-    evaluation and improvement steps, then advances the pool.  A run stops
-    when its gain's elementwise spread over the trailing 100 iterations
-    falls below ``cfg.convergence_tol`` (``converged``), when it diverges
-    (at iteration 0, with every run of its seed, if its seed's pool
-    diverges in burn-in), or at ``cfg.max_iters``; the other runs go on.
-    A run's gain averages its final ``cfg.tail_avg_frac`` of iterates,
-    which suppresses the stationary jitter of the stochastic updates.
+    evaluation and improvement steps, then advances the pool: by the drawn
+    transition under the old gain (``"sampled"``), or under the updated
+    gain in the evaluation rollout's closed-loop form e' = F e + D w, whose
+    F and D then serve the next law (``"analytic"``).  A run stops when its
+    gain's elementwise spread over the trailing 100 iterations falls below
+    ``cfg.convergence_tol`` (``converged``), when it diverges (at iteration
+    0, with every run of its seed, if its seed's pool diverges in burn-in),
+    or at ``cfg.max_iters``; the other runs go on.  A run's gain averages
+    its final ``cfg.tail_avg_frac`` of iterates, which suppresses the
+    stationary jitter of the stochastic updates.
 
     ``ref_gain``, if not all zero, only adds diagnostics (the histories'
     ``diff``) and a divergence guard at 1000x its largest element.  A run
@@ -460,31 +486,41 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         # Only non-finite gains fail the comparison below.
         guard = np.finfo(float).max
 
-    n, r, size, max_iters = model.n, model.r, cfg.batch_size, cfg.max_iters
+    n, r, p = model.n, model.r, model.p
+    size, max_iters = cfg.batch_size, cfg.max_iters
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     errors: list = [None] * count
     # A run's generator, initial pool and burn-in depend on its seed alone,
     # so they are made once per distinct seed (in order of first
-    # appearance), and run k reads row run_seed[k] of them.  One NoiseStack
-    # draws every seed's generator once per step, burn-in and training
-    # alike, also after all of a seed's runs have stopped: that generator
-    # feeds no other seed, so no run's numbers change.
+    # appearance), and run k reads row run_seed[k] of them.  Every seed's
+    # generator is drawn once per step, burn-in and training alike, also
+    # after all of its runs have stopped: that generator feeds no other
+    # seed, so no run's numbers change.
     row = {seed: u for u, seed in enumerate(dict.fromkeys(seeds))}
     run_seed = np.array([row[seed] for seed in seeds])
     rngs = [np.random.default_rng(seed) for seed in row]
-    pool = np.stack([sample_initial_error(model, cfg.init_mode, rng,
-                                          size=size) for rng in rngs])
-    noise_stack = NoiseStack(model, rngs, size)
+    pool = _transposed(np.stack([
+        sample_initial_error(model, cfg.init_mode, rng, size=size)
+        for rng in rngs]))
+    # A step's noise is its raw normals w = (xi, zeta), coloured by factors
+    # L L^T of Q and R taken once.  Burn-in and the drawn law form E (L_Q
+    # xi) and L_R zeta per seed, in the order of the per-member transition;
+    # the closed loop's D holds E L_Q.
+    q_factor, r_factor = cov_factor(model.Q), cov_factor(model.R)
+    process_factor = model.E @ q_factor
+    normals = [rng.standard_normal for rng in rngs]
+    raw = np.empty((len(rngs), size * (p + r)))
+    noise = np.empty((len(rngs), p + r, size))
 
-    # Burn-in advances the pools under the zero gain by the transition
-    # alone: the kernel builds its shapes, and step's reward would be
-    # thrown away.  A seed whose pool diverges stops all of its runs.
-    burning, burn_rows = np.arange(len(rngs)), None
-    zero_gain = np.zeros((len(rngs), n, r))
+    # Burn-in advances the pools under the zero gain, s' = A s + E L_Q xi.
+    # A seed whose pool diverges stops all of its runs.
+    burning = np.arange(len(rngs))
+    burn_rows = _row_index(burning, len(rngs))
     for _ in range(cfg.burn_in):
-        pool, _ = _transition(model, pool, zero_gain[:burning.size],
-                              _rows(noise_stack.draw(), burn_rows))
+        drawn = _draw_normals(normals, raw, noise, p)
+        pool = model.A @ pool
+        pool += model.E @ (q_factor @ drawn[burn_rows, :p])
         worst_pool, failed = diverged_runs(pool)
         if failed.any():
             for u, worst in zip(burning[failed], worst_pool[failed]):
@@ -497,9 +533,11 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     live = np.flatnonzero(np.isin(run_seed, burning))
     pool = pool[np.searchsorted(burning, run_seed[live])]
     seed_rows = _row_index(run_seed[live], len(rngs))
-    live_gammas = gammas[live]
+    hist_rows = _row_index(live, count)
+    gamma_col = gammas[live, np.newaxis, np.newaxis]
     theta = np.zeros((live.size, n, r))
     w = np.tile(model.eye, (live.size, 1, 1))
+    loop = _closed_loop(model, theta, process_factor, r_factor)
     # Adam's moment estimates for the critic and the actor.
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
                                   for a in (w, w, theta, theta))
@@ -510,42 +548,53 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
 
     def retire(stop, failed, worst_pool, k):
         """Record why the flagged live runs stopped at k, and drop them."""
-        nonlocal live, theta, w, pool, live_gammas, m_w, v_w, m_theta, v_theta
-        nonlocal seed_rows
+        nonlocal live, theta, w, pool, gamma_col, m_w, v_w, m_theta, v_theta
+        nonlocal loop, seed_rows, hist_rows
         iterations[live[stop]] = k
         converged[live[stop & ~failed]] = True
         for j in np.flatnonzero(failed):
             errors[live[j]] = _divergence_message(theta[j], guard,
                                                   worst_pool[j])
         keep = ~stop
-        live, theta, w, pool, live_gammas, m_w, v_w, m_theta, v_theta = (
-            a[keep] for a in (live, theta, w, pool, live_gammas,
+        live, theta, w, pool, gamma_col, m_w, v_w, m_theta, v_theta = (
+            a[keep] for a in (live, theta, w, pool, gamma_col,
                               m_w, v_w, m_theta, v_theta))
+        loop = tuple(a[keep] for a in loop)
         seed_rows = _row_index(run_seed[live], len(rngs))
+        hist_rows = _row_index(live, count)
 
     for k in range(1, max_iters + 1):
         if not live.size:
             break
-        noise = _rows(noise_stack.draw(), seed_rows)
-        law = _next_error_law(model, theta, pool, noise if sampled else None)
-        c_loss, c_grad = _critic_step(model, law, w, pool, live_gammas)
+        drawn = _draw_normals(normals, raw, noise, p)
+        if sampled:
+            law = _drawn_law(model, theta, pool,
+                             (model.E @ (q_factor @ drawn[:, :p]))[seed_rows],
+                             (r_factor @ drawn[:, p:])[seed_rows])
+        else:
+            law = _integrated_law(model, theta, pool, loop)
+        c_loss, c_grad = _critic_step(model, law, w, pool, gamma_col)
         w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k, cfg.lr_critic)
         w = symmetrize(w)
-        a_loss, a_grad = _actor_step(model, law, w, live_gammas)
-        # The actor ascends its objective, so Adam descends its negation.
+        a_loss, a_grad = _actor_step(model, law, w, gamma_col)
         updated, m_theta, v_theta = adam_update(
-            theta, -a_grad, m_theta, v_theta, k, cfg.lr_actor)
-        # A drawn law is this draw's transition under the old gain, and the
-        # pool takes it; with the noise integrated out, the pool advances
-        # under the updated gain.
-        pool = (law.drawn if law.drawn is not None
-                else _transition(model, pool, updated, noise)[0])
+            theta, a_grad, m_theta, v_theta, k, cfg.lr_actor)
+        if sampled:
+            # This draw's transition under the old gain.
+            pool = law.drawn
+        else:
+            # The updated gain's closed loop advances the pool by this
+            # step's normals, and serves the next iteration's law.
+            loop = _closed_loop(model, updated, process_factor, r_factor)
+            _, closed, drive = loop
+            pool = closed @ pool
+            pool += drive @ drawn[seed_rows]
         last_move = np.abs(updated - theta).max(axis=(1, 2))
         theta = updated
 
-        theta_hist[live, k - 1] = theta
-        critic_hist[live, k - 1] = c_loss
-        actor_hist[live, k - 1] = a_loss
+        theta_hist[hist_rows, k - 1] = theta
+        critic_hist[hist_rows, k - 1] = c_loss
+        actor_hist[hist_rows, k - 1] = a_loss
 
         worst_pool, failed = diverged_runs(pool)
         failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
-from steadygain import TrainerConfig, cli, evaluation
+from steadygain import TrainerConfig, cli, evaluation, training
 from steadygain.cli import RunConfig, main
-from steadygain.error_mdp import NoiseStack
 
 TABLE_KINF = np.array([[-5.31e-4, -2.31e-3], [3.25e-5, 5.07e-2]])
 
@@ -376,11 +375,11 @@ class TestConfigHandling:
             raise AssertionError("noise drawn before the config was checked")
 
         # eval's generator is made and first drawn in _initial_error;
-        # training draws its noise through a NoiseStack.
+        # training draws each step's normals in _draw_normals.
         if command == "eval":
             monkeypatch.setattr(evaluation, "_initial_error", no_rollout)
         else:
-            monkeypatch.setattr(NoiseStack, "draw", no_rollout)
+            monkeypatch.setattr(training, "_draw_normals", no_rollout)
         base = SMALL_EVAL if section == "eval" else SMALL_TRAINER
         cfg = write_config(tmp_path, **{section: {**base, name: value}})
         assert main([command, "--config", str(cfg)]) == 2

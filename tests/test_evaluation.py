@@ -325,7 +325,7 @@ class TestEvaluateGains:
                 f"gain 'wrong' must be 2 x 2, got {shape}")):
             evaluate_gains(bicycle, [("wrong", np.zeros(shape))], cfg)
         with pytest.raises(ValueError, match=re.escape(
-                f"gain must be 2 x 2, got {(1,) + shape}")):
+                f"gain must be 2 x 2, got {shape}")):
             run_trajectories(bicycle, np.zeros(shape), cfg)
 
     def test_gains_sharing_a_wrong_shape_name_the_first(self, bicycle,

@@ -14,7 +14,10 @@ from steadygain import (
     closed_form_one_step_gain,
     critic_loss_and_grad,
     draw_noise,
+    sample_initial_error,
     solve_dare,
+    step,
+    symmetrize,
     train,
     train_average,
     train_runs,
@@ -732,6 +735,60 @@ class TestTrainRuns:
                 assert (getattr(mine, field).tobytes()
                         == getattr(own, field).tobytes())
 
+    @pytest.mark.parametrize("estimator", ["analytic", "sampled"])
+    def test_matches_member_major_reference(self, bicycle, bicycle_dare,
+                                            estimator):
+        # Each run, trained alone on (M, n) batches by the per-member
+        # functions: draw_noise on the seed's generator, step for burn-in
+        # and for the pool advance (under the updated gain when the noise
+        # is integrated out, else the drawn s' under the old gain), and
+        # the public estimators, adam_update and symmetrize.
+        cfg = TrainerConfig(batch_size=32, max_iters=150, burn_in=20,
+                            estimator=estimator)
+        seeds, gammas = [4, 1], [0.5, 0.99]
+        runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
+                          ref_gain=bicycle_dare.gain)
+        sampled = estimator == "sampled"
+        for k, (seed, gamma) in enumerate(zip(seeds, gammas)):
+            rng = np.random.default_rng(seed)
+            pool = sample_initial_error(bicycle, cfg.init_mode, rng,
+                                        size=cfg.batch_size)
+            zero = np.zeros((bicycle.n, bicycle.r))
+            for _ in range(cfg.burn_in):
+                pool, _ = step(bicycle, pool, zero,
+                               draw_noise(bicycle, rng, cfg.batch_size))
+            theta, w = zero, np.eye(bicycle.n)
+            m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
+                                          for a in (w, w, theta, theta))
+            thetas, critic_losses, actor_losses = [], [], []
+            for it in range(1, cfg.max_iters + 1):
+                noise = draw_noise(bicycle, rng, cfg.batch_size)
+                law_noise = noise if sampled else None
+                c_loss, c_grad = critic_loss_and_grad(
+                    bicycle, w, theta, pool, law_noise, gamma=gamma)
+                w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, it,
+                                          cfg.lr_critic)
+                w = symmetrize(w)
+                a_loss, a_grad = actor_loss_and_grad(
+                    bicycle, w, theta, pool, law_noise, gamma=gamma)
+                updated, m_theta, v_theta = adam_update(
+                    theta, -a_grad, m_theta, v_theta, it, cfg.lr_actor)
+                pool, _ = step(bicycle, pool, theta if sampled else updated,
+                               noise)
+                theta = updated
+                thetas.append(theta)
+                critic_losses.append(c_loss)
+                actor_losses.append(a_loss)
+            assert runs.iterations[k] == cfg.max_iters
+            history = runs.history(k)
+            np.testing.assert_allclose(
+                history.theta, thetas, rtol=1e-12,
+                atol=1e-13 * np.abs(thetas).max())
+            np.testing.assert_allclose(history.critic_loss, critic_losses,
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(history.actor_loss, actor_losses,
+                                       rtol=1e-12, atol=0.0)
+
     @staticmethod
     def _flag_run_one_at(monkeypatch, call):
         """Report run 1's pool diverged at the guard's ``call``-th check."""
@@ -818,9 +875,9 @@ class TestTrainRuns:
 
     def test_each_seed_drawn_once_per_step(self, bicycle, monkeypatch):
         # Seeds 1 and 2 hold three and two runs.  Each seed's generator
-        # gives one process and one measurement batch per burn-in step and
-        # per iteration, however many runs read it, and goes on doing so
-        # after run 1 (seed 1) stops at iteration 5.
+        # gives one batch of normals, process then measurement, per burn-in
+        # step and per iteration, however many runs read it, and goes on
+        # doing so after run 1 (seed 1) stops at iteration 5.
         real = np.random.default_rng
 
         class Counting:
@@ -858,7 +915,7 @@ class TestTrainRuns:
         assert sorted(made) == [1, 2]
         assert runs.iterations.tolist() == [60, 5, 60, 60, 60]
         # One guard check per burn-in step and per iteration.
-        assert drawn == [[2 * step] * 2 for step in range(1, 66)]
+        assert drawn == [[step] * 2 for step in range(1, 66)]
 
     def test_gain_is_mean_of_recorded_tail(self, bicycle):
         # Run 0 converges before the tail starts at iteration 320, so its
