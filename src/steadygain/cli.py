@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .error_mdp import VEHICLE_INITIAL_ERROR
 from .errors import DivergenceError, NumericalError, check_integer, check_real
 from .evaluation import (EvalConfig, _check_named_gains, evaluate_gains,
                          gain_metrics, write_eval_csv)
@@ -93,9 +94,7 @@ class RunConfig:
 
 def _load_config(args) -> RunConfig:
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        cfg = RunConfig.from_dict(doc)
+        cfg = RunConfig.from_dict(_load_json(args.config, "config"))
     else:
         cfg = RunConfig()
     trainer = cfg.trainer
@@ -110,6 +109,29 @@ def _load_config(args) -> RunConfig:
         ev = replace(ev, seed=args.seed)
     out = args.out if args.out is not None else cfg.output_dir
     return replace(cfg, trainer=trainer, eval=ev, output_dir=out)
+
+
+def _load_json(path: str, what: str):
+    """The JSON document in ``path``, or a ValueError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{what} from {path} is not JSON: {err}") from None
+
+
+def _rollout_model(cfg: RunConfig) -> LinearGaussianModel:
+    """The model of train, eval or sweep-gamma, checked before any output.
+
+    Their initial errors come from the vehicle's box, so n must match it.
+    """
+    model = cfg.build_model()
+    if model.n != len(VEHICLE_INITIAL_ERROR):
+        raise ValueError(
+            f"the model has n={model.n} states, but the command line's "
+            f"initial-error box is the vehicle's "
+            f"{len(VEHICLE_INITIAL_ERROR)}-state one")
+    return model
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -151,7 +173,7 @@ def _reference_gain(model: LinearGaussianModel) -> np.ndarray:
 
 def cmd_train(cfg: RunConfig, n_seeds: int = 1) -> int:
     check_integer("--seeds", n_seeds, 1)
-    model = cfg.build_model()
+    model = _rollout_model(cfg)
     ref = _reference_gain(model)
     out = _out_dir(cfg)
     history_path = out / "train_history.csv"
@@ -181,10 +203,17 @@ def _load_gain(source: str, model: LinearGaussianModel) -> np.ndarray:
         return solve_dare(model).gain
     if source == "zero":
         return np.zeros((model.n, model.r))
-    with open(source) as fh:
-        doc = json.load(fh)
-    gain = np.asarray(doc["gain"] if isinstance(doc, dict) else doc,
-                      dtype=float)
+    doc = _load_json(source, "gain")
+    if isinstance(doc, dict):
+        if "gain" not in doc:
+            raise ValueError(f"gain from {source} is a JSON object with no "
+                             f"'gain' entry")
+        doc = doc["gain"]
+    try:
+        gain = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(
+            f"gain from {source} is not a matrix of numbers: {err}") from None
     if gain.shape != (model.n, model.r):
         raise ValueError(
             f"gain from {source} has shape {gain.shape}, "
@@ -195,7 +224,7 @@ def _load_gain(source: str, model: LinearGaussianModel) -> np.ndarray:
 
 
 def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
-    model = cfg.build_model()
+    model = _rollout_model(cfg)
     named = []
     for spec in gain_specs:
         name, _, source = spec.partition("=")
@@ -228,7 +257,7 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
         raise ValueError("gamma_sweep must list at least one discount")
     for i, gamma in enumerate(cfg.gamma_sweep):
         check_real(f"gamma_sweep[{i}]", gamma)
-    model = cfg.build_model()
+    model = _rollout_model(cfg)
     ref = _reference_gain(model)
     base = replace(cfg.trainer, init_mode="fixed")
     seeds = list(range(base.seed, base.seed + n_seeds))
@@ -326,8 +355,7 @@ def main(argv=None) -> int:
     except (NumericalError, DivergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, KeyError, OSError,
-            json.JSONDecodeError) as err:
+    except (ValueError, TypeError, KeyError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

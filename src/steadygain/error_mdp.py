@@ -21,7 +21,6 @@ from .models import LinearGaussianModel
 
 __all__ = [
     "NoiseDraw",
-    "NoiseStack",
     "cov_factor",
     "draw_noise",
     "step",
@@ -67,50 +66,23 @@ def cov_factor(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-class NoiseStack:
-    """Batched Gaussian noise, one (size, .) batch per generator per draw.
-
-    Each :meth:`draw` fills row u of ``buffers`` with a (size, .) batch of
-    process noise (covariance Q) and then measurement noise (covariance R)
-    from ``rngs[u]``, so a row never depends on the other generators.  The
-    generators are drawn in order and each once per draw; a caller whose
-    runs share a generator reads its row for each of them.  Q and R are
-    factored once, not per draw, and the transposed factors are stored
-    C-contiguous so that coloring the standard normals stays on BLAS (see
-    :func:`_transition`).  The stack owns its buffers: ``buffers`` holds
-    the (len(rngs), size, .) arrays every draw ends in, so a draw is
-    overwritten by the next one.  :func:`draw_noise` is the one-generator
-    form.
-    """
-
-    def __init__(self, model: LinearGaussianModel, rngs, size: int):
-        self._normals = [rng.standard_normal for rng in rngs]
-        count = len(self._normals)
-        self._fq_t = _transposed(cov_factor(model.Q))
-        self._fr_t = _transposed(cov_factor(model.R))
-        self._xi = np.empty((count, size, model.p))
-        self._zeta = np.empty((count, size, model.r))
-        self.buffers = NoiseDraw(xi=np.empty_like(self._xi),
-                                 zeta=np.empty_like(self._zeta))
-
-    def draw(self) -> NoiseDraw:
-        """One (len(rngs), size, .) batch, row u from generator u.
-
-        The batch is ``buffers``, valid until the next draw overwrites it.
-        """
-        for normal, xi, zeta in zip(self._normals, self._xi, self._zeta):
-            normal(out=xi)
-            normal(out=zeta)
-        return NoiseDraw(
-            xi=np.matmul(self._xi, self._fq_t, out=self.buffers.xi),
-            zeta=np.matmul(self._zeta, self._fr_t, out=self.buffers.zeta))
-
-
 def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
                size: int) -> NoiseDraw:
-    """A (size, .) noise batch from ``rng``: a one-run NoiseStack's draw."""
-    noise = NoiseStack(model, [rng], size).draw()
-    return NoiseDraw(xi=noise.xi[0], zeta=noise.zeta[0])
+    """A (size, .) noise batch from ``rng``, the members on the first axis.
+
+    One ``standard_normal`` call gives size p normals for xi and then
+    size r for zeta, the stream :func:`_draw_normals` draws per generator,
+    coloured by the :func:`cov_factor` factors of Q and R.  The factors
+    are transposed C-contiguous so that the products stay on BLAS (see
+    :func:`_transition`).  This is the form :func:`step` takes.
+    """
+    p, r = model.p, model.r
+    raw = rng.standard_normal(size * (p + r))
+    return NoiseDraw(
+        xi=raw[:size * p].reshape(size, p)
+        @ _transposed(cov_factor(model.Q)),
+        zeta=raw[size * p:].reshape(size, r)
+        @ _transposed(cov_factor(model.R)))
 
 
 def _draw_normals(normals, raw: np.ndarray, out: np.ndarray, p: int
@@ -119,10 +91,10 @@ def _draw_normals(normals, raw: np.ndarray, out: np.ndarray, p: int
 
     ``normals`` holds the ``standard_normal`` methods of S generators, and
     ``raw`` an (S, M (p + r)) buffer.  Generator u fills row u of ``raw``
-    with M p normals for xi and then M r for zeta, the stream a
-    :class:`NoiseStack` draws in two calls.  One copy moves them into
-    ``out``, xi's p rows over zeta's r, the M members on the last axis.
-    Training and the evaluation rollout draw their noise through this.
+    with M p normals for xi and then M r for zeta in one call, the stream
+    :func:`draw_noise` colours.  One copy moves them into ``out``, xi's p
+    rows over zeta's r, the M members on the last axis.  Training and the
+    evaluation rollout draw their noise through this.
     """
     for normal, row in zip(normals, raw):
         normal(out=row)
@@ -140,12 +112,9 @@ def _transition(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
     """
     # Every right operand is a C-contiguous transpose, because numpy's
     # matmul stays on BLAS only for contiguous operands: a transposed view
-    # such as A.T sends it to a slow generic loop.  With one BLAS thread,
-    # (3, 10 000, 2) @ (2, 2) took 34-62 us against 160-210 us with the
-    # view; (15, 256, 2), a sweep pool, 9 us against 33 us; and
-    # (1, 256, 2) 2.4 us against 3.9 us.  The products are bitwise equal.
-    # The plant's transposes are derived once per model (``model.A_T`` and
-    # friends); only the gain's is copied per call.
+    # such as A.T sends it to a slow generic loop, which gives bitwise
+    # equal products.  The plant's transposes are derived once per model
+    # (``model.A_T`` and friends); only the gain's is copied per call.
     nxt = np.matmul(s, model.A_T)
     nxt += np.matmul(noise.xi, model.E_T)
     v = np.matmul(nxt, model.C_T)
@@ -269,7 +238,9 @@ def sample_initial_error(model: LinearGaussianModel, mode: str,
 def diverged_runs(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest entry magnitude of each run's pool, and which runs diverged.
 
-    ``pool`` is one run's (M, n) pool or a stack (K, M, n) of them.  A run
+    ``pool`` is one run's pool or a stack of them, reduced over its last
+    two axes, so either layout serves: (n, M) or (K, n, M), as training
+    and evaluation hold them, or member-major (M, n) or (K, M, n).  A run
     has diverged when an entry is non-finite or beyond the guard (an error
     process under a destabilizing gain grows without bound).
     """

@@ -83,9 +83,9 @@ def _rollout(model: LinearGaussianModel, gains: np.ndarray, t_test: int,
     w = (xi, zeta) stacks the raw standard normals.  This is the error
     transition e' = (I - K C)(A e + E L_Q xi) - K L_R zeta with the noise
     colouring folded into D.  Each step draws N p normals for xi and then
-    N r for zeta from ``rng`` by :func:`_draw_normals`, the stream a
-    :class:`NoiseStack` draws, as training does, and advances the
-    (count, n, N) error stack, trajectories on the last axis.
+    N r for zeta from ``rng`` in one call by :func:`_draw_normals`, as
+    training does, and advances the (count, n, N) error stack,
+    trajectories on the last axis.
     A gain leaves the stack at the step where :func:`diverged_runs` flags its
     errors (non-finite or beyond the guard); the noise is shared, so that
     never changes another gain's numbers.

@@ -437,36 +437,68 @@ class TestConfigHandling:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_non_finite_gain_file_exits_two_before_rollout(
-            self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps({"gain": [[0.0, float("nan")], [0.0, 0.05]]}),
+         "contains non-finite entries"),
+        ('{"x": 1}', "is a JSON object with no 'gain' entry"),
+        ('[["a", 1], [2, 3]]', "is not a matrix of numbers"),
+        ("[[1, 2], [3]]", "is not a matrix of numbers"),
+        ("{not json", "is not JSON"),
+    ], ids=["non-finite", "no-gain-entry", "string-entry", "ragged",
+            "not-json"])
+    def test_bad_gain_file_exits_two_before_rollout(
+            self, tmp_path, capsys, monkeypatch, text, message):
         def no_rollout(*args, **kwargs):
             raise AssertionError("noise drawn before the gains were checked")
 
         monkeypatch.setattr(evaluation, "_initial_error", no_rollout)
         bad = tmp_path / "theta.json"
-        bad.write_text(json.dumps({"gain": [[0.0, float("nan")],
-                                            [0.0, 0.05]]}))
+        bad.write_text(text)
         cfg = write_config(tmp_path)
         code = main(["eval", "--config", str(cfg),
                      "--gain", "dare", "--gain", f"learned={bad}"])
         assert code == 2
-        assert f"gain from {bad} contains non-finite entries" in (
+        assert f"config error: gain from {bad} {message}" in (
             capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text,part", [
-        ("[]", "the config document"), ("42", "the config document"),
-        ("null", "the config document"), ('"x"', "the config document"),
-        ('{"trainer": []}', "the trainer section"),
-        ('{"eval": null}', "the eval section"),
-    ], ids=["list", "number", "null", "string", "trainer-list", "eval-null"])
+    @pytest.mark.parametrize("text,message", [
+        ("[]", "the config document must be a JSON object"),
+        ("42", "the config document must be a JSON object"),
+        ("null", "the config document must be a JSON object"),
+        ('"x"', "the config document must be a JSON object"),
+        ('{"trainer": []}', "the trainer section must be a JSON object"),
+        ('{"eval": null}', "the eval section must be a JSON object"),
+        ("{not json", "config from {path} is not JSON"),
+    ], ids=["list", "number", "null", "string", "trainer-list", "eval-null",
+            "not-json"])
     def test_non_object_config_exits_two_before_work(self, tmp_path, capsys,
-                                                     text, part):
+                                                     text, message):
         path = tmp_path / "config.json"
         path.write_text(text)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
-        assert f"config error: {part} must be a JSON object" in (
+        assert f"config error: {message.format(path=path)}" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep-gamma", "eval"])
+    def test_plant_of_other_order_exits_two_before_output(
+            self, tmp_path, capsys, command):
+        # solve takes any order; the commands that draw initial errors
+        # draw them from the vehicle's 2-state box.
+        inline = {
+            "A": [[0.9, 0.1, 0.0], [0.0, 0.8, 0.1], [0.0, 0.0, 0.7]],
+            "B": [[0.0], [0.0], [1.0]], "C": [[1.0, 0.0, 0.0]],
+            "D": [[0.0]], "E": [[0.0], [0.0], [1.0]], "Q": [[0.3]],
+            "R": [[0.2]], "dt": 0.01,
+        }
+        cfg = write_config(tmp_path, model={"inline": inline})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "the model has n=3 states" in err
+        assert "initial-error box is the vehicle's 2-state one" in err
         assert not out.exists()
 
     def test_repeated_gain_name_exits_two(self, tmp_path, capsys):

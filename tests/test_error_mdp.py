@@ -11,8 +11,7 @@ from steadygain import (
     spectral_radius,
     step,
 )
-from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, NoiseStack,
-                                  diverged_runs)
+from steadygain.error_mdp import VEHICLE_INITIAL_ERROR, diverged_runs
 
 from conftest import random_system, scalar_model
 
@@ -236,8 +235,9 @@ def refresh(model, pool, gain, rng):
 
 
 class TestRefreshPool:
-    """Pools advanced by ``step`` on ``draw_noise`` (a one-run NoiseStack
-    draw, as in training) and checked by the ``diverged_runs`` guard."""
+    """Pools advanced by ``step`` on ``draw_noise`` (one ``standard_normal``
+    call, the stream training draws) and checked by the ``diverged_runs``
+    guard."""
 
     def test_origin_fixed_point_without_noise(self):
         model = identity_output_model(q=0.0, r=1e-30)
@@ -344,15 +344,3 @@ class TestNoiseDraw:
         b = draw_noise(bicycle, np.random.default_rng(21), size=10)
         np.testing.assert_array_equal(a.xi, b.xi)
         np.testing.assert_array_equal(a.zeta, b.zeta)
-
-    def test_is_one_run_of_a_stack(self, bicycle):
-        # Run k of a stack draws what its generator alone would, whatever
-        # the other runs are.
-        stack = NoiseStack(bicycle, [np.random.default_rng(seed)
-                                     for seed in (30, 31, 32)], 6)
-        alone = np.random.default_rng(31)
-        for _ in range(2):
-            drawn = stack.draw()
-            own = draw_noise(bicycle, alone, 6)
-            np.testing.assert_array_equal(drawn.xi[1], own.xi)
-            np.testing.assert_array_equal(drawn.zeta[1], own.zeta)

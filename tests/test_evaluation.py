@@ -17,8 +17,8 @@ from steadygain import (
     spectral_radius,
 )
 from steadygain import evaluation
-from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, NoiseStack,
-                                  diverged_runs, step)
+from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, NoiseDraw,
+                                  diverged_runs, draw_noise, step)
 from steadygain.evaluation import _rollout, write_eval_csv
 
 from conftest import random_system
@@ -182,12 +182,18 @@ class TestGainMetrics:
 
 
 def reference_rollout(model, gains, t_test, e0, rng):
-    """The rollout written on ``step``, with fresh arrays every step."""
-    noise = NoiseStack(model, [rng], e0.shape[0])
+    """The rollout written on ``step``, with fresh arrays every step.
+
+    Each step's ``draw_noise`` batch is shared by every gain as
+    (1, N, .) noise.
+    """
     alive = np.arange(len(gains))
     err = np.repeat(e0[np.newaxis], len(gains), axis=0)
     for t in range(1, t_test + 1):
-        err, reward = step(model, err, gains, noise.draw())
+        noise = draw_noise(model, rng, len(e0))
+        shared = NoiseDraw(xi=noise.xi[np.newaxis],
+                           zeta=noise.zeta[np.newaxis])
+        err, reward = step(model, err, gains, shared)
         _, bad = diverged_runs(err)
         if bad.any():
             kept = ~bad
