@@ -257,6 +257,13 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
         raise ValueError("gamma_sweep must list at least one discount")
     for i, gamma in enumerate(cfg.gamma_sweep):
         check_real(f"gamma_sweep[{i}]", gamma)
+        if not 0.0 <= gamma < 1.0:
+            raise ValueError(f"gamma_sweep[{i}] must be in [0, 1), "
+                             f"got {gamma}")
+        if gamma in cfg.gamma_sweep[:i]:
+            raise ValueError(f"gamma_sweep[{i}] repeats the discount "
+                             f"{gamma} of gamma_sweep"
+                             f"[{cfg.gamma_sweep.index(gamma)}]")
     model = _rollout_model(cfg)
     ref = _reference_gain(model)
     base = replace(cfg.trainer, init_mode="fixed")

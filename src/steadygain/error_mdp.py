@@ -93,8 +93,10 @@ def _draw_normals(normals, raw: np.ndarray, out: np.ndarray, p: int
     ``raw`` an (S, M (p + r)) buffer.  Generator u fills row u of ``raw``
     with M p normals for xi and then M r for zeta in one call, the stream
     :func:`draw_noise` colours.  One copy moves them into ``out``, xi's p
-    rows over zeta's r, the M members on the last axis.  Training and the
-    evaluation rollout draw their noise through this.
+    rows over zeta's r, the M members on the last axis.  Each training
+    iteration and each evaluation step draws its noise through this;
+    training's burn-in draws its pool's law once, n M normals per
+    generator, outside it.
     """
     for normal, row in zip(normals, raw):
         normal(out=row)
@@ -139,6 +141,30 @@ def _closed_loop(model: LinearGaussianModel, gains: np.ndarray,
     drive = np.concatenate((filtered @ process_factor,
                             -gains @ measurement_factor), axis=-1)
     return filtered, closed, drive
+
+
+def _n_step_law(closed: np.ndarray, cov: np.ndarray, steps: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """closed^steps and sum_{k < steps} closed^k cov closed^k^T.
+
+    After ``steps`` transitions e' = closed e + w with w ~ N(0, cov), the
+    error is closed^steps e plus Gaussian noise of that covariance.  Both
+    come from Smith's doubling (1968), the way
+    :func:`~steadygain.kalman.solve_dare` doubles its Riccati steps: the
+    law of 2j steps is that of j steps composed with itself, so O(log
+    steps) n x n products give the law of any step count.
+    """
+    power, total = np.eye(len(closed)), np.zeros_like(cov)
+    while steps:
+        if steps & 1:
+            # Append the current 2^j-step block to the steps taken so far.
+            power = closed @ power
+            total = closed @ total @ closed.T + cov
+        steps >>= 1
+        if steps:
+            cov = cov + closed @ cov @ closed.T
+            closed = closed @ closed
+    return power, total
 
 
 def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,

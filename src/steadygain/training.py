@@ -38,8 +38,9 @@ import numpy as np
 # (perfbench/cases.py, trace_targets) wraps them at these names, and its
 # smoke test fails without them; they go when it traces what runs.
 from .error_mdp import (NoiseDraw, _check_transition,  # noqa: F401
-                        _closed_loop, _draw_normals, _transposed, cov_factor,
-                        diverged_runs, draw_noise, sample_initial_error, step)
+                        _closed_loop, _draw_normals, _n_step_law, _transposed,
+                        cov_factor, diverged_runs, draw_noise,
+                        sample_initial_error, step)
 from .errors import DivergenceError, check_integer, check_real
 from .kalman import symmetrize
 from .models import LinearGaussianModel
@@ -102,8 +103,9 @@ class TrainerConfig:
     convergence_tol: float = 1e-6
     seed: int = 0
     init_mode: str = "uniform_box"   # pool seeding: "uniform_box" | "fixed"
-    # Zero-gain pool steps before training.  Sampled at batch 32 from the
-    # uniform box, seeds 1-3 diverge (iterations 185-209) after 20, not 100.
+    # Zero-gain pool steps before training, drawn as their exact law.
+    # Sampled at batch 32 from the uniform box, 9 of seeds 1-10 diverge
+    # (iterations 182-235) after 20, none of them after 100.
     burn_in: int = 400
     estimator: str = "analytic"      # "analytic" | "sampled"
     tail_avg_frac: float = 0.5       # fraction of final iterates averaged
@@ -441,12 +443,15 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     come from ``cfg``, and each run must pass :class:`TrainerConfig`'s
     checks; an empty ``seeds`` raises ValueError.  What depends on the seed
     alone is done once per distinct seed: one generator, one initial pool
-    and one burn-in.  Each step makes one ``standard_normal`` call per
-    distinct seed, the stream :func:`draw_noise` draws, and every run reads
-    its seed's normals, so runs that share a seed (the discounts of a
-    sweep) share each draw.  A run still reads exactly what it would draw
-    alone, so its result depends only on its seed and discount, never on
-    what else is in the stack.
+    and one burn-in.  The burn-in is one draw from the pool's exact law
+    after ``cfg.burn_in`` zero-gain steps s' = A s + E xi (see
+    :func:`~steadygain.error_mdp._n_step_law`), n M normals per seed.  Each
+    iteration then makes one ``standard_normal`` call per distinct seed,
+    the stream :func:`draw_noise` draws, and every run reads its seed's
+    normals, so runs that share a seed (the discounts of a sweep) share
+    each draw.  A run still reads exactly what it would draw alone, so its
+    result depends only on its seed and discount, never on what else is in
+    the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
     iteration forms one law of the pool's next error, shared by the
@@ -494,9 +499,9 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # A run's generator, initial pool and burn-in depend on its seed alone,
     # so they are made once per distinct seed (in order of first
     # appearance), and run k reads row run_seed[k] of them.  Every seed's
-    # generator is drawn once per step, burn-in and training alike, also
-    # after all of its runs have stopped: that generator feeds no other
-    # seed, so no run's numbers change.
+    # generator gives one burn-in draw and then one draw per iteration,
+    # also after all of its runs have stopped: that generator feeds no
+    # other seed, so no run's numbers change.
     row = {seed: u for u, seed in enumerate(dict.fromkeys(seeds))}
     run_seed = np.array([row[seed] for seed in seeds])
     rngs = [np.random.default_rng(seed) for seed in row]
@@ -504,31 +509,37 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         sample_initial_error(model, cfg.init_mode, rng, size=size)
         for rng in rngs]))
     # A step's noise is its raw normals w = (xi, zeta), coloured by factors
-    # L L^T of Q and R taken once.  Burn-in and the drawn law form E (L_Q
-    # xi) and L_R zeta per seed, in the order of the per-member transition;
-    # the closed loop's D holds E L_Q.
+    # L L^T of Q and R taken once.  The drawn law forms E (L_Q xi) and L_R
+    # zeta per seed, in the order of the per-member transition; the closed
+    # loop's D holds E L_Q.
     q_factor, r_factor = cov_factor(model.Q), cov_factor(model.R)
     process_factor = model.E @ q_factor
     normals = [rng.standard_normal for rng in rngs]
     raw = np.empty((len(rngs), size * (p + r)))
     noise = np.empty((len(rngs), p + r, size))
 
-    # Burn-in advances the pools under the zero gain, s' = A s + E L_Q xi.
-    # A seed whose pool diverges stops all of its runs.
+    # Burn-in: after N zero-gain steps s' = A s + E L_Q xi, a pool is
+    # Gaussian about A^N s with covariance S_N = sum_{k<N} A^k E Q E^T
+    # A^k^T, so each seed draws it at once, its n x M normals coloured by
+    # a factor of S_N.  A seed whose pool diverges stops all of its runs.
+    # A law that overflowed (a strongly unstable A) is neither factored nor
+    # drawn: it makes every pool infinite.
     burning = np.arange(len(rngs))
-    burn_rows = _row_index(burning, len(rngs))
-    for _ in range(cfg.burn_in):
-        drawn = _draw_normals(normals, raw, noise, p)
-        pool = model.A @ pool
-        pool += model.E @ (q_factor @ drawn[burn_rows, :p])
+    if cfg.burn_in:
+        with np.errstate(over="ignore", invalid="ignore"):
+            power, spread = _n_step_law(model.A, model.effective_process_cov(),
+                                        cfg.burn_in)
+            if np.isfinite(power).all() and np.isfinite(spread).all():
+                pool = power @ pool + cov_factor(spread) @ np.stack(
+                    [rng.standard_normal((n, size)) for rng in rngs])
+            else:
+                pool = np.full_like(pool, np.inf)
         worst_pool, failed = diverged_runs(pool)
-        if failed.any():
-            for u, worst in zip(burning[failed], worst_pool[failed]):
-                for k in np.flatnonzero(run_seed == u):
-                    errors[k] = ("error pool diverged during burn-in "
-                                 f"(max entry {worst:.3e})")
-            pool, burning = pool[~failed], burning[~failed]
-            burn_rows = _row_index(burning, len(rngs))
+        for u, worst in zip(burning[failed], worst_pool[failed]):
+            for k in np.flatnonzero(run_seed == u):
+                errors[k] = ("error pool diverged during burn-in "
+                             f"(max entry {worst:.3e})")
+        pool, burning = pool[~failed], burning[~failed]
 
     live = np.flatnonzero(np.isin(run_seed, burning))
     pool = pool[np.searchsorted(burning, run_seed[live])]

@@ -104,8 +104,9 @@ class TestTrain:
                                       np.zeros((2, 2)))
 
     def test_pool_diverging_in_burn_in_exits_one(self, tmp_path, capsys):
-        # Burn-in runs under the zero gain, so the mode at 3 grows by 3x per
-        # step and passes the pool guard long before the 400 steps end.
+        # Burn-in draws the law of 400 zero-gain steps.  On the mode at 3,
+        # A^400 s is near 1e189 and S_400 (about 9^400) overflows, so the
+        # pool fails its guard, with no warning from the overflow.
         inline = {
             "A": [[3.0, 0.0], [0.0, 0.5]], "B": [[0.0], [0.0]],
             "C": np.eye(2).tolist(), "D": [[0.0], [0.0]],
@@ -435,6 +436,24 @@ class TestConfigHandling:
         assert main(["sweep-gamma", "--config", str(cfg)]) == 2
         assert ("gamma_sweep must be a list of discounts"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep,message", [
+        ([1.0], "gamma_sweep[0] must be in [0, 1), got 1.0"),
+        ([0.5, float("nan")], "gamma_sweep[1] must be in [0, 1), got nan"),
+        ([0.5, -0.25], "gamma_sweep[1] must be in [0, 1), got -0.25"),
+        ([0.5, 0.5], "gamma_sweep[1] repeats the discount 0.5 of "
+                     "gamma_sweep[0]"),
+        ([0, 0.25, 0.0], "gamma_sweep[2] repeats the discount 0.0 of "
+                         "gamma_sweep[0]"),
+    ], ids=["one", "nan", "negative", "repeated", "repeated-zero"])
+    def test_bad_discount_exits_two_before_output(self, tmp_path, capsys,
+                                                  sweep, message):
+        # A repeated discount would train the same runs twice and write
+        # two identical sweep.csv rows.
+        cfg = write_config(tmp_path, gamma_sweep=sweep)
+        assert main(["sweep-gamma", "--config", str(cfg), "--seeds", "1"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text,message", [

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from steadygain import (
     LinearGaussianModel,
@@ -11,7 +12,8 @@ from steadygain import (
     spectral_radius,
     step,
 )
-from steadygain.error_mdp import VEHICLE_INITIAL_ERROR, diverged_runs
+from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, _n_step_law,
+                                  diverged_runs)
 
 from conftest import random_system, scalar_model
 
@@ -327,6 +329,43 @@ class TestRefreshPool:
         # An empty pool has no largest entry, so the guard refuses it.
         with pytest.raises(ValueError):
             diverged_runs(np.zeros((0, 2)))
+
+
+class TestNStepLaw:
+    """The law of N steps e' = A e + w, w ~ N(0, W): A^N and S_N."""
+
+    @staticmethod
+    def stepped(closed, cov, steps):
+        """A^N and S_N by N single steps, S <- A S A^T + W, Phi <- A Phi."""
+        power, total = np.eye(len(closed)), np.zeros_like(cov)
+        for _ in range(steps):
+            power = closed @ power
+            total = closed @ total @ closed.T + cov
+        return power, total
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 5, 400])
+    def test_matches_stepped_law_on_random_plants(self, steps):
+        rng = np.random.default_rng(600 + steps)
+        for _ in range(20):
+            model = random_system(rng)
+            cov = model.effective_process_cov()
+            power, total = _n_step_law(model.A, cov, steps)
+            ref_power, ref_total = self.stepped(model.A, cov, steps)
+            np.testing.assert_allclose(power, ref_power, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=0.0)
+
+    def test_long_law_of_a_stable_plant_is_its_lyapunov_solution(self):
+        # rho(A) <= 0.9 on these plants, so after 2 000 steps A^N is below
+        # 1e-60 and S_N is the stationary covariance to rounding.
+        rng = np.random.default_rng(700)
+        for _ in range(20):
+            model = random_system(rng)
+            cov = model.effective_process_cov()
+            power, total = _n_step_law(model.A, cov, 2000)
+            assert np.abs(power).max() < 1e-60
+            np.testing.assert_allclose(
+                total, solve_discrete_lyapunov(model.A, cov), rtol=1e-10,
+                atol=0.0)
 
 
 class TestNoiseDraw:

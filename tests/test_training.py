@@ -1,4 +1,6 @@
 import csv
+import time
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -712,9 +714,9 @@ class TestTrainRuns:
         # the seed's generator, initial pool and burn-in; each run still
         # equals the same seed and discount trained alone, also when runs
         # of one seed stop at different iterations.  Every run stops early:
-        # converged, or (sampled from the uniform box, at this small batch)
-        # with its pool diverged.
-        cfg = TrainerConfig(batch_size=16, max_iters=400, burn_in=20,
+        # converged (analytic), or with its pool diverged (sampled, at this
+        # small batch and short burn-in).
+        cfg = TrainerConfig(batch_size=16, max_iters=400, burn_in=15,
                             convergence_tol=3e-3, estimator=estimator,
                             init_mode=init_mode)
         seeds, gammas = [1, 1, 2, 2, 1], [0.5, 0.99, 0.25, 0.75, 0.01]
@@ -739,24 +741,33 @@ class TestTrainRuns:
     def test_matches_member_major_reference(self, bicycle, bicycle_dare,
                                             estimator):
         # Each run, trained alone on (M, n) batches by the per-member
-        # functions: draw_noise on the seed's generator, step for burn-in
-        # and for the pool advance (under the updated gain when the noise
-        # is integrated out, else the drawn s' under the old gain), and
-        # the public estimators, adam_update and symmetrize.
-        cfg = TrainerConfig(batch_size=32, max_iters=150, burn_in=20,
+        # functions: a burn-in drawn once from the law of burn_in zero-gain
+        # steps (A^N and S_N stepped one transition at a time, one (n, M)
+        # draw coloured by cov_factor(S_N)), then draw_noise on the seed's
+        # generator, step for the pool advance (under the updated gain when
+        # the noise is integrated out, else the drawn s' under the old
+        # gain), and the public estimators, adam_update and symmetrize.
+        # After a burn-in of 20, the sampled run of seed 4 grows the
+        # rounding-level gap between the two burn-in laws to 2e-11 by
+        # iteration 150; after one of 100, every gap stays below 1e-16.
+        cfg = TrainerConfig(batch_size=32, max_iters=150, burn_in=100,
                             estimator=estimator)
         seeds, gammas = [4, 1], [0.5, 0.99]
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
                           ref_gain=bicycle_dare.gain)
         sampled = estimator == "sampled"
+        power, spread = np.eye(bicycle.n), np.zeros((bicycle.n, bicycle.n))
+        for _ in range(cfg.burn_in):
+            power = bicycle.A @ power
+            spread = (bicycle.A @ spread @ bicycle.A.T
+                      + bicycle.E @ bicycle.Q @ bicycle.E.T)
         for k, (seed, gamma) in enumerate(zip(seeds, gammas)):
             rng = np.random.default_rng(seed)
             pool = sample_initial_error(bicycle, cfg.init_mode, rng,
                                         size=cfg.batch_size)
+            pool = (power @ pool.T + cov_factor(spread) @ rng.standard_normal(
+                (bicycle.n, cfg.batch_size))).T
             zero = np.zeros((bicycle.n, bicycle.r))
-            for _ in range(cfg.burn_in):
-                pool, _ = step(bicycle, pool, zero,
-                               draw_noise(bicycle, rng, cfg.batch_size))
             theta, w = zero, np.eye(bicycle.n)
             m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
                                           for a in (w, w, theta, theta))
@@ -806,15 +817,15 @@ class TestTrainRuns:
         return calls
 
     def test_failing_run_stops_alone(self, bicycle, monkeypatch):
-        # Run 1's pool is reported diverged at iteration 5, after the five
-        # burn-in checks; runs 0 and 2 must finish exactly as they would
+        # Run 1's pool is reported diverged at iteration 5, after the one
+        # burn-in check; runs 0 and 2 must finish exactly as they would
         # alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
         seeds = [0, 1, 2]
         alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
-        calls = self._flag_run_one_at(monkeypatch, 10)
+        calls = self._flag_run_one_at(monkeypatch, 6)
         runs = train_runs(bicycle, cfg, seeds=seeds)
-        assert calls[:10] == [3] * 10 and set(calls[10:]) == {2}
+        assert calls[:6] == [3] * 6 and set(calls[6:]) == {2}
         assert runs.iterations.tolist() == [60, 5, 60]
         assert "pool diverged" in runs.errors[1]
         assert runs.errors[0] is None and runs.errors[2] is None
@@ -829,14 +840,14 @@ class TestTrainRuns:
         assert excinfo.value.history.iterations == 5
 
     def test_run_diverging_in_burn_in_stops_alone(self, bicycle, monkeypatch):
-        # Flagged at the third burn-in step, run 1 never trains; runs 0 and
+        # Flagged at the one burn-in check, run 1 never trains; runs 0 and
         # 2 draw and train exactly as they would alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
         seeds = [0, 1, 2]
         alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
-        calls = self._flag_run_one_at(monkeypatch, 3)
+        calls = self._flag_run_one_at(monkeypatch, 1)
         runs = train_runs(bicycle, cfg, seeds=seeds)
-        assert calls[:3] == [3] * 3 and set(calls[3:]) == {2}
+        assert calls[:1] == [3] and set(calls[1:]) == {2}
         assert runs.iterations.tolist() == [60, 0, 60]
         assert "diverged during burn-in" in runs.errors[1]
         assert np.isnan(runs.gains[1]).all()
@@ -851,16 +862,16 @@ class TestTrainRuns:
     def test_shared_seed_diverging_in_burn_in_stops_all_its_runs(
             self, bicycle, monkeypatch):
         # Burn-in runs once per distinct seed, in order of first
-        # appearance (0, 1, 2), so flagging row 1 at the third burn-in
+        # appearance (0, 1, 2), so flagging row 1 at the one burn-in
         # check fails seed 1: its runs 1 and 3 never train, and the runs
         # of seeds 0 and 2 train exactly as they would alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
         seeds, gammas = [0, 1, 0, 1, 2], [0.5, 0.5, 0.9, 0.9, 0.5]
         alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
                  for seed, gamma in zip(seeds, gammas)]
-        calls = self._flag_run_one_at(monkeypatch, 3)
+        calls = self._flag_run_one_at(monkeypatch, 1)
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
-        assert calls[:5] == [3, 3, 3, 2, 2] and set(calls[5:]) == {3}
+        assert calls[:1] == [3] and set(calls[1:]) == {3}
         assert runs.iterations.tolist() == [60, 0, 60, 0, 60]
         for k in (1, 3):
             assert "diverged during burn-in" in runs.errors[k]
@@ -873,23 +884,94 @@ class TestTrainRuns:
             np.testing.assert_array_equal(runs.gains[k], gain)
             np.testing.assert_array_equal(runs.history(k).theta, history.theta)
 
+    def test_burn_in_pool_has_the_law_of_its_steps(self, bicycle,
+                                                   monkeypatch):
+        # From the fixed initial error s0, the burned-in pool is A^N s0
+        # plus Gaussian errors of covariance S_N, both stepped here one
+        # transition at a time.  The pool reaches the guard once, after its
+        # draw; on M = 20 000 members the sample mean and covariance of
+        # pool - A^N s0 sit within 4 standard errors: sqrt(S_ii / M) and
+        # sqrt((S_ii S_jj + S_ij^2) / M).
+        pools = []
+        real = training.diverged_runs
+
+        def keep_pool(pool):
+            pools.append(pool.copy())
+            return real(pool)
+
+        monkeypatch.setattr(training, "diverged_runs", keep_pool)
+        size = 20_000
+        # A burn-in short enough that A^N s0 stays far from zero.
+        cfg = TrainerConfig(batch_size=size, max_iters=0, burn_in=20,
+                            init_mode="fixed")
+        train_runs(bicycle, cfg)
+        assert len(pools) == 1 and pools[0].shape == (1, bicycle.n, size)
+        power, spread = np.eye(bicycle.n), np.zeros((bicycle.n, bicycle.n))
+        for _ in range(cfg.burn_in):
+            power = bicycle.A @ power
+            spread = (bicycle.A @ spread @ bicycle.A.T
+                      + bicycle.E @ bicycle.Q @ bicycle.E.T)
+        start = sample_initial_error(bicycle, "fixed", size=1)[0]
+        errors = pools[0][0] - (power @ start)[:, None]
+        variance = np.diag(spread)
+        assert (np.abs(errors.mean(axis=1))
+                <= 4.0 * np.sqrt(variance / size)).all()
+        sample = errors @ errors.T / size
+        bound = 4.0 * np.sqrt((np.outer(variance, variance) + spread ** 2)
+                              / size)
+        assert (np.abs(sample - spread) <= bound).all()
+
+    def test_long_burn_in_is_one_draw(self, bicycle):
+        # A million zero-gain steps cost one draw of the law, not a
+        # million transitions.
+        cfg = TrainerConfig(batch_size=16, max_iters=1, burn_in=10**6)
+        start = time.perf_counter()
+        runs = train_runs(bicycle, cfg, seeds=[0, 1])
+        assert time.perf_counter() - start < 1.0
+        assert runs.errors == [None, None]
+        assert runs.iterations.tolist() == [1, 1]
+
+    def test_overflowing_burn_in_stops_every_seed_without_warning(self):
+        # A^400 overflows on the mode at 1e3, and so does S_400: every seed
+        # stops in burn-in with an infinite pool, the law is never
+        # factored, and no RuntimeWarning escapes.
+        model = LinearGaussianModel(
+            A=np.diag([1e3, 0.5]), B=np.zeros((2, 1)), C=np.eye(2),
+            D=np.zeros((2, 1)), E=np.eye(2), Q=np.eye(2), R=np.eye(2),
+            dt=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = train_runs(model, TrainerConfig(batch_size=16, max_iters=5),
+                              seeds=[0, 1, 0])
+        assert runs.iterations.tolist() == [0, 0, 0]
+        assert runs.errors == ["error pool diverged during burn-in "
+                               "(max entry inf)"] * 3
+        assert np.isnan(runs.gains).all()
+
     def test_each_seed_drawn_once_per_step(self, bicycle, monkeypatch):
         # Seeds 1 and 2 hold three and two runs.  Each seed's generator
-        # gives one batch of normals, process then measurement, per burn-in
-        # step and per iteration, however many runs read it, and goes on
-        # doing so after run 1 (seed 1) stops at iteration 5.
+        # gives one burn-in draw of n M normals, then one batch of M (p + r)
+        # normals, process then measurement, per iteration, however many
+        # runs read it, and goes on doing so after run 1 (seed 1) stops at
+        # iteration 5.
         real = np.random.default_rng
 
         class Counting:
-            """A seeded generator that counts its standard_normal calls."""
+            """A seeded generator that records the size of each of its
+            standard_normal calls."""
 
             def __init__(self, seed):
                 self._rng = real(seed)
-                self.calls = 0
+                self.sizes = []
+
+            @property
+            def calls(self):
+                return len(self.sizes)
 
             def standard_normal(self, *args, **kwargs):
-                self.calls += 1
-                return self._rng.standard_normal(*args, **kwargs)
+                drawn = self._rng.standard_normal(*args, **kwargs)
+                self.sizes.append(np.size(drawn))
+                return drawn
 
             def __getattr__(self, name):
                 return getattr(self._rng, name)
@@ -901,7 +983,7 @@ class TestTrainRuns:
             return made[seed]
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        self._flag_run_one_at(monkeypatch, 10)
+        self._flag_run_one_at(monkeypatch, 6)
         flagged = training.diverged_runs
         drawn = []
 
@@ -914,18 +996,21 @@ class TestTrainRuns:
         runs = train_runs(bicycle, cfg, seeds=[1, 1, 2, 2, 1])
         assert sorted(made) == [1, 2]
         assert runs.iterations.tolist() == [60, 5, 60, 60, 60]
-        # One guard check per burn-in step and per iteration.
-        assert drawn == [[step] * 2 for step in range(1, 66)]
+        # One guard check after the burn-in draw and one per iteration.
+        assert drawn == [[step] * 2 for step in range(1, 62)]
+        n, m_count, width = bicycle.n, cfg.batch_size, bicycle.p + bicycle.r
+        for seed in (1, 2):
+            assert made[seed].sizes == [n * m_count] + [m_count * width] * 60
 
     def test_gain_is_mean_of_recorded_tail(self, bicycle):
-        # Run 0 converges before the tail starts at iteration 320, so its
-        # gain is its last iterate; runs 1 and 2 average iterates 320-400.
-        cfg = TrainerConfig(max_iters=400, convergence_tol=3e-3,
+        # Run 1 converges before the tail starts at iteration 320, so its
+        # gain is its last iterate; runs 0 and 2 average iterates 320-400.
+        cfg = TrainerConfig(max_iters=400, convergence_tol=4.2e-3,
                             tail_avg_frac=0.2)
         runs = train_runs(bicycle, cfg, seeds=[1, 2, 3])
-        assert runs.iterations.tolist() == [263, 400, 400]
-        np.testing.assert_array_equal(runs.gains[0], runs.theta[0, 262])
-        for k in (1, 2):
+        assert runs.iterations.tolist() == [400, 263, 400]
+        np.testing.assert_array_equal(runs.gains[1], runs.theta[1, 262])
+        for k in (0, 2):
             np.testing.assert_array_equal(
                 runs.gains[k], runs.theta[k, 319:400].sum(axis=0) / 81)
 
@@ -959,7 +1044,7 @@ class TestTrainRuns:
         # Run 1 stops at iteration 5, so a selection holding it is cut to
         # five rows; an index and its one-element list read the same.
         cfg = TrainerConfig(batch_size=16, max_iters=30, burn_in=5)
-        self._flag_run_one_at(monkeypatch, 10)
+        self._flag_run_one_at(monkeypatch, 6)
         runs = train_runs(bicycle, cfg, seeds=[0, 1, 2],
                           ref_gain=bicycle_dare.gain)
         fields = ("theta", "diff", "critic_loss", "actor_loss")
