@@ -54,10 +54,15 @@ class RunConfig:
         doc = self.model
         if doc == "bicycle":
             return build_bicycle_model(VehicleParams())
-        if isinstance(doc, dict) and set(doc) == {"bicycle"}:
-            return build_bicycle_model(VehicleParams(**doc["bicycle"]))
-        if isinstance(doc, dict) and set(doc) == {"inline"}:
-            return LinearGaussianModel.from_dict(doc["inline"])
+        if isinstance(doc, dict) and len(doc) == 1:
+            (kind, section), = doc.items()
+            if kind in ("bicycle", "inline") and not isinstance(section, dict):
+                raise ValueError(f"the model's {kind} section must be a JSON "
+                                 f"object, got {type(section).__name__}")
+            if kind == "bicycle":
+                return build_bicycle_model(VehicleParams(**section))
+            if kind == "inline":
+                return LinearGaussianModel.from_dict(section)
         raise ValueError(
             "model must be 'bicycle', {'bicycle': {...}} or {'inline': {...}}")
 
@@ -246,8 +251,8 @@ def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
 def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     """Train ``n_seeds`` seeds at every discount of ``cfg.gamma_sweep``.
 
-    All runs train in one :func:`train_runs` stack; each seed's runs share
-    its draws, so a seed's noise is drawn once for all the discounts.
+    All runs train in one :func:`train_runs` grid of discounts x seeds, so
+    a seed's noise is drawn once for all the discounts.
     Writes one sweep.csv row per discount: the seed-averaged gain and its
     error to the Riccati gain, or ``diverged``.  Every run starts from the
     fixed initial error, whatever ``cfg.trainer.init_mode`` says.
@@ -269,13 +274,10 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     base = replace(cfg.trainer, init_mode="fixed")
     seeds = list(range(base.seed, base.seed + n_seeds))
     out = _out_dir(cfg) / "sweep.csv"
-    # One stack of runs, discount-major: the seeds of gamma_sweep[i] are
-    # runs i * n_seeds .. (i + 1) * n_seeds - 1, so each seed recurs once
-    # per discount and train_runs draws, pools and burns it in once.
-    runs = train_runs(
-        model, base, seeds=seeds * len(cfg.gamma_sweep),
-        gammas=np.repeat(np.asarray(cfg.gamma_sweep, dtype=float), n_seeds),
-        ref_gain=ref)
+    # One grid of runs, discount-major: the seeds of gamma_sweep[i] are
+    # runs i * n_seeds .. (i + 1) * n_seeds - 1.
+    runs = train_runs(model, base, seeds=seeds, gammas=cfg.gamma_sweep,
+                      ref_gain=ref)
     n, r = model.n, model.r
     header = (["gamma"] + gain_columns("theta", n, r) + gain_columns("e", n, r)
               + ["status"])

@@ -16,12 +16,13 @@ low-noise measurements; the pool itself still evolves stochastically.
 
 Every function here also takes a stack of runs on a leading axis: gains
 (K, n, r), critics (K, n, n), batches (K, M, n) and one discount per run.
-:func:`train_runs` advances such a stack with one set of array operations
-per iteration, on pools held as (K, n, M), members on the last axis, so
-that each moment summed over a pool is a BLAS product.  The public
-estimators transpose their batches into such pools, so they run the same
-kernel.  :meth:`TrainRuns.history` reads the record; :func:`train_average`
-is the seed-averaged form of :func:`train_runs`, :func:`train` one seed's.
+:func:`train_runs` advances a grid of discounts x seeds as such a stack,
+with one set of array operations per iteration, on pools held as
+(K, n, M), members on the last axis, so that each moment summed over a
+pool is a BLAS product.  The public estimators transpose their batches
+into such pools, so they run the same kernel.  :meth:`TrainRuns.history`
+reads the record; :func:`train_average` is the seed-averaged form of
+:func:`train_runs` at one discount, :func:`train` one seed's.
 """
 
 from __future__ import annotations
@@ -225,17 +226,26 @@ def _drawn_law(model: LinearGaussianModel, theta: np.ndarray,
 
     ``pool`` holds the errors s on its last axis, (..., n, M), and
     ``process`` and ``measured`` the noise E xi and zeta of each member,
-    (..., n, M) and (..., r, M).  ``drawn`` is s', ``cross`` the batch mean
-    of s' v^T and ``second`` that of s' s'^T.
+    (..., n, M) and (..., r, M).  A stack of G S pools may take noise for
+    S of them, which each block of S pools reads in turn.  ``drawn`` is s',
+    ``cross`` the batch mean of s' v^T and ``second`` that of s' s'^T.
     """
     m_count = pool.shape[-1]
     nxt = model.A @ pool
-    nxt += process
+    _add_per_block(nxt, process)
     v = model.C @ nxt
-    v += measured
+    _add_per_block(v, measured)
     nxt -= theta @ v
     return _ErrorLaw(cross=nxt @ v.swapaxes(-1, -2) / m_count,
                      second=nxt @ nxt.swapaxes(-1, -2) / m_count, drawn=nxt)
+
+
+def _add_per_block(total: np.ndarray, term: np.ndarray) -> None:
+    """Add ``term`` in place to each block of ``total`` that has its shape,
+    such as one noise per seed (S, ., M) to the pools (G S, ., M) of every
+    discount.  ``total`` is a fresh product, so the reshape is a view."""
+    blocks = total.reshape((-1,) + term.shape)
+    blocks += term
 
 
 def _integrated_law(model: LinearGaussianModel, theta: np.ndarray,
@@ -359,9 +369,9 @@ def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
 
 @dataclass
 class TrainRuns:
-    """Outcome of one :func:`train_runs` call over a stack of K runs.
+    """Outcome of one :func:`train_runs` call over a grid of K = G S runs.
 
-    Run k is the call's ``seeds[k]`` at ``gammas[k]``.  ``gains`` holds
+    Run i S + j is the call's ``seeds[j]`` at ``gammas[i]``.  ``gains`` holds
     each run's tail-averaged gain, NaN for a run that diverged, whose
     message is in ``errors`` (None for the others).  The unaveraged
     iterates and losses are stored run-major, so that run k's record
@@ -428,30 +438,24 @@ def _divergence_message(theta, guard, worst_pool) -> str:
     return f"error pool diverged (max entry {worst_pool:.3e})"
 
 
-def _row_index(rows: np.ndarray, count: int) -> np.ndarray | slice:
-    """``rows``, or a slice of all when it takes each of ``count`` rows in
-    order, so that indexing by it gathers nothing."""
-    return slice(None) if np.array_equal(rows, np.arange(count)) else rows
-
-
 def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                gammas=None, ref_gain: np.ndarray | None = None) -> TrainRuns:
-    """Train a stack of runs together and return every run's outcome.
+    """Train every discount with every seed together; return each run.
 
-    Run k uses seed ``seeds[k]`` (default: ``cfg.seed`` alone) and discount
-    ``gammas[k]`` (default: ``cfg.gamma`` for every run); all other settings
-    come from ``cfg``, and each run must pass :class:`TrainerConfig`'s
-    checks; an empty ``seeds`` raises ValueError.  What depends on the seed
-    alone is done once per distinct seed: one generator, one initial pool
-    and one burn-in.  The burn-in is one draw from the pool's exact law
-    after ``cfg.burn_in`` zero-gain steps s' = A s + E xi (see
+    With S ``seeds`` (default: ``cfg.seed`` alone) and G ``gammas``
+    (default: ``cfg.gamma`` alone), the stack holds K = G S runs, discount
+    major: run i S + j is ``seeds[j]`` at ``gammas[i]``.  All other settings
+    come from ``cfg``, and each seed and discount must pass
+    :class:`TrainerConfig`'s checks; an empty ``seeds`` or ``gammas``
+    raises ValueError.  What depends on the seed alone is done once per
+    seed and shared by its discounts: one generator, one initial pool and
+    one burn-in.  The burn-in is one draw from the pool's exact law after
+    ``cfg.burn_in`` zero-gain steps s' = A s + E xi (see
     :func:`~steadygain.error_mdp._n_step_law`), n M normals per seed.  Each
-    iteration then makes one ``standard_normal`` call per distinct seed,
-    the stream :func:`draw_noise` draws, and every run reads its seed's
-    normals, so runs that share a seed (the discounts of a sweep) share
-    each draw.  A run still reads exactly what it would draw alone, so its
-    result depends only on its seed and discount, never on what else is in
-    the stack.
+    iteration then makes one ``standard_normal`` call per seed, the stream
+    :func:`draw_noise` draws, and every discount reads it.  A run still
+    reads exactly what it would draw alone, so its result depends only on
+    its seed and discount, never on what else is in the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
     iteration forms one law of the pool's next error, shared by the
@@ -461,27 +465,26 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     F and D then serve the next law (``"analytic"``).  A run stops when its
     gain's elementwise spread over the trailing 100 iterations falls below
     ``cfg.convergence_tol`` (``converged``), when it diverges (at iteration
-    0, with every run of its seed, if its seed's pool diverges in burn-in),
-    or at ``cfg.max_iters``; the other runs go on.  A run's gain averages
-    its final ``cfg.tail_avg_frac`` of iterates, which suppresses the
-    stationary jitter of the stochastic updates.
+    0, with every discount of its seed, if its seed's pool diverges in
+    burn-in), or at ``cfg.max_iters``; the other runs go on.  A run's gain
+    averages its final ``cfg.tail_avg_frac`` of iterates, which suppresses
+    the stationary jitter of the stochastic updates.
 
     ``ref_gain``, if not all zero, only adds diagnostics (the histories'
     ``diff``) and a divergence guard at 1000x its largest element.  A run
     also diverges when its gain turns non-finite or its pool blows up.
     """
     seeds = [cfg.seed] if seeds is None else list(seeds)
+    gammas = [cfg.gamma] if gammas is None else list(gammas)
     if not seeds:
         raise ValueError("need at least one seed")
-    count = len(seeds)
-    gammas = [cfg.gamma] * count if gammas is None else gammas
-    if np.shape(gammas) != (count,):
-        raise ValueError(f"need one discount per seed, got "
-                         f"{np.shape(gammas)} for {count} seeds")
-    for seed, gamma in zip(seeds, gammas):
+    if not gammas:
+        raise ValueError("need at least one discount")
+    for seed in seeds:
         operator.index(seed)  # a fractional seed is a TypeError
-        replace(cfg, seed=seed, gamma=gamma)
-    gammas = np.asarray(gammas, dtype=float)
+        replace(cfg, seed=seed)
+    for gamma in gammas:
+        replace(cfg, gamma=gamma)
     if ref_gain is not None:
         ref_gain = np.asarray(ref_gain, dtype=float)
         if not ref_gain.any():
@@ -493,18 +496,14 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
 
     n, r, p = model.n, model.r, model.p
     size, max_iters = cfg.batch_size, cfg.max_iters
+    count = len(gammas) * len(seeds)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     errors: list = [None] * count
-    # A run's generator, initial pool and burn-in depend on its seed alone,
-    # so they are made once per distinct seed (in order of first
-    # appearance), and run k reads row run_seed[k] of them.  Every seed's
-    # generator gives one burn-in draw and then one draw per iteration,
-    # also after all of its runs have stopped: that generator feeds no
-    # other seed, so no run's numbers change.
-    row = {seed: u for u, seed in enumerate(dict.fromkeys(seeds))}
-    run_seed = np.array([row[seed] for seed in seeds])
-    rngs = [np.random.default_rng(seed) for seed in row]
+    # Every seed's generator gives one burn-in draw and then one draw per
+    # iteration, also after all of its runs have stopped: that generator
+    # feeds no other seed, so no run's numbers change.
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     pool = _transposed(np.stack([
         sample_initial_error(model, cfg.init_mode, rng, size=size)
         for rng in rngs]))
@@ -524,7 +523,6 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # a factor of S_N.  A seed whose pool diverges stops all of its runs.
     # A law that overflowed (a strongly unstable A) is neither factored nor
     # drawn: it makes every pool infinite.
-    burning = np.arange(len(rngs))
     if cfg.burn_in:
         with np.errstate(over="ignore", invalid="ignore"):
             power, spread = _n_step_law(model.A, model.effective_process_cov(),
@@ -535,19 +533,21 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             else:
                 pool = np.full_like(pool, np.inf)
         worst_pool, failed = diverged_runs(pool)
-        for u, worst in zip(burning[failed], worst_pool[failed]):
-            for k in np.flatnonzero(run_seed == u):
-                errors[k] = ("error pool diverged during burn-in "
-                             f"(max entry {worst:.3e})")
-        pool, burning = pool[~failed], burning[~failed]
-
-    live = np.flatnonzero(np.isin(run_seed, burning))
-    pool = pool[np.searchsorted(burning, run_seed[live])]
-    seed_rows = _row_index(run_seed[live], len(rngs))
-    hist_rows = _row_index(live, count)
-    gamma_col = gammas[live, np.newaxis, np.newaxis]
-    theta = np.zeros((live.size, n, r))
-    w = np.tile(model.eye, (live.size, 1, 1))
+        for j in np.flatnonzero(failed):
+            errors[j::len(seeds)] = ["error pool diverged during burn-in "
+                                     f"(max entry {worst_pool[j]:.3e})"
+                                     ] * len(gammas)
+    # Each seed's pool, once per discount: the (G, S, ...) view of a run
+    # array is its grid, and per-seed noise broadcasts over its discounts.
+    pool = np.tile(pool, (len(gammas), 1, 1))
+    active = np.array([message is None for message in errors])
+    # A stopped run's tolerance is -inf: its gain, converged or stalled,
+    # must not open the convergence window below at every iteration.
+    tolerance = np.where(active, cfg.convergence_tol, -np.inf)
+    gamma_col = np.repeat(np.asarray(gammas, dtype=float),
+                          len(seeds))[:, np.newaxis, np.newaxis]
+    theta = np.zeros((count, n, r))
+    w = np.tile(model.eye, (count, 1, 1))
     loop = _closed_loop(model, theta, process_factor, r_factor)
     # Adam's moment estimates for the critic and the actor.
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
@@ -557,74 +557,73 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
     sampled = cfg.estimator == "sampled"
 
-    def retire(stop, failed, worst_pool, k):
-        """Record why the flagged live runs stopped at k, and drop them."""
-        nonlocal live, theta, w, pool, gamma_col, m_w, v_w, m_theta, v_theta
-        nonlocal loop, seed_rows, hist_rows
-        iterations[live[stop]] = k
-        converged[live[stop & ~failed]] = True
-        for j in np.flatnonzero(failed):
-            errors[live[j]] = _divergence_message(theta[j], guard,
-                                                  worst_pool[j])
-        keep = ~stop
-        live, theta, w, pool, gamma_col, m_w, v_w, m_theta, v_theta = (
-            a[keep] for a in (live, theta, w, pool, gamma_col,
-                              m_w, v_w, m_theta, v_theta))
-        loop = tuple(a[keep] for a in loop)
-        seed_rows = _row_index(run_seed[live], len(rngs))
-        hist_rows = _row_index(live, count)
+    # A stopped run stays in the stack and goes on stepping, its record
+    # past its stop zeroed below.  A diverged run's overflow stays in its
+    # own rows, so it is not reported.  A grid whose every seed failed
+    # burn-in trains nothing.
+    last = max_iters if active.any() else 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, last + 1):
+            drawn = _draw_normals(normals, raw, noise, p)
+            if sampled:
+                law = _drawn_law(model, theta, pool,
+                                 model.E @ (q_factor @ drawn[:, :p]),
+                                 r_factor @ drawn[:, p:])
+            else:
+                law = _integrated_law(model, theta, pool, loop)
+            c_loss, c_grad = _critic_step(model, law, w, pool, gamma_col)
+            w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k, cfg.lr_critic)
+            w = symmetrize(w)
+            a_loss, a_grad = _actor_step(model, law, w, gamma_col)
+            updated, m_theta, v_theta = adam_update(
+                theta, a_grad, m_theta, v_theta, k, cfg.lr_actor)
+            if sampled:
+                # This draw's transition under the old gain.
+                pool = law.drawn
+            else:
+                # The updated gain's closed loop advances the pool by this
+                # step's normals, and serves the next iteration's law.
+                loop = _closed_loop(model, updated, process_factor, r_factor)
+                _, closed, drive = loop
+                step_noise = drive.reshape(-1, len(seeds), n, p + r) @ drawn
+                pool = closed @ pool
+                pool += step_noise.reshape(pool.shape)
+            last_move = np.abs(updated - theta).max(axis=(1, 2))
+            theta = updated
 
-    for k in range(1, max_iters + 1):
-        if not live.size:
-            break
-        drawn = _draw_normals(normals, raw, noise, p)
-        if sampled:
-            law = _drawn_law(model, theta, pool,
-                             (model.E @ (q_factor @ drawn[:, :p]))[seed_rows],
-                             (r_factor @ drawn[:, p:])[seed_rows])
-        else:
-            law = _integrated_law(model, theta, pool, loop)
-        c_loss, c_grad = _critic_step(model, law, w, pool, gamma_col)
-        w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k, cfg.lr_critic)
-        w = symmetrize(w)
-        a_loss, a_grad = _actor_step(model, law, w, gamma_col)
-        updated, m_theta, v_theta = adam_update(
-            theta, a_grad, m_theta, v_theta, k, cfg.lr_actor)
-        if sampled:
-            # This draw's transition under the old gain.
-            pool = law.drawn
-        else:
-            # The updated gain's closed loop advances the pool by this
-            # step's normals, and serves the next iteration's law.
-            loop = _closed_loop(model, updated, process_factor, r_factor)
-            _, closed, drive = loop
-            pool = closed @ pool
-            pool += drive @ drawn[seed_rows]
-        last_move = np.abs(updated - theta).max(axis=(1, 2))
-        theta = updated
+            theta_hist[:, k - 1] = theta
+            critic_hist[:, k - 1] = c_loss
+            actor_hist[:, k - 1] = a_loss
 
-        theta_hist[hist_rows, k - 1] = theta
-        critic_hist[hist_rows, k - 1] = c_loss
-        actor_hist[hist_rows, k - 1] = a_loss
+            worst_pool, failed = diverged_runs(pool)
+            failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
+            stop = failed
+            # A window's spread is at least its last move, so the window is
+            # only read once some run has moved less than the tolerance.
+            if (k > _CONVERGENCE_WINDOW
+                    and (last_move < tolerance).any()):
+                window = theta_hist[:, k - _CONVERGENCE_WINDOW - 1:k]
+                spread = np.ptp(window, axis=1).max(axis=(1, 2))
+                stop = failed | (spread < tolerance)
+            if stop.any():
+                stop &= active
+                iterations[stop] = k
+                converged[stop & ~failed] = True
+                for j in np.flatnonzero(stop & failed):
+                    errors[j] = _divergence_message(theta[j], guard,
+                                                    worst_pool[j])
+                active &= ~stop
+                tolerance[stop] = -np.inf
+                if not active.any():
+                    break
 
-        worst_pool, failed = diverged_runs(pool)
-        failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
-        stop = failed
-        # A window's spread is at least its last move, so the window is
-        # only read once some run has moved less than the tolerance.
-        if (k > _CONVERGENCE_WINDOW
-                and (last_move < cfg.convergence_tol).any()):
-            window = theta_hist[live, k - _CONVERGENCE_WINDOW - 1:k]
-            spread = (window.max(axis=1) - window.min(axis=1)).max(axis=(1, 2))
-            stop = failed | (spread < cfg.convergence_tol)
-        if stop.any():
-            retire(stop, failed, worst_pool, k)
-
-    iterations[live] = max_iters
+    iterations[active] = max_iters
     # Each surviving run's mean iterate from the tail start (or its last
     # iterate alone) to its stop; with no iterations, the zero start gain.
     gains = np.full((count, n, r), np.nan)
     for run, k in enumerate(iterations):
+        for record in (theta_hist, critic_hist, actor_hist):
+            record[run, k:] = 0.0
         if errors[run] is None:
             gains[run] = (theta_hist[run, min(tail_start, k) - 1:k]
                           .mean(axis=0) if k else 0.0)

@@ -488,9 +488,15 @@ class TestConfigHandling:
         ('"x"', "the config document must be a JSON object"),
         ('{"trainer": []}', "the trainer section must be a JSON object"),
         ('{"eval": null}', "the eval section must be a JSON object"),
+        ('{"model": {"bicycle": 5}}',
+         "the model's bicycle section must be a JSON object, got int"),
+        ('{"model": {"bicycle": null}}',
+         "the model's bicycle section must be a JSON object, got NoneType"),
+        ('{"model": {"inline": 5}}',
+         "the model's inline section must be a JSON object, got int"),
         ("{not json", "config from {path} is not JSON"),
     ], ids=["list", "number", "null", "string", "trainer-list", "eval-null",
-            "not-json"])
+            "bicycle-number", "bicycle-null", "inline-number", "not-json"])
     def test_non_object_config_exits_two_before_work(self, tmp_path, capsys,
                                                      text, message):
         path = tmp_path / "config.json"

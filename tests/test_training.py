@@ -688,18 +688,27 @@ class TestHistoryCsv:
                                   iterations=rows)
 
 
+def grid(seeds, gammas):
+    """The (seed, discount) of each run of a train_runs grid, in run order:
+    discount-major, run i S + j is seeds[j] at gammas[i]."""
+    return [(seed, gamma) for gamma in gammas for seed in seeds]
+
+
 class TestTrainRuns:
-    """One stacked call over K runs, each run independent of the others."""
+    """One call over a grid of discounts x seeds, each run independent of
+    the others."""
 
     @pytest.mark.parametrize("estimator", ["analytic", "sampled"])
     def test_run_matches_same_run_alone(self, bicycle, bicycle_dare,
                                         estimator):
+        # Seed 4 is listed twice; each listing is a run of its own.
         cfg = TrainerConfig(batch_size=32, max_iters=150, burn_in=20,
                             estimator=estimator)
         seeds, gammas = [4, 1, 4], [0.5, 0.99, 0.01]
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
                           ref_gain=bicycle_dare.gain)
-        for k, (seed, gamma) in enumerate(zip(seeds, gammas)):
+        assert len(runs.errors) == 9
+        for k, (seed, gamma) in enumerate(grid(seeds, gammas)):
             gain, history = train(bicycle, replace(cfg, seed=seed, gamma=gamma),
                                   ref_gain=bicycle_dare.gain)
             np.testing.assert_array_equal(runs.gains[k], gain)
@@ -710,22 +719,22 @@ class TestTrainRuns:
     def test_runs_sharing_a_seed_match_each_run_alone(self, bicycle,
                                                       bicycle_dare, estimator,
                                                       init_mode):
-        # Seeds 1 and 2 each hold runs at several discounts, which share
-        # the seed's generator, initial pool and burn-in; each run still
-        # equals the same seed and discount trained alone, also when runs
-        # of one seed stop at different iterations.  Every run stops early:
+        # Seeds 1 and 2 each hold runs at three discounts, which share the
+        # seed's generator, initial pool and burn-in; each run still equals
+        # the same seed and discount trained alone, also when runs of one
+        # seed stop at different iterations.  Every run stops early:
         # converged (analytic), or with its pool diverged (sampled, at this
         # small batch and short burn-in).
         cfg = TrainerConfig(batch_size=16, max_iters=400, burn_in=15,
                             convergence_tol=3e-3, estimator=estimator,
                             init_mode=init_mode)
-        seeds, gammas = [1, 1, 2, 2, 1], [0.5, 0.99, 0.25, 0.75, 0.01]
+        seeds, gammas = [1, 2], [0.5, 0.99, 0.01]
         ref = bicycle_dare.gain
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
                           ref_gain=ref)
         assert (runs.iterations < cfg.max_iters).all()
-        assert len({runs.iterations[k] for k in (0, 1, 4)}) > 1
-        for k, (seed, gamma) in enumerate(zip(seeds, gammas)):
+        assert len({runs.iterations[k] for k in (0, 2, 4)}) > 1
+        for k, (seed, gamma) in enumerate(grid(seeds, gammas)):
             alone = train_runs(bicycle, replace(cfg, seed=seed, gamma=gamma),
                                ref_gain=ref)
             assert runs.gains[k].tobytes() == alone.gains[0].tobytes()
@@ -761,7 +770,7 @@ class TestTrainRuns:
             power = bicycle.A @ power
             spread = (bicycle.A @ spread @ bicycle.A.T
                       + bicycle.E @ bicycle.Q @ bicycle.E.T)
-        for k, (seed, gamma) in enumerate(zip(seeds, gammas)):
+        for k, (seed, gamma) in enumerate(grid(seeds, gammas)):
             rng = np.random.default_rng(seed)
             pool = sample_initial_error(bicycle, cfg.init_mode, rng,
                                         size=cfg.batch_size)
@@ -816,22 +825,32 @@ class TestTrainRuns:
         monkeypatch.setattr(training, "diverged_runs", flag_run_one)
         return calls
 
+    @staticmethod
+    def _assert_record_ends_at_stop(runs):
+        """Each run's record is zero past its stop."""
+        for k, stop in enumerate(runs.iterations):
+            for record in (runs.theta, runs.critic_loss, runs.actor_loss):
+                assert not record[k, stop:].any()
+
     def test_failing_run_stops_alone(self, bicycle, monkeypatch):
-        # Run 1's pool is reported diverged at iteration 5, after the one
-        # burn-in check; runs 0 and 2 must finish exactly as they would
-        # alone.
+        # Run 1 (seed 1 at discount 0.5) has its pool reported diverged at
+        # iteration 5, after the one burn-in check of the three seeds'
+        # pools.  It stays in the stack, and every other run, seed 1 at
+        # 0.9 among them, finishes exactly as it would alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
-        seeds = [0, 1, 2]
-        alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
+        seeds, gammas = [0, 1, 2], [0.5, 0.9]
+        alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
+                 for seed, gamma in grid(seeds, gammas)]
         calls = self._flag_run_one_at(monkeypatch, 6)
-        runs = train_runs(bicycle, cfg, seeds=seeds)
-        assert calls[:6] == [3] * 6 and set(calls[6:]) == {2}
-        assert runs.iterations.tolist() == [60, 5, 60]
+        runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
+        assert calls == [3] + [6] * 60
+        assert runs.iterations.tolist() == [60, 5, 60, 60, 60, 60]
         assert "pool diverged" in runs.errors[1]
-        assert runs.errors[0] is None and runs.errors[2] is None
+        assert all(runs.errors[k] is None for k in (0, 2, 3, 4, 5))
         assert np.isnan(runs.gains[1]).all()
         assert runs.history(1).iterations == 5
-        for k in (0, 2):
+        self._assert_record_ends_at_stop(runs)
+        for k in (0, 2, 3, 4, 5):
             gain, history = alone[k]
             np.testing.assert_array_equal(runs.gains[k], gain)
             np.testing.assert_array_equal(runs.history(k).theta, history.theta)
@@ -840,17 +859,19 @@ class TestTrainRuns:
         assert excinfo.value.history.iterations == 5
 
     def test_run_diverging_in_burn_in_stops_alone(self, bicycle, monkeypatch):
-        # Flagged at the one burn-in check, run 1 never trains; runs 0 and
-        # 2 draw and train exactly as they would alone.
+        # Flagged at the one burn-in check, run 1 never trains; its record
+        # stays zero, and runs 0 and 2 draw and train exactly as they
+        # would alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
         seeds = [0, 1, 2]
         alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
         calls = self._flag_run_one_at(monkeypatch, 1)
         runs = train_runs(bicycle, cfg, seeds=seeds)
-        assert calls[:1] == [3] and set(calls[1:]) == {2}
+        assert calls == [3] * 61
         assert runs.iterations.tolist() == [60, 0, 60]
         assert "diverged during burn-in" in runs.errors[1]
         assert np.isnan(runs.gains[1]).all()
+        self._assert_record_ends_at_stop(runs)
         for k in (0, 2):
             gain, history = alone[k]
             np.testing.assert_array_equal(runs.gains[k], gain)
@@ -861,24 +882,25 @@ class TestTrainRuns:
 
     def test_shared_seed_diverging_in_burn_in_stops_all_its_runs(
             self, bicycle, monkeypatch):
-        # Burn-in runs once per distinct seed, in order of first
-        # appearance (0, 1, 2), so flagging row 1 at the one burn-in
-        # check fails seed 1: its runs 1 and 3 never train, and the runs
-        # of seeds 0 and 2 train exactly as they would alone.
+        # Burn-in runs once per seed, so flagging pool 1 at the one
+        # burn-in check fails seed 1: its runs at both discounts, 1 and 4,
+        # never train, and the runs of seeds 0 and 2 train exactly as they
+        # would alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
-        seeds, gammas = [0, 1, 0, 1, 2], [0.5, 0.5, 0.9, 0.9, 0.5]
+        seeds, gammas = [0, 1, 2], [0.5, 0.9]
         alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
-                 for seed, gamma in zip(seeds, gammas)]
+                 for seed, gamma in grid(seeds, gammas)]
         calls = self._flag_run_one_at(monkeypatch, 1)
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
-        assert calls[:1] == [3] and set(calls[1:]) == {3}
-        assert runs.iterations.tolist() == [60, 0, 60, 0, 60]
-        for k in (1, 3):
+        assert calls == [3] + [6] * 60
+        assert runs.iterations.tolist() == [60, 0, 60, 60, 0, 60]
+        for k in (1, 4):
             assert "diverged during burn-in" in runs.errors[k]
             assert np.isnan(runs.gains[k]).all()
             assert runs.history(k).iterations == 0
-        assert runs.errors[1] == runs.errors[3]
-        for k in (0, 2, 4):
+        assert runs.errors[1] == runs.errors[4]
+        self._assert_record_ends_at_stop(runs)
+        for k in (0, 2, 3, 5):
             gain, history = alone[k]
             assert runs.errors[k] is None
             np.testing.assert_array_equal(runs.gains[k], gain)
@@ -949,11 +971,11 @@ class TestTrainRuns:
         assert np.isnan(runs.gains).all()
 
     def test_each_seed_drawn_once_per_step(self, bicycle, monkeypatch):
-        # Seeds 1 and 2 hold three and two runs.  Each seed's generator
-        # gives one burn-in draw of n M normals, then one batch of M (p + r)
-        # normals, process then measurement, per iteration, however many
-        # runs read it, and goes on doing so after run 1 (seed 1) stops at
-        # iteration 5.
+        # Seeds 1 and 2 hold three runs each, one per discount.  Each
+        # seed's generator gives one burn-in draw of n M normals, then one
+        # batch of M (p + r) normals, process then measurement, per
+        # iteration, however many runs read it, and goes on doing so after
+        # run 1 (seed 2 at 0.5) stops at iteration 5.
         real = np.random.default_rng
 
         class Counting:
@@ -993,9 +1015,9 @@ class TestTrainRuns:
 
         monkeypatch.setattr(training, "diverged_runs", count_draws)
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
-        runs = train_runs(bicycle, cfg, seeds=[1, 1, 2, 2, 1])
+        runs = train_runs(bicycle, cfg, seeds=[1, 2], gammas=[0.5, 0.9, 0.99])
         assert sorted(made) == [1, 2]
-        assert runs.iterations.tolist() == [60, 5, 60, 60, 60]
+        assert runs.iterations.tolist() == [60, 5, 60, 60, 60, 60]
         # One guard check after the burn-in draw and one per iteration.
         assert drawn == [[step] * 2 for step in range(1, 62)]
         n, m_count, width = bicycle.n, cfg.batch_size, bicycle.p + bicycle.r
@@ -1038,6 +1060,34 @@ class TestTrainRuns:
         np.testing.assert_array_equal(runs.history(late).theta,
                                       free.history(late).theta)
         assert not runs.history().converged
+
+    def test_stopped_run_never_opens_the_window(self, bicycle, bicycle_dare,
+                                                monkeypatch):
+        # Seed 8 diverges at iteration 186 (sampled, batch 32, burn-in 20)
+        # but keeps a finite gain, which goes on stepping in the stack and
+        # from about iteration 800 moves less than the tolerance.  The
+        # convergence window is read only at iterations where a run still
+        # training moved less than the tolerance, not at each of those.
+        cfg = TrainerConfig(batch_size=32, max_iters=1000, burn_in=20,
+                            estimator="sampled", gamma=0.5)
+        real_ptp, windows = np.ptp, []
+
+        def counting_ptp(a, axis=None):
+            windows.append(a.shape)
+            return real_ptp(a, axis=axis)
+
+        monkeypatch.setattr(np, "ptp", counting_ptp)
+        runs = train_runs(bicycle, cfg, seeds=[2, 8],
+                          ref_gain=bicycle_dare.gain)
+        monkeypatch.undo()
+        assert runs.iterations.tolist() == [1000, 186]
+        assert "pool diverged" in runs.errors[1]
+        moves = np.abs(np.diff(runs.theta, axis=1, prepend=0.0)).max(
+            axis=(2, 3))
+        opened = [k for k in range(101, cfg.max_iters + 1)
+                  if any(moves[j, k - 1] < cfg.convergence_tol
+                         for j in (0, 1) if runs.iterations[j] >= k)]
+        assert len(windows) == len(opened) < 100
 
     def test_history_reads_any_selection_of_runs(self, bicycle, bicycle_dare,
                                                  monkeypatch):
@@ -1093,8 +1143,26 @@ class TestTrainRuns:
         cfg = TrainerConfig(max_iters=1)
         with pytest.raises(ValueError, match="gamma"):
             train_runs(bicycle, cfg, seeds=[0, 1], gammas=[0.5, 1.0])
-        with pytest.raises(ValueError, match="one discount per seed"):
-            train_runs(bicycle, cfg, seeds=[0, 1], gammas=[0.5])
+        with pytest.raises(ValueError, match="at least one discount"):
+            train_runs(bicycle, cfg, seeds=[0, 1], gammas=[])
+
+    def test_run_diverging_mid_stack_raises_no_warning(self, bicycle,
+                                                       bicycle_dare):
+        # Sampled at batch 32 after a burn-in of 20, seed 1 diverges at
+        # iterations 209 and 235 while seed 2 trains on to 600.  The
+        # stopped runs go on stepping until their pools overflow, and no
+        # RuntimeWarning leaves the stack.
+        cfg = TrainerConfig(batch_size=32, max_iters=600, burn_in=20,
+                            estimator="sampled")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = train_runs(bicycle, cfg, seeds=[1, 2], gammas=[0.5, 0.99],
+                              ref_gain=bicycle_dare.gain)
+        assert runs.iterations.tolist() == [209, 600, 235, 600]
+        assert runs.errors[1] is runs.errors[3] is None
+        for k in (0, 2):
+            assert "pool diverged" in runs.errors[k]
+        self._assert_record_ends_at_stop(runs)
 
     def test_fractional_seed_rejected(self, bicycle):
         # Truncating 1.5 would silently train seed 1.
