@@ -282,8 +282,8 @@ def _critic_step(model, law: _ErrorLaw, w: np.ndarray, pool, gamma_col):
         td = _quadratic_form(w, pool) - _quadratic_form(mw, law.drawn)
     else:
         g = w - law.closed.swapaxes(-1, -2) @ mw @ law.closed
-        td = _quadratic_form(g, pool) - np.trace(
-            mw @ law.cov, axis1=-2, axis2=-1)[..., None]
+        td = _quadratic_form(g, pool) - (mw @ law.cov).trace(
+            axis1=-2, axis2=-1)[..., None]
     m_count = pool.shape[-1]
     loss = 0.5 * (np.add.reduce(td * td, -1) / m_count)
     grad = (pool * td[..., None, :]) @ pool.swapaxes(-1, -2) / m_count
@@ -297,7 +297,7 @@ def _actor_step(model: LinearGaussianModel, law: _ErrorLaw, w, gamma_col):
     it is -(M_w + M_w^T) cross because the critic ``w`` is symmetric.
     """
     mw = model.eye + gamma_col * w
-    loss = -np.trace(mw @ law.second, axis1=-2, axis2=-1)
+    loss = -(mw @ law.second).trace(axis1=-2, axis2=-1)
     return loss, (-2.0 * mw) @ law.cross
 
 
@@ -446,16 +446,17 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     (default: ``cfg.gamma`` alone), the stack holds K = G S runs, discount
     major: run i S + j is ``seeds[j]`` at ``gammas[i]``.  All other settings
     come from ``cfg``, and each seed and discount must pass
-    :class:`TrainerConfig`'s checks; an empty ``seeds`` or ``gammas``
-    raises ValueError.  What depends on the seed alone is done once per
-    seed and shared by its discounts: one generator, one initial pool and
-    one burn-in.  The burn-in is one draw from the pool's exact law after
-    ``cfg.burn_in`` zero-gain steps s' = A s + E xi (see
-    :func:`~steadygain.error_mdp._n_step_law`), n M normals per seed.  Each
-    iteration then makes one ``standard_normal`` call per seed, the stream
-    :func:`draw_noise` draws, and every discount reads it.  A run still
-    reads exactly what it would draw alone, so its result depends only on
-    its seed and discount, never on what else is in the stack.
+    :class:`TrainerConfig`'s checks; an empty ``seeds`` or ``gammas``, or a
+    seed or discount listed twice, raises ValueError.  What depends on the
+    seed alone is done once per seed and shared by its discounts: one
+    generator, one initial pool and one burn-in.  The burn-in is one draw
+    from the pool's exact law after ``cfg.burn_in`` zero-gain steps
+    s' = A s + E xi (see :func:`~steadygain.error_mdp._n_step_law`), n M
+    normals per seed.  Each iteration then makes one ``standard_normal``
+    call per seed, the stream :func:`draw_noise` draws, and every discount
+    reads it.  A run still reads exactly what it would draw alone, so its
+    result depends only on its seed and discount, never on what else is in
+    the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
     iteration forms one law of the pool's next error, shared by the
@@ -466,9 +467,12 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     gain's elementwise spread over the trailing 100 iterations falls below
     ``cfg.convergence_tol`` (``converged``), when it diverges (at iteration
     0, with every discount of its seed, if its seed's pool diverges in
-    burn-in), or at ``cfg.max_iters``; the other runs go on.  A run's gain
-    averages its final ``cfg.tail_avg_frac`` of iterates, which suppresses
-    the stationary jitter of the stochastic updates.
+    burn-in), or at ``cfg.max_iters``; the other runs go on.  A discount
+    or a seed whose runs have all stopped leaves the stack and costs no
+    more; a stopped run whose discount and seed both still have a run
+    going steps on, its record zero past its stop.  A run's gain averages
+    its final ``cfg.tail_avg_frac`` of iterates, which suppresses the
+    stationary jitter of the stochastic updates.
 
     ``ref_gain``, if not all zero, only adds diagnostics (the histories'
     ``diff``) and a divergence guard at 1000x its largest element.  A run
@@ -482,9 +486,13 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         raise ValueError("need at least one discount")
     for seed in seeds:
         operator.index(seed)  # a fractional seed is a TypeError
-        replace(cfg, seed=seed)
-    for gamma in gammas:
-        replace(cfg, gamma=gamma)
+    for name, values in (("seed", seeds), ("gamma", gammas)):
+        for i, value in enumerate(values):
+            replace(cfg, **{name: value})
+            # A repeated seed or discount would train the same runs again.
+            if value in values[:i]:
+                raise ValueError(f"{name}s[{i}] repeats {name}s"
+                                 f"[{values.index(value)}] = {value}")
     if ref_gain is not None:
         ref_gain = np.asarray(ref_gain, dtype=float)
         if not ref_gain.any():
@@ -497,12 +505,9 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     n, r, p = model.n, model.r, model.p
     size, max_iters = cfg.batch_size, cfg.max_iters
     count = len(gammas) * len(seeds)
-    iterations = np.zeros(count, dtype=int)
+    iterations = np.full(count, max_iters)
     converged = np.zeros(count, dtype=bool)
     errors: list = [None] * count
-    # Every seed's generator gives one burn-in draw and then one draw per
-    # iteration, also after all of its runs have stopped: that generator
-    # feeds no other seed, so no run's numbers change.
     rngs = [np.random.default_rng(seed) for seed in seeds]
     pool = _transposed(np.stack([
         sample_initial_error(model, cfg.init_mode, rng, size=size)
@@ -513,9 +518,6 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # loop's D holds E L_Q.
     q_factor, r_factor = cov_factor(model.Q), cov_factor(model.R)
     process_factor = model.E @ q_factor
-    normals = [rng.standard_normal for rng in rngs]
-    raw = np.empty((len(rngs), size * (p + r)))
-    noise = np.empty((len(rngs), p + r, size))
 
     # Burn-in: after N zero-gain steps s' = A s + E L_Q xi, a pool is
     # Gaussian about A^N s with covariance S_N = sum_{k<N} A^k E Q E^T
@@ -523,6 +525,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # a factor of S_N.  A seed whose pool diverges stops all of its runs.
     # A law that overflowed (a strongly unstable A) is neither factored nor
     # drawn: it makes every pool infinite.
+    failed = np.zeros(len(seeds), dtype=bool)
     if cfg.burn_in:
         with np.errstate(over="ignore", invalid="ignore"):
             power, spread = _n_step_law(model.A, model.effective_process_cov(),
@@ -537,17 +540,28 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             errors[j::len(seeds)] = ["error pool diverged during burn-in "
                                      f"(max entry {worst_pool[j]:.3e})"
                                      ] * len(gammas)
-    # Each seed's pool, once per discount: the (G, S, ...) view of a run
-    # array is its grid, and per-seed noise broadcasts over its discounts.
-    pool = np.tile(pool, (len(gammas), 1, 1))
-    active = np.array([message is None for message in errors])
-    # A stopped run's tolerance is -inf: its gain, converged or stalled,
-    # must not open the convergence window below at every iteration.
-    tolerance = np.where(active, cfg.convergence_tol, -np.inf)
+            iterations[j::len(seeds)] = 0
+    # The stack holds the grid of the discounts and seeds that still have a
+    # run going, discount-major: the (G, S, ...) view of a run array is its
+    # grid, and per-seed noise broadcasts over the discounts.  A dropped
+    # seed's generator draws no more, which changes no other seed's
+    # numbers.  index holds each stacked run's number, and live selects
+    # their records: all of them, gathering nothing, until the grid shrinks.
+    normals = [rng.standard_normal
+               for rng, out in zip(rngs, failed) if not out]
+    pool = np.tile(pool[~failed], (len(gammas), 1, 1))
+    index = np.arange(count).reshape(len(gammas), -1)[:, ~failed].ravel()
+    live = index if failed.any() else slice(None)
+    raw = np.empty((len(normals), size * (p + r)))
+    noise = np.empty((len(normals), p + r, size))
+    # A run's tolerance turns -inf when it stops, which marks it stopped:
+    # the gain of a stopped run that steps on, converged or stalled, must
+    # not open the convergence window below.
+    tolerance = np.full(index.size, float(cfg.convergence_tol))
     gamma_col = np.repeat(np.asarray(gammas, dtype=float),
-                          len(seeds))[:, np.newaxis, np.newaxis]
-    theta = np.zeros((count, n, r))
-    w = np.tile(model.eye, (count, 1, 1))
+                          len(normals))[:, np.newaxis, np.newaxis]
+    theta = np.zeros((index.size, n, r))
+    w = np.tile(model.eye, (index.size, 1, 1))
     loop = _closed_loop(model, theta, process_factor, r_factor)
     # Adam's moment estimates for the critic and the actor.
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
@@ -557,11 +571,10 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
     sampled = cfg.estimator == "sampled"
 
-    # A stopped run stays in the stack and goes on stepping, its record
-    # past its stop zeroed below.  A diverged run's overflow stays in its
-    # own rows, so it is not reported.  A grid whose every seed failed
-    # burn-in trains nothing.
-    last = max_iters if active.any() else 0
+    # A stopped run whose discount and seed both still have a run going
+    # steps on, its record past its stop zeroed below.  A diverged run's
+    # overflow stays in its own rows, so it is not reported.
+    last = max_iters if index.size else 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, last + 1):
             drawn = _draw_normals(normals, raw, noise, p)
@@ -585,15 +598,15 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                 # step's normals, and serves the next iteration's law.
                 loop = _closed_loop(model, updated, process_factor, r_factor)
                 _, closed, drive = loop
-                step_noise = drive.reshape(-1, len(seeds), n, p + r) @ drawn
+                step_noise = drive.reshape(-1, len(normals), n, p + r) @ drawn
                 pool = closed @ pool
                 pool += step_noise.reshape(pool.shape)
             last_move = np.abs(updated - theta).max(axis=(1, 2))
             theta = updated
 
-            theta_hist[:, k - 1] = theta
-            critic_hist[:, k - 1] = c_loss
-            actor_hist[:, k - 1] = a_loss
+            theta_hist[live, k - 1] = theta
+            critic_hist[live, k - 1] = c_loss
+            actor_hist[live, k - 1] = a_loss
 
             worst_pool, failed = diverged_runs(pool)
             failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
@@ -602,22 +615,37 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             # only read once some run has moved less than the tolerance.
             if (k > _CONVERGENCE_WINDOW
                     and (last_move < tolerance).any()):
-                window = theta_hist[:, k - _CONVERGENCE_WINDOW - 1:k]
+                window = theta_hist[live, k - _CONVERGENCE_WINDOW - 1:k]
                 spread = np.ptp(window, axis=1).max(axis=(1, 2))
                 stop = failed | (spread < tolerance)
             if stop.any():
-                stop &= active
-                iterations[stop] = k
-                converged[stop & ~failed] = True
-                for j in np.flatnonzero(stop & failed):
-                    errors[j] = _divergence_message(theta[j], guard,
-                                                    worst_pool[j])
-                active &= ~stop
-                tolerance[stop] = -np.inf
-                if not active.any():
-                    break
+                # A stopped run that steps on is not stopped again.
+                stop &= tolerance > -np.inf
+            if not stop.any():
+                continue
+            tolerance[stop] = -np.inf
+            iterations[index[stop]] = k
+            converged[index[stop & ~failed]] = True
+            for j in np.flatnonzero(stop & failed):
+                errors[index[j]] = _divergence_message(theta[j], guard,
+                                                       worst_pool[j])
+            # Drop each discount and each seed whose runs have all stopped.
+            going = (tolerance > -np.inf).reshape(-1, len(normals))
+            rows, cols = going.any(axis=1), going.any(axis=0)
+            if not rows.any():
+                break
+            if rows.all() and cols.all():
+                continue
+            keep = np.ix_(rows, cols)
+            (theta, w, m_w, v_w, m_theta, v_theta, pool, gamma_col, tolerance,
+             index, *loop) = (
+                a.reshape(going.shape + a.shape[1:])[keep]
+                .reshape((-1,) + a.shape[1:])
+                for a in (theta, w, m_w, v_w, m_theta, v_theta, pool,
+                          gamma_col, tolerance, index, *loop))
+            normals = [normal for normal, kept in zip(normals, cols) if kept]
+            raw, noise, live = raw[cols], noise[cols], index
 
-    iterations[active] = max_iters
     # Each surviving run's mean iterate from the tail start (or its last
     # iterate alone) to its stop; with no iterations, the zero start gain.
     gains = np.full((count, n, r), np.nan)

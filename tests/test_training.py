@@ -701,10 +701,9 @@ class TestTrainRuns:
     @pytest.mark.parametrize("estimator", ["analytic", "sampled"])
     def test_run_matches_same_run_alone(self, bicycle, bicycle_dare,
                                         estimator):
-        # Seed 4 is listed twice; each listing is a run of its own.
         cfg = TrainerConfig(batch_size=32, max_iters=150, burn_in=20,
                             estimator=estimator)
-        seeds, gammas = [4, 1, 4], [0.5, 0.99, 0.01]
+        seeds, gammas = [4, 1, 7], [0.5, 0.99, 0.01]
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
                           ref_gain=bicycle_dare.gain)
         assert len(runs.errors) == 9
@@ -810,19 +809,19 @@ class TestTrainRuns:
                                        rtol=1e-12, atol=0.0)
 
     @staticmethod
-    def _flag_run_one_at(monkeypatch, call):
-        """Report run 1's pool diverged at the guard's ``call``-th check."""
+    def _flag_runs(monkeypatch, flags):
+        """Report the pools of the stacked runs ``flags[c]`` diverged at the
+        guard's c-th check; return the stack size of every check."""
         real = training.diverged_runs
         calls = []
 
-        def flag_run_one(pool):
+        def flag(pool):
             worst, diverged = real(pool)
             calls.append(len(diverged))
-            if len(calls) == call:
-                diverged[1] = True
+            diverged[flags.get(len(calls), [])] = True
             return worst, diverged
 
-        monkeypatch.setattr(training, "diverged_runs", flag_run_one)
+        monkeypatch.setattr(training, "diverged_runs", flag)
         return calls
 
     @staticmethod
@@ -841,7 +840,7 @@ class TestTrainRuns:
         seeds, gammas = [0, 1, 2], [0.5, 0.9]
         alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
                  for seed, gamma in grid(seeds, gammas)]
-        calls = self._flag_run_one_at(monkeypatch, 6)
+        calls = self._flag_runs(monkeypatch, {6: [1]})
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
         assert calls == [3] + [6] * 60
         assert runs.iterations.tolist() == [60, 5, 60, 60, 60, 60]
@@ -859,15 +858,15 @@ class TestTrainRuns:
         assert excinfo.value.history.iterations == 5
 
     def test_run_diverging_in_burn_in_stops_alone(self, bicycle, monkeypatch):
-        # Flagged at the one burn-in check, run 1 never trains; its record
-        # stays zero, and runs 0 and 2 draw and train exactly as they
-        # would alone.
+        # Flagged at the one burn-in check, run 1 never trains: its seed
+        # leaves the stack before the first iteration and its record stays
+        # zero.  Runs 0 and 2 draw and train exactly as they would alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
         seeds = [0, 1, 2]
         alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
-        calls = self._flag_run_one_at(monkeypatch, 1)
+        calls = self._flag_runs(monkeypatch, {1: [1]})
         runs = train_runs(bicycle, cfg, seeds=seeds)
-        assert calls == [3] * 61
+        assert calls == [3] + [2] * 60
         assert runs.iterations.tolist() == [60, 0, 60]
         assert "diverged during burn-in" in runs.errors[1]
         assert np.isnan(runs.gains[1]).all()
@@ -884,15 +883,15 @@ class TestTrainRuns:
             self, bicycle, monkeypatch):
         # Burn-in runs once per seed, so flagging pool 1 at the one
         # burn-in check fails seed 1: its runs at both discounts, 1 and 4,
-        # never train, and the runs of seeds 0 and 2 train exactly as they
-        # would alone.
+        # never train, the stack holds the four runs of seeds 0 and 2, and
+        # those train exactly as they would alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
         seeds, gammas = [0, 1, 2], [0.5, 0.9]
         alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
                  for seed, gamma in grid(seeds, gammas)]
-        calls = self._flag_run_one_at(monkeypatch, 1)
+        calls = self._flag_runs(monkeypatch, {1: [1]})
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
-        assert calls == [3] + [6] * 60
+        assert calls == [3] + [4] * 60
         assert runs.iterations.tolist() == [60, 0, 60, 60, 0, 60]
         for k in (1, 4):
             assert "diverged during burn-in" in runs.errors[k]
@@ -964,7 +963,7 @@ class TestTrainRuns:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             runs = train_runs(model, TrainerConfig(batch_size=16, max_iters=5),
-                              seeds=[0, 1, 0])
+                              seeds=[0, 1, 2])
         assert runs.iterations.tolist() == [0, 0, 0]
         assert runs.errors == ["error pool diverged during burn-in "
                                "(max entry inf)"] * 3
@@ -1005,7 +1004,7 @@ class TestTrainRuns:
             return made[seed]
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        self._flag_run_one_at(monkeypatch, 6)
+        self._flag_runs(monkeypatch, {6: [1]})
         flagged = training.diverged_runs
         drawn = []
 
@@ -1061,15 +1060,16 @@ class TestTrainRuns:
                                       free.history(late).theta)
         assert not runs.history().converged
 
-    def test_stopped_run_never_opens_the_window(self, bicycle, bicycle_dare,
-                                                monkeypatch):
-        # Seed 8 diverges at iteration 186 (sampled, batch 32, burn-in 20)
-        # but keeps a finite gain, which goes on stepping in the stack and
-        # from about iteration 800 moves less than the tolerance.  The
-        # convergence window is read only at iterations where a run still
-        # training moved less than the tolerance, not at each of those.
-        cfg = TrainerConfig(batch_size=32, max_iters=1000, burn_in=20,
-                            estimator="sampled", gamma=0.5)
+    def test_stopped_run_never_opens_the_window(self, bicycle, monkeypatch):
+        # Run 0 (seed 0 at 0.5) is reported diverged at iteration 5 but
+        # steps on, since its seed and its discount both still have runs
+        # going, and it moves less than the tolerance at iterations where
+        # no going run does.  The convergence window is read only at
+        # iterations where a going run moved less than the tolerance.
+        cfg = TrainerConfig(batch_size=16, max_iters=400, burn_in=5,
+                            convergence_tol=2.3e-6)
+        _, stopped = train(bicycle, replace(cfg, seed=0, gamma=0.5))
+        self._flag_runs(monkeypatch, {6: [0]})
         real_ptp, windows = np.ptp, []
 
         def counting_ptp(a, axis=None):
@@ -1077,24 +1077,60 @@ class TestTrainRuns:
             return real_ptp(a, axis=axis)
 
         monkeypatch.setattr(np, "ptp", counting_ptp)
-        runs = train_runs(bicycle, cfg, seeds=[2, 8],
-                          ref_gain=bicycle_dare.gain)
+        runs = train_runs(bicycle, cfg, seeds=[0, 1, 2], gammas=[0.5, 0.9])
         monkeypatch.undo()
-        assert runs.iterations.tolist() == [1000, 186]
-        assert "pool diverged" in runs.errors[1]
+        assert runs.iterations.tolist() == [5] + [400] * 5
         moves = np.abs(np.diff(runs.theta, axis=1, prepend=0.0)).max(
             axis=(2, 3))
-        opened = [k for k in range(101, cfg.max_iters + 1)
-                  if any(moves[j, k - 1] < cfg.convergence_tol
-                         for j in (0, 1) if runs.iterations[j] >= k)]
-        assert len(windows) == len(opened) < 100
+        stopped_moves = np.abs(np.diff(stopped.theta, axis=0,
+                                       prepend=0.0)).max(axis=(1, 2))
+        late = range(101, cfg.max_iters + 1)
+        opened = [k for k in late
+                  if (moves[1:, k - 1] < cfg.convergence_tol).any()]
+        assert len(windows) == len(opened)
+        assert any(stopped_moves[k - 1] < cfg.convergence_tol
+                   for k in late if k not in opened)
+
+    def test_grid_drops_stopped_discounts_and_seeds(self, bicycle,
+                                                    monkeypatch):
+        # In seeds [0, 1, 2] x discounts [0.5, 0.9], seed 1's runs stop at
+        # iterations 5 (run 1) and 10 (run 4), after which its column
+        # leaves the stack and its generator draws no more; the runs of
+        # discount 0.5 that are left, 0 and 2, stop at 15, after which that
+        # row leaves too.  Every run's record equals the run trained alone,
+        # up to its stop, and is zero after it.
+        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        seeds, gammas = [0, 1, 2], [0.5, 0.9]
+        alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
+                 for seed, gamma in grid(seeds, gammas)]
+        calls = self._flag_runs(monkeypatch, {6: [1], 11: [4], 16: [0, 1]})
+        real_draw, draws = training._draw_normals, []
+
+        def counting_draw(normals, raw, noise, p):
+            draws.append(len(normals))
+            return real_draw(normals, raw, noise, p)
+
+        monkeypatch.setattr(training, "_draw_normals", counting_draw)
+        runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
+        assert calls == [3] + [6] * 10 + [4] * 5 + [2] * 45
+        assert draws == [3] * 10 + [2] * 50
+        assert runs.iterations.tolist() == [15, 5, 15, 60, 10, 60]
+        self._assert_record_ends_at_stop(runs)
+        for k, stop in enumerate(runs.iterations):
+            _, history = alone[k]
+            np.testing.assert_array_equal(runs.history(k).theta,
+                                          history.theta[:stop])
+            np.testing.assert_array_equal(runs.history(k).critic_loss,
+                                          history.critic_loss[:stop])
+        for k in (3, 5):
+            np.testing.assert_array_equal(runs.gains[k], alone[k][0])
 
     def test_history_reads_any_selection_of_runs(self, bicycle, bicycle_dare,
                                                  monkeypatch):
         # Run 1 stops at iteration 5, so a selection holding it is cut to
         # five rows; an index and its one-element list read the same.
         cfg = TrainerConfig(batch_size=16, max_iters=30, burn_in=5)
-        self._flag_run_one_at(monkeypatch, 6)
+        self._flag_runs(monkeypatch, {6: [1]})
         runs = train_runs(bicycle, cfg, seeds=[0, 1, 2],
                           ref_gain=bicycle_dare.gain)
         fields = ("theta", "diff", "critic_loss", "actor_loss")
@@ -1148,21 +1184,32 @@ class TestTrainRuns:
 
     def test_run_diverging_mid_stack_raises_no_warning(self, bicycle,
                                                        bicycle_dare):
-        # Sampled at batch 32 after a burn-in of 20, seed 1 diverges at
-        # iterations 209 and 235 while seed 2 trains on to 600.  The
-        # stopped runs go on stepping until their pools overflow, and no
-        # RuntimeWarning leaves the stack.
+        # Sampled at batch 32 after a burn-in of 20, seed 92 diverges at
+        # discount 0.01 (iteration 196) but not at 0.99, and seed 2 at
+        # neither.  The diverged run steps on in the stack until its pool
+        # overflows, and no RuntimeWarning leaves the stack.
         cfg = TrainerConfig(batch_size=32, max_iters=600, burn_in=20,
                             estimator="sampled")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            runs = train_runs(bicycle, cfg, seeds=[1, 2], gammas=[0.5, 0.99],
-                              ref_gain=bicycle_dare.gain)
-        assert runs.iterations.tolist() == [209, 600, 235, 600]
-        assert runs.errors[1] is runs.errors[3] is None
-        for k in (0, 2):
-            assert "pool diverged" in runs.errors[k]
+            runs = train_runs(bicycle, cfg, seeds=[2, 92],
+                              gammas=[0.01, 0.99], ref_gain=bicycle_dare.gain)
+        assert runs.iterations.tolist() == [600, 196, 600, 600]
+        assert "pool diverged" in runs.errors[1]
+        assert runs.errors[0] is runs.errors[2] is runs.errors[3] is None
         self._assert_record_ends_at_stop(runs)
+
+    @pytest.mark.parametrize("seeds, gammas, message", [
+        ([4, 1, 4], [0.5], r"seeds\[2\] repeats seeds\[0\] = 4"),
+        ([0], [0.5, 0.9, 0.5], r"gammas\[2\] repeats gammas\[0\] = 0.5"),
+        ([0], [0, 0.0], r"gammas\[1\] repeats gammas\[0\] = 0"),
+    ], ids=["seed", "discount", "zero"])
+    def test_repeated_seed_or_discount_refused(self, bicycle, seeds, gammas,
+                                               message):
+        # A repeated grid row or column would train the same runs again.
+        with pytest.raises(ValueError, match=message):
+            train_runs(bicycle, TrainerConfig(max_iters=1), seeds=seeds,
+                       gammas=gammas)
 
     def test_fractional_seed_rejected(self, bicycle):
         # Truncating 1.5 would silently train seed 1.
