@@ -243,10 +243,12 @@ def gain_metrics(pi: np.ndarray, k_inf: np.ndarray
 
 def _check_named_gains(model: LinearGaussianModel, named: list) -> None:
     """Raise ValueError naming the first (name, gain) pair that
-    :func:`evaluate_gains` refuses: a gain that is not n x r, with its
-    shape, or a name given twice."""
+    :func:`evaluate_gains` refuses: an empty name, a gain that is not
+    n x r, with its shape, or a name given twice."""
     names = [name for name, _ in named]
     for k, (name, gain) in enumerate(named):
+        if not name:
+            raise ValueError(f"gain number {k + 1} has an empty name")
         if np.shape(gain) != (model.n, model.r):
             raise ValueError(f"gain {name!r} must be {model.n} x {model.r}, "
                              f"got {np.shape(gain)}")
@@ -272,7 +274,8 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
 
     Raises:
         ValueError: before any noise is drawn, naming the first gain that
-            is not n x r and its shape, or the first name given twice.
+            has an empty name or is not n x r (with its shape), or the
+            first name given twice.
     """
     named = list(gains)
     if not named:

@@ -430,12 +430,13 @@ class TrainRuns:
                 raise DivergenceError(message, history=self.history(k))
 
 
-def _divergence_message(theta, guard, worst_pool) -> str:
+def _divergence_message(k, theta, guard, worst_pool) -> str:
     if not np.all(np.isfinite(theta)):
         return "gain contains non-finite entries"
     if np.abs(theta).max() > guard:
         return f"gain magnitude exceeded the divergence guard ({guard:.3e})"
-    return f"error pool diverged (max entry {worst_pool:.3e})"
+    during = " during burn-in" if k == 0 else ""
+    return f"error pool diverged{during} (max entry {worst_pool:.3e})"
 
 
 def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
@@ -465,18 +466,21 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     gain in the evaluation rollout's closed-loop form e' = F e + D w, whose
     F and D then serve the next law (``"analytic"``).  A run stops when its
     gain's elementwise spread over the trailing 100 iterations falls below
-    ``cfg.convergence_tol`` (``converged``), when it diverges (at iteration
-    0, with every discount of its seed, if its seed's pool diverges in
-    burn-in), or at ``cfg.max_iters``; the other runs go on.  A discount
-    or a seed whose runs have all stopped leaves the stack and costs no
-    more; a stopped run whose discount and seed both still have a run
-    going steps on, its record zero past its stop.  A run's gain averages
-    its final ``cfg.tail_avg_frac`` of iterates, which suppresses the
-    stationary jitter of the stochastic updates.
+    ``cfg.convergence_tol`` (``converged``), when it diverges, or at
+    ``cfg.max_iters``; the other runs go on.  Every run is checked after
+    each k = 0 .. ``cfg.max_iters`` iterations, before iteration k + 1:
+    the check after 0 iterations reads the burned-in pools, so a seed
+    whose pool diverges in burn-in stops every discount's run of it at
+    iteration 0.  A discount or a seed whose runs have all stopped leaves
+    the stack and costs no more; a stopped run whose discount and seed
+    both still have a run going steps on, its record zero past its stop.
+    A run's gain averages its final ``cfg.tail_avg_frac`` of iterates,
+    which suppresses the stationary jitter of the stochastic updates.
 
-    ``ref_gain``, if not all zero, only adds diagnostics (the histories'
-    ``diff``) and a divergence guard at 1000x its largest element.  A run
-    also diverges when its gain turns non-finite or its pool blows up.
+    ``ref_gain``, a finite n x r matrix not all zero (else ValueError),
+    only adds diagnostics (the histories' ``diff``) and a divergence guard
+    at 1000x its largest element.  A run also diverges when its gain turns
+    non-finite or its pool blows up.
     """
     seeds = [cfg.seed] if seeds is None else list(seeds)
     gammas = [cfg.gamma] if gammas is None else list(gammas)
@@ -495,6 +499,10 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                                  f"[{values.index(value)}] = {value}")
     if ref_gain is not None:
         ref_gain = np.asarray(ref_gain, dtype=float)
+        if (ref_gain.shape != (model.n, model.r)
+                or not np.isfinite(ref_gain).all()):
+            raise ValueError(f"ref_gain must be a finite {model.n} x "
+                             f"{model.r} matrix, got {ref_gain!r}")
         if not ref_gain.any():
             raise ValueError("ref_gain is all zero: it sets no guard scale")
         guard = _GUARD_FACTOR * np.abs(ref_gain).max()
@@ -522,10 +530,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # Burn-in: after N zero-gain steps s' = A s + E L_Q xi, a pool is
     # Gaussian about A^N s with covariance S_N = sum_{k<N} A^k E Q E^T
     # A^k^T, so each seed draws it at once, its n x M normals coloured by
-    # a factor of S_N.  A seed whose pool diverges stops all of its runs.
-    # A law that overflowed (a strongly unstable A) is neither factored nor
-    # drawn: it makes every pool infinite.
-    failed = np.zeros(len(seeds), dtype=bool)
+    # a factor of S_N.  A law that overflowed (a strongly unstable A) is
+    # neither factored nor drawn: it makes every pool infinite.
     if cfg.burn_in:
         with np.errstate(over="ignore", invalid="ignore"):
             power, spread = _n_step_law(model.A, model.effective_process_cov(),
@@ -535,33 +541,26 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                     [rng.standard_normal((n, size)) for rng in rngs])
             else:
                 pool = np.full_like(pool, np.inf)
-        worst_pool, failed = diverged_runs(pool)
-        for j in np.flatnonzero(failed):
-            errors[j::len(seeds)] = ["error pool diverged during burn-in "
-                                     f"(max entry {worst_pool[j]:.3e})"
-                                     ] * len(gammas)
-            iterations[j::len(seeds)] = 0
     # The stack holds the grid of the discounts and seeds that still have a
     # run going, discount-major: the (G, S, ...) view of a run array is its
     # grid, and per-seed noise broadcasts over the discounts.  A dropped
     # seed's generator draws no more, which changes no other seed's
     # numbers.  index holds each stacked run's number, and live selects
     # their records: all of them, gathering nothing, until the grid shrinks.
-    normals = [rng.standard_normal
-               for rng, out in zip(rngs, failed) if not out]
-    pool = np.tile(pool[~failed], (len(gammas), 1, 1))
-    index = np.arange(count).reshape(len(gammas), -1)[:, ~failed].ravel()
-    live = index if failed.any() else slice(None)
+    normals = [rng.standard_normal for rng in rngs]
+    pool = np.tile(pool, (len(gammas), 1, 1))
+    index = np.arange(count)
+    live = slice(None)
     raw = np.empty((len(normals), size * (p + r)))
     noise = np.empty((len(normals), p + r, size))
     # A run's tolerance turns -inf when it stops, which marks it stopped:
     # the gain of a stopped run that steps on, converged or stalled, must
     # not open the convergence window below.
-    tolerance = np.full(index.size, float(cfg.convergence_tol))
+    tolerance = np.full(count, float(cfg.convergence_tol))
     gamma_col = np.repeat(np.asarray(gammas, dtype=float),
                           len(normals))[:, np.newaxis, np.newaxis]
-    theta = np.zeros((index.size, n, r))
-    w = np.tile(model.eye, (index.size, 1, 1))
+    theta = np.zeros((count, n, r))
+    w = np.tile(model.eye, (count, 1, 1))
     loop = _closed_loop(model, theta, process_factor, r_factor)
     # Adam's moment estimates for the critic and the actor.
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
@@ -571,12 +570,55 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
     sampled = cfg.estimator == "sampled"
 
-    # A stopped run whose discount and seed both still have a run going
-    # steps on, its record past its stop zeroed below.  A diverged run's
-    # overflow stays in its own rows, so it is not reported.
-    last = max_iters if index.size else 0
+    # Pass k checks every stacked run after k iterations, then takes
+    # iteration k + 1 (Adam step k + 1, record row k).  Pass 0 checks the
+    # burned-in pools, so a seed whose pool diverged in burn-in stops all
+    # of its runs at iteration 0, through the same stop and cut as any
+    # later stop.  A stopped run whose discount and seed both still have a
+    # run going steps on, its record past its stop zeroed below.  A
+    # diverged run's overflow stays in its own rows, so it is not reported.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, last + 1):
+        for k in range(max_iters + 1):
+            worst_pool, failed = diverged_runs(pool)
+            failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
+            stop = failed
+            # A window's spread is at least its last move, so the window is
+            # only read once some run has moved less than the tolerance.
+            if (k > _CONVERGENCE_WINDOW
+                    and (last_move < tolerance).any()):
+                window = theta_hist[live, k - _CONVERGENCE_WINDOW - 1:k]
+                spread = np.ptp(window, axis=1).max(axis=(1, 2))
+                stop = failed | (spread < tolerance)
+            if stop.any():
+                # A stopped run that steps on is not stopped again.
+                stop &= tolerance > -np.inf
+            if stop.any():
+                tolerance[stop] = -np.inf
+                iterations[index[stop]] = k
+                converged[index[stop & ~failed]] = True
+                for j in np.flatnonzero(stop & failed):
+                    errors[index[j]] = _divergence_message(
+                        k, theta[j], guard, worst_pool[j])
+                # Drop each discount and each seed whose runs have all
+                # stopped.
+                going = (tolerance > -np.inf).reshape(-1, len(normals))
+                rows, cols = going.any(axis=1), going.any(axis=0)
+                if not rows.any():
+                    break
+                if not (rows.all() and cols.all()):
+                    keep = np.ix_(rows, cols)
+                    (theta, w, m_w, v_w, m_theta, v_theta, pool, gamma_col,
+                     tolerance, index, *loop) = (
+                        a.reshape(going.shape + a.shape[1:])[keep]
+                        .reshape((-1,) + a.shape[1:])
+                        for a in (theta, w, m_w, v_w, m_theta, v_theta, pool,
+                                  gamma_col, tolerance, index, *loop))
+                    normals = [normal for normal, kept in zip(normals, cols)
+                               if kept]
+                    raw, noise, live = raw[cols], noise[cols], index
+            if k == max_iters:
+                break
+
             drawn = _draw_normals(normals, raw, noise, p)
             if sampled:
                 law = _drawn_law(model, theta, pool,
@@ -585,11 +627,12 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             else:
                 law = _integrated_law(model, theta, pool, loop)
             c_loss, c_grad = _critic_step(model, law, w, pool, gamma_col)
-            w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k, cfg.lr_critic)
+            w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k + 1,
+                                      cfg.lr_critic)
             w = symmetrize(w)
             a_loss, a_grad = _actor_step(model, law, w, gamma_col)
             updated, m_theta, v_theta = adam_update(
-                theta, a_grad, m_theta, v_theta, k, cfg.lr_actor)
+                theta, a_grad, m_theta, v_theta, k + 1, cfg.lr_actor)
             if sampled:
                 # This draw's transition under the old gain.
                 pool = law.drawn
@@ -604,47 +647,9 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             last_move = np.abs(updated - theta).max(axis=(1, 2))
             theta = updated
 
-            theta_hist[live, k - 1] = theta
-            critic_hist[live, k - 1] = c_loss
-            actor_hist[live, k - 1] = a_loss
-
-            worst_pool, failed = diverged_runs(pool)
-            failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
-            stop = failed
-            # A window's spread is at least its last move, so the window is
-            # only read once some run has moved less than the tolerance.
-            if (k > _CONVERGENCE_WINDOW
-                    and (last_move < tolerance).any()):
-                window = theta_hist[live, k - _CONVERGENCE_WINDOW - 1:k]
-                spread = np.ptp(window, axis=1).max(axis=(1, 2))
-                stop = failed | (spread < tolerance)
-            if stop.any():
-                # A stopped run that steps on is not stopped again.
-                stop &= tolerance > -np.inf
-            if not stop.any():
-                continue
-            tolerance[stop] = -np.inf
-            iterations[index[stop]] = k
-            converged[index[stop & ~failed]] = True
-            for j in np.flatnonzero(stop & failed):
-                errors[index[j]] = _divergence_message(theta[j], guard,
-                                                       worst_pool[j])
-            # Drop each discount and each seed whose runs have all stopped.
-            going = (tolerance > -np.inf).reshape(-1, len(normals))
-            rows, cols = going.any(axis=1), going.any(axis=0)
-            if not rows.any():
-                break
-            if rows.all() and cols.all():
-                continue
-            keep = np.ix_(rows, cols)
-            (theta, w, m_w, v_w, m_theta, v_theta, pool, gamma_col, tolerance,
-             index, *loop) = (
-                a.reshape(going.shape + a.shape[1:])[keep]
-                .reshape((-1,) + a.shape[1:])
-                for a in (theta, w, m_w, v_w, m_theta, v_theta, pool,
-                          gamma_col, tolerance, index, *loop))
-            normals = [normal for normal, kept in zip(normals, cols) if kept]
-            raw, noise, live = raw[cols], noise[cols], index
+            theta_hist[live, k] = theta
+            critic_hist[live, k] = c_loss
+            actor_hist[live, k] = a_loss
 
     # Each surviving run's mean iterate from the tail start (or its last
     # iterate alone) to its stop; with no iterations, the zero start gain.

@@ -534,6 +534,14 @@ class TestConfigHandling:
         assert "gain name 'a' is given twice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_gain_name_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = main(["eval", "--config", str(cfg),
+                     "--gain", "=dare", "--gain", "zero"])
+        assert code == 2
+        assert "gain number 1 has an empty name" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [5, None, []],
                              ids=["number", "null", "list"])
     def test_non_string_output_dir_exits_two(self, tmp_path, capsys, value):

@@ -372,6 +372,17 @@ class TestEvaluateGains:
         with pytest.raises(ValueError, match="gain name 'a' is given twice"):
             evaluate_gains(bicycle, gains, cfg)
 
+    def test_empty_name_refused_before_noise(self, bicycle, monkeypatch):
+        # An empty name would give an eval.csv row that names no gain.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("errors drawn before the names were checked")
+
+        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        gains = [("a", np.zeros((2, 2))), ("", np.eye(2))]
+        cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
+        with pytest.raises(ValueError, match="gain number 2 has an empty name"):
+            evaluate_gains(bicycle, gains, cfg)
+
     def test_paired_seeds_give_identical_rows(self, bicycle, bicycle_dare):
         cfg = EvalConfig(n_traj=50, t_test=300, t_critical=100, seed=5)
         rows = evaluate_gains(

@@ -833,16 +833,16 @@ class TestTrainRuns:
 
     def test_failing_run_stops_alone(self, bicycle, monkeypatch):
         # Run 1 (seed 1 at discount 0.5) has its pool reported diverged at
-        # iteration 5, after the one burn-in check of the three seeds'
-        # pools.  It stays in the stack, and every other run, seed 1 at
-        # 0.9 among them, finishes exactly as it would alone.
+        # iteration 5; the first check, after 0 iterations, already sees
+        # all six runs.  Run 1 stays in the stack, and every other run,
+        # seed 1 at 0.9 among them, finishes exactly as it would alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
         seeds, gammas = [0, 1, 2], [0.5, 0.9]
         alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
                  for seed, gamma in grid(seeds, gammas)]
         calls = self._flag_runs(monkeypatch, {6: [1]})
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
-        assert calls == [3] + [6] * 60
+        assert calls == [6] * 61
         assert runs.iterations.tolist() == [60, 5, 60, 60, 60, 60]
         assert "pool diverged" in runs.errors[1]
         assert all(runs.errors[k] is None for k in (0, 2, 3, 4, 5))
@@ -858,7 +858,7 @@ class TestTrainRuns:
         assert excinfo.value.history.iterations == 5
 
     def test_run_diverging_in_burn_in_stops_alone(self, bicycle, monkeypatch):
-        # Flagged at the one burn-in check, run 1 never trains: its seed
+        # Flagged at the check after burn-in, run 1 never trains: its seed
         # leaves the stack before the first iteration and its record stays
         # zero.  Runs 0 and 2 draw and train exactly as they would alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
@@ -881,17 +881,18 @@ class TestTrainRuns:
 
     def test_shared_seed_diverging_in_burn_in_stops_all_its_runs(
             self, bicycle, monkeypatch):
-        # Burn-in runs once per seed, so flagging pool 1 at the one
-        # burn-in check fails seed 1: its runs at both discounts, 1 and 4,
-        # never train, the stack holds the four runs of seeds 0 and 2, and
-        # those train exactly as they would alone.
+        # Burn-in runs once per seed, so both discounts of seed 1, runs 1
+        # and 4, hold the same burned-in pool; flagging both at the first
+        # check fails seed 1.  Its runs never train, the stack holds the
+        # four runs of seeds 0 and 2, and those train exactly as they would
+        # alone.
         cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
         seeds, gammas = [0, 1, 2], [0.5, 0.9]
         alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
                  for seed, gamma in grid(seeds, gammas)]
-        calls = self._flag_runs(monkeypatch, {1: [1]})
+        calls = self._flag_runs(monkeypatch, {1: [1, 4]})
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
-        assert calls == [3] + [4] * 60
+        assert calls == [6] + [4] * 60
         assert runs.iterations.tolist() == [60, 0, 60, 60, 0, 60]
         for k in (1, 4):
             assert "diverged during burn-in" in runs.errors[k]
@@ -954,20 +955,22 @@ class TestTrainRuns:
 
     def test_overflowing_burn_in_stops_every_seed_without_warning(self):
         # A^400 overflows on the mode at 1e3, and so does S_400: every seed
-        # stops in burn-in with an infinite pool, the law is never
-        # factored, and no RuntimeWarning escapes.
+        # stops in burn-in with an infinite pool, at one discount or two,
+        # the law is never factored, and no RuntimeWarning escapes.
         model = LinearGaussianModel(
             A=np.diag([1e3, 0.5]), B=np.zeros((2, 1)), C=np.eye(2),
             D=np.zeros((2, 1)), E=np.eye(2), Q=np.eye(2), R=np.eye(2),
             dt=0.01)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            runs = train_runs(model, TrainerConfig(batch_size=16, max_iters=5),
-                              seeds=[0, 1, 2])
-        assert runs.iterations.tolist() == [0, 0, 0]
-        assert runs.errors == ["error pool diverged during burn-in "
-                               "(max entry inf)"] * 3
-        assert np.isnan(runs.gains).all()
+        for gammas, count in ((None, 3), ([0.5, 0.9], 6)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs = train_runs(model,
+                                  TrainerConfig(batch_size=16, max_iters=5),
+                                  seeds=[0, 1, 2], gammas=gammas)
+            assert runs.iterations.tolist() == [0] * count
+            assert runs.errors == ["error pool diverged during burn-in "
+                                   "(max entry inf)"] * count
+            assert np.isnan(runs.gains).all()
 
     def test_each_seed_drawn_once_per_step(self, bicycle, monkeypatch):
         # Seeds 1 and 2 hold three runs each, one per discount.  Each
@@ -1112,7 +1115,7 @@ class TestTrainRuns:
 
         monkeypatch.setattr(training, "_draw_normals", counting_draw)
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
-        assert calls == [3] + [6] * 10 + [4] * 5 + [2] * 45
+        assert calls == [6] * 11 + [4] * 5 + [2] * 45
         assert draws == [3] * 10 + [2] * 50
         assert runs.iterations.tolist() == [15, 5, 15, 60, 10, 60]
         self._assert_record_ends_at_stop(runs)
@@ -1174,6 +1177,17 @@ class TestTrainRuns:
         with pytest.raises(ValueError, match="ref_gain is all zero"):
             train_runs(bicycle, TrainerConfig(max_iters=1),
                        ref_gain=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("ref_gain", [
+        [[np.nan, 0.1], [0.2, 0.3]], [[np.inf, 0.1], [0.2, 0.3]],
+        np.ones((3, 2)), np.ones(2)], ids=["nan", "inf", "3x2", "vector"])
+    def test_bad_reference_gain_refused(self, bicycle, ref_gain):
+        # A NaN entry would flag every run diverged, an inf one switch the
+        # guard off, and a wrong shape broadcast into every history's diff.
+        with pytest.raises(ValueError, match="ref_gain must be a finite "
+                                             "2 x 2 matrix"):
+            train_runs(bicycle, TrainerConfig(max_iters=1),
+                       ref_gain=ref_gain)
 
     def test_discounts_validated(self, bicycle):
         cfg = TrainerConfig(max_iters=1)
