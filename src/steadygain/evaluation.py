@@ -158,14 +158,12 @@ def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
     N x t_test values where :func:`evaluate_gains` keeps t_test per gain.
 
     Raises:
-        ValueError: before any noise is drawn, if ``gain`` is not n x r.
+        ValueError: before any noise is drawn, if ``gain`` is not n x r or
+            has a non-finite entry.
         DivergenceError: at the first step ``step`` at which an error
             entry is non-finite or beyond the divergence guard.
     """
-    if np.shape(gain) != (model.n, model.r):
-        raise ValueError(
-            f"gain must be {model.n} x {model.r}, got {np.shape(gain)}")
-    gains = np.asarray(gain, dtype=float)[np.newaxis]
+    gains = _checked_gain(model, gain, "gain")[np.newaxis]
     e0, rng = _initial_error(model, cfg, bounds)
     squared = np.empty((cfg.n_traj, cfg.t_test))
     for t, alive, errors in _rollout(model, gains, cfg.t_test, e0, rng):
@@ -228,12 +226,15 @@ def gain_metrics(pi: np.ndarray, k_inf: np.ndarray
     """Elementwise gain difference and its percentage of the largest element.
 
     Returns (D, E) with D = pi - k_inf and
-    E = D / max|k_inf| * 100, both n x r.
+    E = D / max|k_inf| * 100, both n x r.  A reference ``k_inf`` that is
+    all zero or has a non-finite entry raises ValueError.
     """
     pi = np.asarray(pi, dtype=float)
     k_inf = np.asarray(k_inf, dtype=float)
     if pi.shape != k_inf.shape:
         raise ValueError(f"shape mismatch: {pi.shape} vs {k_inf.shape}")
+    if not np.isfinite(k_inf).all():
+        raise ValueError("reference gain contains non-finite entries")
     scale = np.abs(k_inf).max(initial=0.0)
     if scale == 0.0:
         raise ValueError("reference gain is identically zero")
@@ -241,17 +242,28 @@ def gain_metrics(pi: np.ndarray, k_inf: np.ndarray
     return diff, diff / scale * 100.0
 
 
+def _checked_gain(model: LinearGaussianModel, gain, label: str
+                  ) -> np.ndarray:
+    """``gain`` as a float array; ValueError, naming it by ``label``, if it
+    is not n x r, with its shape, or has a non-finite entry."""
+    if np.shape(gain) != (model.n, model.r):
+        raise ValueError(f"{label} must be {model.n} x {model.r}, "
+                         f"got {np.shape(gain)}")
+    gain = np.asarray(gain, dtype=float)
+    if not np.isfinite(gain).all():
+        raise ValueError(f"{label} contains non-finite entries")
+    return gain
+
+
 def _check_named_gains(model: LinearGaussianModel, named: list) -> None:
     """Raise ValueError naming the first (name, gain) pair that
-    :func:`evaluate_gains` refuses: an empty name, a gain that is not
-    n x r, with its shape, or a name given twice."""
+    :func:`evaluate_gains` refuses: an empty name, a gain that
+    :func:`_checked_gain` refuses, or a name given twice."""
     names = [name for name, _ in named]
     for k, (name, gain) in enumerate(named):
         if not name:
             raise ValueError(f"gain number {k + 1} has an empty name")
-        if np.shape(gain) != (model.n, model.r):
-            raise ValueError(f"gain {name!r} must be {model.n} x {model.r}, "
-                             f"got {np.shape(gain)}")
+        _checked_gain(model, gain, f"gain {name!r}")
         if name in names[:k]:
             raise ValueError(f"gain name {name!r} is given twice")
 
@@ -274,8 +286,8 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
 
     Raises:
         ValueError: before any noise is drawn, naming the first gain that
-            has an empty name or is not n x r (with its shape), or the
-            first name given twice.
+            has an empty name, is not n x r (with its shape) or has a
+            non-finite entry, or the first name given twice.
     """
     named = list(gains)
     if not named:

@@ -473,7 +473,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     whose pool diverges in burn-in stops every discount's run of it at
     iteration 0.  A discount or a seed whose runs have all stopped leaves
     the stack and costs no more; a stopped run whose discount and seed
-    both still have a run going steps on, its record zero past its stop.
+    both still have a run going steps on but writes nothing to its
+    record, which is zero past its stop.
     A run's gain averages its final ``cfg.tail_avg_frac`` of iterates,
     which suppresses the stationary jitter of the stochastic updates.
 
@@ -546,11 +547,14 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # grid, and per-seed noise broadcasts over the discounts.  A dropped
     # seed's generator draws no more, which changes no other seed's
     # numbers.  index holds each stacked run's number, and live selects
-    # their records: all of them, gathering nothing, until the grid shrinks.
+    # their records: all of them, gathering nothing, until a run stops.
+    # The records hold one spare row, K, which takes the writes of every
+    # stopped run that steps on, so a run's rows are written only while it
+    # runs and read zero past its stop.
     normals = [rng.standard_normal for rng in rngs]
     pool = np.tile(pool, (len(gammas), 1, 1))
     index = np.arange(count)
-    live = slice(None)
+    live = slice(count)
     raw = np.empty((len(normals), size * (p + r)))
     noise = np.empty((len(normals), p + r, size))
     # A run's tolerance turns -inf when it stops, which marks it stopped:
@@ -565,8 +569,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # Adam's moment estimates for the critic and the actor.
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
                                   for a in (w, w, theta, theta))
-    theta_hist = np.zeros((count, max_iters, n, r))
-    critic_hist, actor_hist = np.zeros((2, count, max_iters))
+    theta_hist = np.zeros((count + 1, max_iters, n, r))
+    critic_hist, actor_hist = np.zeros((2, count + 1, max_iters))
     tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
     sampled = cfg.estimator == "sampled"
 
@@ -575,8 +579,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # burned-in pools, so a seed whose pool diverged in burn-in stops all
     # of its runs at iteration 0, through the same stop and cut as any
     # later stop.  A stopped run whose discount and seed both still have a
-    # run going steps on, its record past its stop zeroed below.  A
-    # diverged run's overflow stays in its own rows, so it is not reported.
+    # run going steps on, writing only to the spare row.  A diverged run's
+    # overflow stays in its own arrays and that row, so it is not reported.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters + 1):
             worst_pool, failed = diverged_runs(pool)
@@ -615,7 +619,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                                   gamma_col, tolerance, index, *loop))
                     normals = [normal for normal, kept in zip(normals, cols)
                                if kept]
-                    raw, noise, live = raw[cols], noise[cols], index
+                    raw, noise = raw[cols], noise[cols]
+                live = np.where(tolerance > -np.inf, index, count)
             if k == max_iters:
                 break
 
@@ -627,9 +632,10 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             else:
                 law = _integrated_law(model, theta, pool, loop)
             c_loss, c_grad = _critic_step(model, law, w, pool, gamma_col)
+            # w stays exactly symmetric, as _actor_step needs: it starts at
+            # I, c_grad is exactly symmetric and Adam acts elementwise.
             w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k + 1,
                                       cfg.lr_critic)
-            w = symmetrize(w)
             a_loss, a_grad = _actor_step(model, law, w, gamma_col)
             updated, m_theta, v_theta = adam_update(
                 theta, a_grad, m_theta, v_theta, k + 1, cfg.lr_actor)
@@ -655,15 +661,13 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # iterate alone) to its stop; with no iterations, the zero start gain.
     gains = np.full((count, n, r), np.nan)
     for run, k in enumerate(iterations):
-        for record in (theta_hist, critic_hist, actor_hist):
-            record[run, k:] = 0.0
         if errors[run] is None:
             gains[run] = (theta_hist[run, min(tail_start, k) - 1:k]
                           .mean(axis=0) if k else 0.0)
     return TrainRuns(
-        gains=gains, theta=theta_hist, critic_loss=critic_hist,
-        actor_loss=actor_hist, iterations=iterations, converged=converged,
-        errors=errors, ref_gain=ref_gain)
+        gains=gains, theta=theta_hist[:count], critic_loss=critic_hist[:count],
+        actor_loss=actor_hist[:count], iterations=iterations,
+        converged=converged, errors=errors, ref_gain=ref_gain)
 
 
 def train(model: LinearGaussianModel, cfg: TrainerConfig,

@@ -83,6 +83,22 @@ class TestRunTrajectory:
             (np.eye(2) - bicycle_dare.gain @ bicycle.C) @ bicycle_dare.sigma)
         assert abs(report.loss_ss - trace) / trace < 0.05
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_refused_before_noise(self, bicycle,
+                                                  bicycle_dare, monkeypatch,
+                                                  bad):
+        # A non-finite gain is bad input, not a divergence at step 1.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("errors drawn before the gain was checked")
+
+        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        gain = bicycle_dare.gain.copy()
+        gain[1, 0] = bad
+        cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
+        with pytest.raises(ValueError,
+                           match="^gain contains non-finite entries$"):
+            run_trajectories(bicycle, gain, cfg)
+
 
 class TestLosses:
     def test_constant_error(self):
@@ -179,6 +195,17 @@ class TestGainMetrics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             gain_metrics(np.ones((2, 2)), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_rejected(self, bad):
+        # A NaN scale passes the zero test, so without the finiteness check
+        # the metrics come out NaN without an error.
+        k_inf = TABLE_KINF.copy()
+        k_inf[1, 0] = bad
+        with pytest.raises(ValueError, match="reference gain"):
+            gain_metrics(TABLE_KINF, k_inf)
+        with pytest.raises(ValueError, match="reference gain"):
+            gain_metrics(np.zeros((2, 2)), np.full((2, 2), bad))
 
 
 def reference_rollout(model, gains, t_test, e0, rng):
@@ -359,6 +386,24 @@ class TestEvaluateGains:
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
         message = re.escape("gain 'b' must be 2 x 2, got (3, 3)")
         with pytest.raises(ValueError, match=message):
+            evaluate_gains(bicycle, gains, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_named_before_noise(self, bicycle, bicycle_dare,
+                                                monkeypatch, bad):
+        # Such a gain would otherwise be reported as diverged: the input is
+        # bad, not the rollout.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("errors drawn before the gains were checked")
+
+        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        gain = bicycle_dare.gain.copy()
+        gain[0, 1] = bad
+        gains = [("dare", bicycle_dare.gain), ("bad", gain),
+                 ("zero", np.zeros((2, 2)))]
+        cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
+        with pytest.raises(ValueError,
+                           match="^gain 'bad' contains non-finite entries$"):
             evaluate_gains(bicycle, gains, cfg)
 
     def test_repeated_name_refused_before_noise(self, bicycle, monkeypatch):

@@ -1,4 +1,8 @@
 import csv
+import json
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 from dataclasses import asdict, replace
@@ -452,6 +456,20 @@ class TestAdam:
                                                t, lr=0.01)
             up, m_up, v_up = adam_update(up, -grad, m_up, v_up, t, lr=0.01)
             np.testing.assert_array_equal(up, -down)
+
+    def test_keeps_exact_symmetry(self):
+        # The trainer does not re-symmetrize its critic after the step: the
+        # critic starts at I, its gradient is exactly symmetric, and Adam
+        # acts elementwise, so weights and moments stay symmetric bit for
+        # bit.
+        rng = np.random.default_rng(35)
+        params = symmetrize(rng.standard_normal((3, 4, 4)))
+        m = v = np.zeros_like(params)
+        for t in range(1, 26):
+            grad = symmetrize(rng.standard_normal((3, 4, 4)) * 10.0 ** t)
+            params, m, v = adam_update(params, grad, m, v, t, lr=0.01)
+            for a in (params, m, v):
+                np.testing.assert_array_equal(a, a.swapaxes(-1, -2))
 
     def test_second_moment_nonnegative(self):
         rng = np.random.default_rng(33)
@@ -971,6 +989,48 @@ class TestTrainRuns:
             assert runs.errors == ["error pool diverged during burn-in "
                                    "(max entry inf)"] * count
             assert np.isnan(runs.gains).all()
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is counted in kB on Linux")
+    def test_runs_stopped_in_burn_in_touch_no_record(self):
+        # Ten runs of 200 000 iterations preallocate a 96 MB record; a run
+        # writes its rows only while it runs, so runs that all stop in
+        # burn-in leave those pages untouched.  ru_maxrss is the process's
+        # high-water mark, so the run gets a process of its own, warmed up
+        # by a one-iteration call.
+        script = textwrap.dedent("""
+            import json, resource
+            import numpy as np
+            from steadygain import (LinearGaussianModel, TrainerConfig,
+                                    train_runs)
+            from steadygain.cli import DEFAULT_GAMMA_SWEEP
+            model = LinearGaussianModel(
+                A=np.diag([1e3, 0.5]), B=np.zeros((2, 1)), C=np.eye(2),
+                D=np.zeros((2, 1)), E=np.eye(2), Q=np.eye(2), R=np.eye(2),
+                dt=0.01)
+            def grid(max_iters):
+                return train_runs(model, TrainerConfig(max_iters=max_iters),
+                                  seeds=[0, 1], gammas=DEFAULT_GAMMA_SWEEP)
+            grid(1)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            runs = grid(200000)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(json.dumps({
+                "grown_mb": (after - before) / 1024,
+                "iterations": runs.iterations.tolist(),
+                "errors": runs.errors,
+                "records": [len(runs.theta), len(runs.critic_loss),
+                            len(runs.actor_loss)]}))
+            """)
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["iterations"] == [0] * 10
+        assert out["errors"] == ["error pool diverged during burn-in "
+                                 "(max entry inf)"] * 10
+        assert out["records"] == [10] * 3
+        assert out["grown_mb"] < 32.0, out["grown_mb"]
 
     def test_each_seed_drawn_once_per_step(self, bicycle, monkeypatch):
         # Seeds 1 and 2 hold three runs each, one per discount.  Each
