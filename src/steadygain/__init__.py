@@ -33,9 +33,7 @@ from .training import (
     TrainerConfig,
     TrainHistory,
     TrainRuns,
-    actor_loss_and_grad,
     adam_update,
-    critic_loss_and_grad,
     train,
     train_average,
     train_runs,
@@ -74,9 +72,7 @@ __all__ = [
     "TrainerConfig",
     "TrainHistory",
     "TrainRuns",
-    "actor_loss_and_grad",
     "adam_update",
-    "critic_loss_and_grad",
     "train",
     "train_average",
     "train_runs",

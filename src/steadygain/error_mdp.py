@@ -74,7 +74,7 @@ def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
     size r for zeta, the stream :func:`_draw_normals` draws per generator,
     coloured by the :func:`cov_factor` factors of Q and R.  The factors
     are transposed C-contiguous so that the products stay on BLAS (see
-    :func:`_transition`).  This is the form :func:`step` takes.
+    :func:`step`), which takes the draw in this form.
     """
     p, r = model.p, model.r
     raw = rng.standard_normal(size * (p + r))
@@ -104,25 +104,6 @@ def _draw_normals(normals, raw: np.ndarray, out: np.ndarray, p: int
     out[:, :p] = raw[:, :size * p].reshape(seeds, size, p).swapaxes(1, 2)
     out[:, p:] = raw[:, size * p:].reshape(seeds, size, -1).swapaxes(1, 2)
     return out
-
-
-def _transition(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
-                noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray]:
-    """Next errors s' = z - a v and innovations v = C z + zeta.
-
-    Here z = A s + E xi; shapes are as :func:`step` accepts them.
-    """
-    # Every right operand is a C-contiguous transpose, because numpy's
-    # matmul stays on BLAS only for contiguous operands: a transposed view
-    # such as A.T sends it to a slow generic loop, which gives bitwise
-    # equal products.  The plant's transposes are derived once per model
-    # (``model.A_T`` and friends); only the gain's is copied per call.
-    nxt = np.matmul(s, model.A_T)
-    nxt += np.matmul(noise.xi, model.E_T)
-    v = np.matmul(nxt, model.C_T)
-    v += noise.zeta
-    nxt -= np.matmul(v, _transposed(a))
-    return nxt, v
 
 
 def _closed_loop(model: LinearGaussianModel, gains: np.ndarray,
@@ -171,34 +152,27 @@ def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
          noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of error states one transition under gain ``a``.
 
-    ``s`` is a batch (M, n) with noise of matching shapes (M, .).  A stack
-    of gains (K, n, r) advances a stack of batches (K, M, n), batch k under
-    gain k.  A stacked state takes noise either per batch, (K, M, .), or
-    shared by all K batches, (1, M, .), in which case E xi is formed once.
-    Returns the next states and the rewards -e'^T e' of the transitions;
-    the squared norm adds the squared components in order, as training's
-    critic does for its reward.
+    ``s`` is an (M, n) batch, ``a`` one n x r gain and ``noise`` one draw
+    per member, (M, p) and (M, r), as :func:`draw_noise` gives it.  Returns
+    the next states s' = z - a v, with z = A s + E xi and v = C z + zeta,
+    and the rewards -s'^T s' of the transitions, the squared components
+    added in order.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     _check_transition(model, s, a, noise)
-    nxt, _ = _transition(model, s, a, noise)
-    return nxt, -_squared_norm(nxt)
-
-
-def _squared_norm(x: np.ndarray) -> np.ndarray:
-    """Sum of squares over the last axis, columns squared and added in order.
-
-    On a trailing axis of length 2 this is bitwise equal to
-    ``einsum("...i,...i->...", x, x)`` and faster at every stack size,
-    because einsum's two-operand loop over so short an axis is slow: on
-    one core, 76 us against 212 us on (3, 10 000, 2) and 11 us against
-    28 us on (15, 256, 2).
-    """
-    total = x[..., 0] * x[..., 0]
-    for j in range(1, x.shape[-1]):
-        total += x[..., j] * x[..., j]
-    return total
+    # Every right operand is a C-contiguous transpose, because numpy's
+    # matmul stays on BLAS only for contiguous operands: a transposed view
+    # such as A.T sends it to a slow generic loop, which gives bitwise
+    # equal products.
+    nxt = np.matmul(s, model.A_T)
+    nxt += np.matmul(noise.xi, _transposed(model.E))
+    v = np.matmul(nxt, model.C_T)
+    v += noise.zeta
+    nxt -= np.matmul(v, _transposed(a))
+    # Summed over a C-contiguous (n, M) copy, the components are added in
+    # order, one row after the other.
+    return nxt, -np.add.reduce(np.square(nxt.T, order="C"), axis=0)
 
 
 def _transposed(m: np.ndarray) -> np.ndarray:
@@ -209,26 +183,18 @@ def _transposed(m: np.ndarray) -> np.ndarray:
 def _check_transition(model: LinearGaussianModel, s: np.ndarray,
                       a: np.ndarray, noise: NoiseDraw) -> None:
     """Raise ValueError unless :func:`step` accepts these shapes."""
-    if a.ndim not in (2, 3) or a.shape[-2:] != (model.n, model.r):
+    if a.shape != (model.n, model.r):
         raise ValueError(
             f"gain must be {model.n} x {model.r}, got {a.shape}")
-    if a.ndim == 3 and (s.ndim != 3 or s.shape[0] != a.shape[0]):
-        raise ValueError(f"a stack of {a.shape[0]} gains needs a "
-                         f"({a.shape[0]}, M, {model.n}) state batch, "
-                         f"got {s.shape}")
-    if s.ndim < 2 or s.shape[-1] != model.n:
-        raise ValueError(f"state must be an (M, {model.n}) batch or a stack "
-                         f"of them, got {s.shape}")
-    xi, zeta = noise.xi, noise.zeta
-    lead = s.shape[:-1]
-    if s.ndim == 3 and xi.shape[:1] == (1,):
-        # One noise batch shared by every batch of the stack.
-        lead = (1,) + lead[1:]
-    if xi.shape != lead + (model.p,):
-        raise ValueError(f"process noise shape {xi.shape} does not match state")
-    if zeta.shape != lead + (model.r,):
+    if s.ndim != 2 or s.shape[1] != model.n:
         raise ValueError(
-            f"measurement noise shape {zeta.shape} does not match state")
+            f"state must be an (M, {model.n}) batch, got {s.shape}")
+    if noise.xi.shape != (len(s), model.p):
+        raise ValueError(
+            f"process noise shape {noise.xi.shape} does not match state")
+    if noise.zeta.shape != (len(s), model.r):
+        raise ValueError(f"measurement noise shape {noise.zeta.shape} "
+                         "does not match state")
 
 
 def sample_initial_error(model: LinearGaussianModel, mode: str,
@@ -264,9 +230,9 @@ def sample_initial_error(model: LinearGaussianModel, mode: str,
 def diverged_runs(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest entry magnitude of each run's pool, and which runs diverged.
 
-    ``pool`` is one run's pool or a stack of them, reduced over its last
-    two axes, so either layout serves: (n, M) or (K, n, M), as training
-    and evaluation hold them, or member-major (M, n) or (K, M, n).  A run
+    ``pool`` is one run's pool (n, M) or a stack of them (K, n, M), as
+    training and evaluation hold them.  It is reduced over its last two
+    axes, so a batch (M, n) as :func:`step` takes it serves too.  A run
     has diverged when an entry is non-finite or beyond the guard (an error
     process under a destabilizing gain grows without bound).
     """

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_mdp import (_closed_loop, _draw_normals, _squared_norm,
-                        cov_factor, diverged_runs, sample_initial_error)
+from .error_mdp import (_closed_loop, _draw_normals, cov_factor,
+                        diverged_runs, sample_initial_error)
 from .errors import DivergenceError, check_integer
 from .models import LinearGaussianModel
 
@@ -170,7 +170,8 @@ def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
         if not alive.size:
             raise DivergenceError(
                 f"estimation error diverged at step {t}", step=t)
-        squared[:, t - 1] = _squared_norm(errors[0].T)
+        # The components of each error are squared and added in order.
+        squared[:, t - 1] = np.add.reduce(np.square(errors[0]), axis=0)
     return squared
 
 
@@ -204,8 +205,10 @@ def detect_critical_time(logmse_curve: np.ndarray, window: int = 50,
 
     Fits a least-squares line to each trailing ``window``-step segment and
     returns the smallest end step whose slope magnitude is below
-    ``slope_tol``; if no segment qualifies, returns ``fallback``.  A line
-    needs two points, so ``window`` must be at least 2.
+    ``slope_tol``; if no segment qualifies, returns ``fallback``, which
+    must then split the curve as :func:`losses` needs, 1 <= fallback <
+    len(curve) (else ValueError).  A line needs two points, so ``window``
+    must be at least 2.
     """
     check_integer("window", window, 2)
     curve = np.asarray(logmse_curve, dtype=float)
@@ -218,6 +221,9 @@ def detect_critical_time(logmse_curve: np.ndarray, window: int = 50,
         slope = float(x @ segment) / sxx
         if abs(slope) < slope_tol:
             return t
+    if not 1 <= fallback < len(curve):
+        raise ValueError(f"no window is flat and fallback={fallback} is "
+                         f"not a step 1 .. {len(curve) - 1} of the curve")
     return fallback
 
 

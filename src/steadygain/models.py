@@ -74,10 +74,10 @@ class LinearGaussianModel:
 
     The effective process covariance seen by the state is ``E Q E^T``,
     exposed as :meth:`effective_process_cov`.  It, the identity ``eye``
-    and the C-contiguous transposes ``A_T``, ``C_T`` and ``E_T`` that the
-    error recursion multiplies by are derived once per model, on first
-    use, and are read-only like the matrices themselves.  Models compare
-    and hash by identity.
+    and the C-contiguous transposes ``A_T`` and ``C_T`` that the error
+    recursion multiplies by are derived once per model, on first use, and
+    are read-only like the matrices themselves.  Models compare and hash
+    by identity.
     """
 
     A: np.ndarray
@@ -155,10 +155,6 @@ class LinearGaussianModel:
     @cached_property
     def C_T(self) -> np.ndarray:
         return _read_only(self.C.T)
-
-    @cached_property
-    def E_T(self) -> np.ndarray:
-        return _read_only(self.E.T)
 
     @cached_property
     def eye(self) -> np.ndarray:

@@ -14,15 +14,13 @@ integrates the Gaussian noise out, which removes the measurement-noise
 sampling variance that otherwise dominates the gain columns tied to
 low-noise measurements; the pool itself still evolves stochastically.
 
-Every function here also takes a stack of runs on a leading axis: gains
-(K, n, r), critics (K, n, n), batches (K, M, n) and one discount per run.
-:func:`train_runs` advances a grid of discounts x seeds as such a stack,
-with one set of array operations per iteration, on pools held as
-(K, n, M), members on the last axis, so that each moment summed over a
-pool is a BLAS product.  The public estimators transpose their batches
-into such pools, so they run the same kernel.  :meth:`TrainRuns.history`
-reads the record; :func:`train_average` is the seed-averaged form of
-:func:`train_runs` at one discount, :func:`train` one seed's.
+:func:`train_runs` advances a grid of discounts x seeds as one stack of
+runs on a leading axis, with one set of array operations per iteration:
+gains (K, n, r), critics (K, n, n), one discount per run, and pools held
+as (K, n, M), members on the last axis, so that each moment summed over a
+pool is a BLAS product.  :meth:`TrainRuns.history` reads the record;
+:func:`train_average` is the seed-averaged form of :func:`train_runs` at
+one discount, :func:`train` one seed's.
 """
 
 from __future__ import annotations
@@ -38,10 +36,9 @@ import numpy as np
 # draw_noise and step are unused here.  They stay because the benchmark
 # (perfbench/cases.py, trace_targets) wraps them at these names, and its
 # smoke test fails without them; they go when it traces what runs.
-from .error_mdp import (NoiseDraw, _check_transition,  # noqa: F401
-                        _closed_loop, _draw_normals, _n_step_law, _transposed,
-                        cov_factor, diverged_runs, draw_noise,
-                        sample_initial_error, step)
+from .error_mdp import (_closed_loop, _draw_normals,  # noqa: F401
+                        _n_step_law, _transposed, cov_factor, diverged_runs,
+                        draw_noise, sample_initial_error, step)
 from .errors import DivergenceError, check_integer, check_real
 from .kalman import symmetrize
 from .models import LinearGaussianModel
@@ -51,8 +48,6 @@ __all__ = [
     "TrainHistory",
     "TrainRuns",
     "critic_value",
-    "critic_loss_and_grad",
-    "actor_loss_and_grad",
     "adam_update",
     "gain_columns",
     "train",
@@ -188,16 +183,12 @@ class TrainHistory:
                                  enumerate(block.tolist(), start + 1))
 
 
-def _per_run(loss: np.ndarray) -> float | np.ndarray:
-    """A float for a single run, one value per run for a stack."""
-    return float(loss) if loss.ndim == 0 else loss
-
-
 def critic_value(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Quadratic value V(s; w) = -s^T w s of each state of a batch (M, n).
 
     A stack of critics (K, n, n) values a stack of batches (K, M, n).
-    Training reads the actor's loss as a trace instead; this is its reference.
+    Training reads the critic's and the actor's losses as quadratic forms
+    and traces on its pools instead; this is their written reference.
     """
     return -np.einsum("...bi,...ij,...bj->...b", s, w, s)
 
@@ -273,9 +264,13 @@ def _quadratic_form(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _critic_step(model, law: _ErrorLaw, w: np.ndarray, pool, gamma_col):
-    """:func:`critic_loss_and_grad` on ``law`` for a pool (..., n, M), with
-    the discounts as a column (..., 1, 1).  With M_w = I + gamma w, td is
-    V(s'; M_w) - V(s; w) drawn, else V(s; F^T M_w F - w) - tr(M_w Sigma).
+    """Semi-gradient TD loss and gradient of the critic ``w`` on ``law``.
+
+    The pool is (..., n, M) and the discounts a column (..., 1, 1).  The
+    loss is the pool mean of 0.5 td^2 with td = r' + gamma V(s'; w) -
+    V(s; w) = V(s'; M_w) - V(s; w), M_w = I + gamma w, drawn; integrated,
+    td = V(s; F^T M_w F - w) - tr(M_w Sigma).  The target is held
+    constant, so the gradient is the pool mean of td s s^T, symmetrized.
     """
     mw = model.eye + gamma_col * w
     if law.drawn is not None:
@@ -293,78 +288,15 @@ def _critic_step(model, law: _ErrorLaw, w: np.ndarray, pool, gamma_col):
 def _actor_step(model: LinearGaussianModel, law: _ErrorLaw, w, gamma_col):
     """Loss -tr(M_w second) and its gradient -2 M_w cross, either law.
 
-    The gradient is that of the negated objective, which Adam descends;
-    it is -(M_w + M_w^T) cross because the critic ``w`` is symmetric.
+    The loss is the one-step return r' + gamma V(s'; w), differentiated
+    through the linear transition with the noise held fixed, or with it
+    integrated out.  The gradient is that of the negated objective, which
+    Adam descends; it is -(M_w + M_w^T) cross because the critic ``w``
+    is symmetric.
     """
     mw = model.eye + gamma_col * w
     loss = -(mw @ law.second).trace(axis1=-2, axis2=-1)
     return loss, (-2.0 * mw) @ law.cross
-
-
-def _checked_law(model, theta, batch, noise, gamma):
-    """Check a public estimator's inputs; return the pool, its law and the
-    discounts as a column.
-
-    The member-major batch (..., M, n) becomes the pool (..., n, M).  The
-    noise given is coloured already, so the drawn law takes E xi and zeta.
-    """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim not in (2, 3) or batch.shape[-2] == 0:
-        raise ValueError("batch must be a non-empty (M, n) or (K, M, n) array")
-    theta = np.asarray(theta, dtype=float)
-    if noise is not None:
-        _check_transition(model, batch, theta, noise)
-    pool = _transposed(batch)
-    if noise is None:
-        law = _integrated_law(model, theta, pool, _closed_loop(
-            model, theta, model.E @ cov_factor(model.Q), cov_factor(model.R)))
-    else:
-        law = _drawn_law(model, theta, pool, model.E @ _transposed(noise.xi),
-                         _transposed(noise.zeta))
-    return pool, law, np.reshape(gamma, np.shape(gamma) + (1, 1))
-
-
-def critic_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
-                         theta: np.ndarray, batch: np.ndarray,
-                         noise_batch: NoiseDraw | None = None, gamma=0.99
-                         ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Semi-gradient TD loss for the quadratic critic.
-
-    Loss is the batch mean of 0.5 * TD^2 with TD = r' + gamma V(s'; w) -
-    V(s; w) = V(s'; M_w) - V(s; w), M_w = I + gamma w; the target is held
-    constant, so the gradient is mean(TD * s s^T), symmetrized.  With
-    ``noise_batch=None`` the noise is integrated out of the target:
-    TD = V(s; F^T M_w F - w) - tr(M_w Sigma), F = (I - theta C) A, Sigma
-    the covariance of s' given s.  On a stack of runs (leading axis K)
-    ``gamma`` may hold one discount per run and the loss is one per run.
-    """
-    pool, law, gamma_col = _checked_law(model, theta, batch, noise_batch,
-                                        gamma)
-    loss, grad = _critic_step(model, law, np.asarray(w, dtype=float), pool,
-                              gamma_col)
-    return _per_run(loss), grad
-
-
-def actor_loss_and_grad(model: LinearGaussianModel, w: np.ndarray,
-                        theta: np.ndarray, batch: np.ndarray,
-                        noise_batch: NoiseDraw | None = None, gamma=0.99
-                        ) -> tuple[float | np.ndarray, np.ndarray]:
-    """One-step return plus bootstrap, differentiated through the transition.
-
-    Loss is the batch mean of r' + gamma * V(s'; w) for the sampled noise,
-    which is -tr(M_w mean[s' s'^T]) with M_w = I + gamma w.  With
-    z = A s + E xi and v = C z + zeta the next state is s' = z - theta v,
-    so the exact derivative with the noise held fixed is
-    (M_w + M_w^T) mean[s' v^T].  With ``noise_batch=None`` the noise is
-    integrated out of both batch moments, and the loss is the same trace.
-    Critic weights are held fixed (policy-improvement step); only their
-    symmetric part enters.  Stacks of runs are handled as in
-    :func:`critic_loss_and_grad`.
-    """
-    _, law, gamma_col = _checked_law(model, theta, batch, noise_batch, gamma)
-    loss, descent = _actor_step(
-        model, law, symmetrize(np.asarray(w, dtype=float)), gamma_col)
-    return _per_run(loss), -descent
 
 
 @dataclass

@@ -5,7 +5,10 @@ from steadygain import (
     LinearGaussianModel,
     build_bicycle_model,
     solve_dare,
+    symmetrize,
 )
+from steadygain import training
+from steadygain.error_mdp import _closed_loop, _transposed, cov_factor
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +51,32 @@ def random_system(rng, n=None, r=None, p=None, rho=0.9):
 def random_psd(rng, n, scale=1.0):
     f = rng.standard_normal((n, n))
     return scale * (f @ f.T) / n
+
+
+def kernel_steps(model, w, theta, batch, noise=None, gamma=0.99):
+    """The trainer's critic and actor steps on a batch of error states.
+
+    ``batch`` is an (M, n) batch or a (K, M, n) stack of them, with one
+    critic ``w`` and gain ``theta`` per batch and ``gamma`` one discount or
+    one per run.  ``noise`` is a draw as ``step`` takes it, (M, .) or
+    (K, M, .); None integrates the noise out.  The batch becomes the pool
+    (..., n, M) that training holds, and ``_critic_step`` and
+    ``_actor_step`` run on its ``_drawn_law`` or ``_integrated_law``.
+    Returns (critic loss, critic gradient) and (actor loss, actor
+    gradient), the actor's gradient that of the return it ascends.
+    """
+    pool = _transposed(np.asarray(batch, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    if noise is None:
+        law = training._integrated_law(model, theta, pool, _closed_loop(
+            model, theta, model.E @ cov_factor(model.Q), cov_factor(model.R)))
+    else:
+        law = training._drawn_law(model, theta, pool,
+                                  model.E @ _transposed(noise.xi),
+                                  _transposed(noise.zeta))
+    gamma_col = np.reshape(gamma, np.shape(gamma) + (1, 1))
+    w = np.asarray(w, dtype=float)
+    critic = training._critic_step(model, law, w, pool, gamma_col)
+    actor_loss, descent = training._actor_step(model, law, symmetrize(w),
+                                               gamma_col)
+    return critic, (actor_loss, -descent)

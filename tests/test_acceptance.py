@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from steadygain import (
-    actor_loss_and_grad,
     closed_form_one_step_gain,
-    critic_loss_and_grad,
     draw_noise,
     finite_horizon_gains,
     gain_metrics,
@@ -27,7 +25,7 @@ from steadygain import (
 from steadygain.cli import main
 from steadygain.training import critic_value
 
-from conftest import random_psd, random_system, scalar_model
+from conftest import kernel_steps, random_psd, random_system, scalar_model
 
 TABLE_KINF = np.array([[-5.31e-4, -2.31e-3], [3.25e-5, 5.07e-2]])
 
@@ -240,8 +238,8 @@ def test_gradient_suites():
         w0 = random_psd(rng, n) + 0.5 * np.eye(n)
         gamma = rng.uniform(0.0, 0.99)
 
-        _, c_grad = critic_loss_and_grad(model, w0, theta, batch, noise,
-                                         gamma=gamma)
+        (_, c_grad), _ = kernel_steps(model, w0, theta, batch, noise,
+                                      gamma=gamma)
         nxt, reward = step(model, batch, theta, noise)
         target = reward + gamma * critic_value(w0, nxt)
 
@@ -258,17 +256,17 @@ def test_gradient_suites():
                            np.abs(fd_c - c_grad).max()
                            / max(np.abs(fd_c).max(), 1e-12))
 
-        _, a_grad = actor_loss_and_grad(model, w0, theta, batch, noise,
-                                        gamma=gamma)
+        _, (_, a_grad) = kernel_steps(model, w0, theta, batch, noise,
+                                      gamma=gamma)
         fd_a = np.zeros_like(theta)
         for i in range(n):
             for j in range(r):
                 bump = np.zeros_like(theta)
                 bump[i, j] = h
-                up, _ = actor_loss_and_grad(model, w0, theta + bump, batch,
+                _, (up, _) = kernel_steps(model, w0, theta + bump, batch,
+                                          noise, gamma=gamma)
+                _, (down, _) = kernel_steps(model, w0, theta - bump, batch,
                                             noise, gamma=gamma)
-                down, _ = actor_loss_and_grad(model, w0, theta - bump, batch,
-                                              noise, gamma=gamma)
                 fd_a[i, j] = (up - down) / (2 * h)
         worst_actor = max(worst_actor,
                           np.abs(fd_a - a_grad).max()
@@ -317,14 +315,14 @@ def test_stationarity_property():
     raw = rng.standard_normal((m_batch, 1))
     batch = raw / np.sqrt((raw ** 2).mean())
     noise = draw_noise(model, rng, size=m_batch)
-    _, g_star = actor_loss_and_grad(model, np.eye(1), a_star, batch, noise,
-                                    gamma=0.0)
-    _, g_zero = actor_loss_and_grad(model, np.eye(1), np.zeros((1, 1)),
-                                    batch, noise, gamma=0.0)
+    _, (_, g_star) = kernel_steps(model, np.eye(1), a_star, batch, noise,
+                                  gamma=0.0)
+    _, (_, g_zero) = kernel_steps(model, np.eye(1), np.zeros((1, 1)),
+                                  batch, noise, gamma=0.0)
     bound = 3.0 / np.sqrt(m_batch) * np.linalg.norm(g_zero)
     sampled_ok = np.linalg.norm(g_star) < bound
-    _, g_exact = actor_loss_and_grad(model, np.eye(1), a_star, batch,
-                                     gamma=0.0)
+    _, (_, g_exact) = kernel_steps(model, np.eye(1), a_star, batch,
+                                   gamma=0.0)
     exact_ok = np.abs(g_exact).max() < 1e-12
 
     ok = worst_offset < 1e-6 and sampled_ok and exact_ok

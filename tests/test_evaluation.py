@@ -17,8 +17,8 @@ from steadygain import (
     spectral_radius,
 )
 from steadygain import evaluation
-from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, NoiseDraw,
-                                  diverged_runs, draw_noise, step)
+from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, diverged_runs,
+                                  draw_noise, step)
 from steadygain.evaluation import _rollout, write_eval_csv
 
 from conftest import random_system
@@ -161,6 +161,18 @@ class TestDetectCriticalTime:
         with pytest.raises(ValueError):
             detect_critical_time(np.zeros(10))
 
+    def test_fallback_outside_the_curve_named(self):
+        # No 50-step window of this ramp is flat, and losses would refuse
+        # each of these fallbacks as a split of its 60 steps.
+        curve = np.linspace(0.0, -5.0, 60)
+        for fallback in (500, 60, 0):
+            with pytest.raises(ValueError, match=f"fallback={fallback} "):
+                detect_critical_time(curve, window=50, fallback=fallback)
+        assert detect_critical_time(curve, window=50, fallback=59) == 59
+        # A flat window is found whatever the fallback.
+        assert detect_critical_time(np.full(60, -5.0), window=50,
+                                    fallback=500) == 50
+
     @pytest.mark.parametrize("window", [1, 0, -3])
     def test_window_below_two_named(self, window):
         # A least-squares slope needs two points.
@@ -211,17 +223,17 @@ class TestGainMetrics:
 def reference_rollout(model, gains, t_test, e0, rng):
     """The rollout written on ``step``, with fresh arrays every step.
 
-    Each step's ``draw_noise`` batch is shared by every gain as
-    (1, N, .) noise.
+    Each step's ``draw_noise`` batch drives every gain still going, one
+    gain at a time.
     """
     alive = np.arange(len(gains))
     err = np.repeat(e0[np.newaxis], len(gains), axis=0)
     for t in range(1, t_test + 1):
         noise = draw_noise(model, rng, len(e0))
-        shared = NoiseDraw(xi=noise.xi[np.newaxis],
-                           zeta=noise.zeta[np.newaxis])
-        err, reward = step(model, err, gains, shared)
-        _, bad = diverged_runs(err)
+        steps = [step(model, e, gain, noise) for e, gain in zip(err, gains)]
+        err = np.array([nxt for nxt, _ in steps])
+        reward = np.array([r for _, r in steps])
+        _, bad = diverged_runs(err.swapaxes(1, 2))
         if bad.any():
             kept = ~bad
             alive, err, gains, reward = (alive[kept], err[kept], gains[kept],

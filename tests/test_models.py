@@ -224,8 +224,7 @@ class TestLinearGaussianModel:
     def test_derived_operators(self):
         # Fresh model: the operators are derived on first use, then kept.
         model = build_bicycle_model()
-        derived = {"A_T": model.A.T, "C_T": model.C.T, "E_T": model.E.T,
-                   "eye": np.eye(model.n)}
+        derived = {"A_T": model.A.T, "C_T": model.C.T, "eye": np.eye(model.n)}
         for name, expected in derived.items():
             value = getattr(model, name)
             np.testing.assert_array_equal(value, expected)
