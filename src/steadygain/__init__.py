@@ -20,6 +20,7 @@ from .kalman import (
     kalman_recursion,
     riccati_iterate,
     solve_dare,
+    solve_lyapunov,
     spectral_radius,
     symmetrize,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "kalman_recursion",
     "riccati_iterate",
     "solve_dare",
+    "solve_lyapunov",
     "spectral_radius",
     "symmetrize",
     "NoiseDraw",

@@ -8,8 +8,13 @@ Subcommands:
     sweep-gamma  retrain across discount factors, write sweep.csv
 
 Exit codes: 0 success, 1 numerical divergence, 2 configuration error.
-All defaults reproduce the reference vehicle experiment without a config
-file; a JSON config selectively overrides them.
+train and sweep-gamma take a plant of any order whose A is stable,
+rho(A) < 1, so that their initial pools have a stationary law to be drawn
+from; eval starts from the vehicle's 2-state box of initial errors, so it
+takes n = 2 only.  Both refusals are configuration errors, made before the
+output directory is created.  All defaults reproduce the reference
+vehicle experiment without a config file; a JSON config selectively
+overrides them.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .error_mdp import VEHICLE_INITIAL_ERROR
 from .errors import DivergenceError, NumericalError, check_integer, check_real
 from .evaluation import (EvalConfig, _check_named_gains, evaluate_gains,
                          gain_metrics, write_eval_csv)
-from .kalman import solve_dare
+from .kalman import solve_dare, solve_lyapunov
 from .models import LinearGaussianModel, VehicleParams, build_bicycle_model
 from .training import TrainerConfig, gain_columns, train_average, train_runs
 
@@ -125,10 +130,10 @@ def _load_json(path: str, what: str):
             raise ValueError(f"{what} from {path} is not JSON: {err}") from None
 
 
-def _rollout_model(cfg: RunConfig) -> LinearGaussianModel:
-    """The model of train, eval or sweep-gamma, checked before any output.
+def _eval_model(cfg: RunConfig) -> LinearGaussianModel:
+    """The model of eval, checked before any output.
 
-    Their initial errors come from the vehicle's box, so n must match it.
+    Its initial errors come from the vehicle's box, so n must match it.
     """
     model = cfg.build_model()
     if model.n != len(VEHICLE_INITIAL_ERROR):
@@ -176,10 +181,23 @@ def _reference_gain(model: LinearGaussianModel) -> np.ndarray:
     return gain
 
 
+def _training_model(cfg: RunConfig) -> tuple[LinearGaussianModel,
+                                              np.ndarray]:
+    """The model of train or sweep-gamma and its reference gain, checked
+    before any output.
+
+    Training draws its initial pools from the stationary law of the
+    zero-gain error process, which a plant with rho(A) >= 1 lacks: the
+    ValueError of :func:`~steadygain.kalman.solve_lyapunov` names rho(A).
+    """
+    model = cfg.build_model()
+    solve_lyapunov(model.A, model.effective_process_cov())
+    return model, _reference_gain(model)
+
+
 def cmd_train(cfg: RunConfig, n_seeds: int = 1) -> int:
     check_integer("--seeds", n_seeds, 1)
-    model = _rollout_model(cfg)
-    ref = _reference_gain(model)
+    model, ref = _training_model(cfg)
     out = _out_dir(cfg)
     history_path = out / "train_history.csv"
     seeds = list(range(cfg.trainer.seed, cfg.trainer.seed + n_seeds))
@@ -229,7 +247,7 @@ def _load_gain(source: str, model: LinearGaussianModel) -> np.ndarray:
 
 
 def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
-    model = _rollout_model(cfg)
+    model = _eval_model(cfg)
     named = []
     for spec in gain_specs:
         name, _, source = spec.partition("=")
@@ -254,8 +272,7 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
     All runs train in one :func:`train_runs` grid of discounts x seeds, so
     a seed's noise is drawn once for all the discounts.
     Writes one sweep.csv row per discount: the seed-averaged gain and its
-    error to the Riccati gain, or ``diverged``.  Every run starts from the
-    fixed initial error, whatever ``cfg.trainer.init_mode`` says.
+    error to the Riccati gain, or ``diverged``.
     """
     check_integer("--seeds", n_seeds, 1)
     if not cfg.gamma_sweep:
@@ -269,15 +286,13 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
             raise ValueError(f"gamma_sweep[{i}] repeats the discount "
                              f"{gamma} of gamma_sweep"
                              f"[{cfg.gamma_sweep.index(gamma)}]")
-    model = _rollout_model(cfg)
-    ref = _reference_gain(model)
-    base = replace(cfg.trainer, init_mode="fixed")
-    seeds = list(range(base.seed, base.seed + n_seeds))
+    model, ref = _training_model(cfg)
+    seeds = list(range(cfg.trainer.seed, cfg.trainer.seed + n_seeds))
     out = _out_dir(cfg) / "sweep.csv"
     # One grid of runs, discount-major: the seeds of gamma_sweep[i] are
     # runs i * n_seeds .. (i + 1) * n_seeds - 1.
-    runs = train_runs(model, base, seeds=seeds, gammas=cfg.gamma_sweep,
-                      ref_gain=ref)
+    runs = train_runs(model, cfg.trainer, seeds=seeds,
+                      gammas=cfg.gamma_sweep, ref_gain=ref)
     n, r = model.n, model.r
     header = (["gamma"] + gain_columns("theta", n, r) + gain_columns("e", n, r)
               + ["status"])

@@ -7,8 +7,10 @@ gain a, and a transition draws process/measurement noise and applies
 
 so that maximizing accumulated reward means driving the error to zero.
 Pools of error states stand in for the stationary error distribution
-during training: they are seeded from an initial-error sampler and rolled
-forward one transition at a time.
+during training: each is drawn once from the stationary law of the
+zero-gain error process and rolled forward one transition at a time.
+Evaluation starts its trajectories from a uniform box of initial errors
+(:func:`sample_initial_error`).
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ __all__ = [
 ]
 
 # The vehicle's default initial error, 5 deg of sideslip and 10 deg/s of
-# yaw rate in radians: the half-widths of the uniform box, and the error
-# the fixed sampler repeats.
+# yaw rate in radians: the half-widths of evaluation's uniform box.
 VEHICLE_INITIAL_ERROR = (5.0 * np.pi / 180.0, 10.0 * np.pi / 180.0)
 
 # Pool entries beyond this magnitude are treated as diverged.
@@ -95,8 +96,8 @@ def _draw_normals(normals, raw: np.ndarray, out: np.ndarray, p: int
     :func:`draw_noise` colours.  One copy moves them into ``out``, xi's p
     rows over zeta's r, the M members on the last axis.  Each training
     iteration and each evaluation step draws its noise through this;
-    training's burn-in draws its pool's law once, n M normals per
-    generator, outside it.
+    training draws its initial pool once, n M normals per generator,
+    outside it.
     """
     for normal, row in zip(normals, raw):
         normal(out=row)
@@ -122,30 +123,6 @@ def _closed_loop(model: LinearGaussianModel, gains: np.ndarray,
     drive = np.concatenate((filtered @ process_factor,
                             -gains @ measurement_factor), axis=-1)
     return filtered, closed, drive
-
-
-def _n_step_law(closed: np.ndarray, cov: np.ndarray, steps: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """closed^steps and sum_{k < steps} closed^k cov closed^k^T.
-
-    After ``steps`` transitions e' = closed e + w with w ~ N(0, cov), the
-    error is closed^steps e plus Gaussian noise of that covariance.  Both
-    come from Smith's doubling (1968), the way
-    :func:`~steadygain.kalman.solve_dare` doubles its Riccati steps: the
-    law of 2j steps is that of j steps composed with itself, so O(log
-    steps) n x n products give the law of any step count.
-    """
-    power, total = np.eye(len(closed)), np.zeros_like(cov)
-    while steps:
-        if steps & 1:
-            # Append the current 2^j-step block to the steps taken so far.
-            power = closed @ power
-            total = closed @ total @ closed.T + cov
-        steps >>= 1
-        if steps:
-            cov = cov + closed @ cov @ closed.T
-            closed = closed @ closed
-    return power, total
 
 
 def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
@@ -197,19 +174,15 @@ def _check_transition(model: LinearGaussianModel, s: np.ndarray,
                          "does not match state")
 
 
-def sample_initial_error(model: LinearGaussianModel, mode: str,
-                         rng: np.random.Generator | None = None, *,
-                         size: int,
+def sample_initial_error(model: LinearGaussianModel, rng: np.random.Generator,
+                         *, size: int,
                          bounds: tuple[float, ...] | None = None) -> np.ndarray:
-    """Draw a (size, n) batch of initial error states.
+    """Draw a (size, n) batch of initial errors uniform in a box.
 
-    ``bounds`` holds one value per state, :data:`VEHICLE_INITIAL_ERROR` by
-    default, which fits only a 2-dimensional model.  ``mode="fixed"``
-    repeats the bounds themselves; ``mode="uniform_box"`` draws each
-    component i uniformly from +-bounds[i] with ``rng``.
+    Component i is drawn uniformly from +-bounds[i] with ``rng``.
+    ``bounds`` holds one half-width per state, :data:`VEHICLE_INITIAL_ERROR`
+    by default, which fits only a 2-dimensional model.
     """
-    if mode not in ("fixed", "uniform_box"):
-        raise ValueError(f"unknown initial-error mode {mode!r}")
     if bounds is None:
         if model.n != len(VEHICLE_INITIAL_ERROR):
             raise ValueError(
@@ -219,12 +192,8 @@ def sample_initial_error(model: LinearGaussianModel, mode: str,
         bounds = VEHICLE_INITIAL_ERROR
     if len(bounds) != model.n:
         raise ValueError(f"need {model.n} bounds, got {len(bounds)}")
-    bounds = np.asarray(bounds, dtype=float)
-    if mode == "fixed":
-        return np.tile(bounds, (size, 1))
-    if rng is None:
-        raise ValueError("uniform_box sampling requires an rng")
-    return rng.uniform(-1.0, 1.0, (size, model.n)) * bounds
+    return rng.uniform(-1.0, 1.0, (size, model.n)) * np.asarray(
+        bounds, dtype=float)
 
 
 def diverged_runs(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -138,8 +138,7 @@ def _initial_error(model: LinearGaussianModel, cfg: EvalConfig, bounds=None
                    ) -> tuple[np.ndarray, np.random.Generator]:
     """Seeded initial errors, and the generator the noise draws continue."""
     rng = np.random.default_rng(cfg.seed)
-    e0 = sample_initial_error(model, "uniform_box", rng, size=cfg.n_traj,
-                              bounds=bounds)
+    e0 = sample_initial_error(model, rng, size=cfg.n_traj, bounds=bounds)
     return e0, rng
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "gain_from_predicted_cov",
     "riccati_iterate",
     "solve_dare",
+    "solve_lyapunov",
     "kalman_recursion",
     "closed_form_one_step_gain",
     "finite_horizon_gains",
@@ -189,6 +190,42 @@ def solve_dare(model: LinearGaussianModel, tol: float = 1e-12,
             f"noise", residual=residual)
     return SteadyStateSolution(sigma=h, gain=gain, iterations=step,
                                residual=residual)
+
+
+def solve_lyapunov(A: np.ndarray, W: np.ndarray,
+                   max_iter: int = 100) -> np.ndarray:
+    """Stationary covariance X = sum_k A^k W A^k^T of x' = A x + w.
+
+    X solves X = A X A^T + W for a noise covariance W.  Smith's doubling
+    (1968) finds it the way :func:`solve_dare` doubles its Riccati steps:
+    with X_0 = W and A_0 = A it repeats
+
+        X <- X + A X A^T,   A <- A A,
+
+    so step j adds the next 2^j terms of the sum, until X stops changing.
+    ``max_iter`` caps the number of doubling steps.
+
+    Raises:
+        ValueError: rho(A) >= 1, so the process has no stationary law.
+        DivergenceError: the iterates overflow or the cap is reached.
+    """
+    a = np.asarray(A, dtype=float)
+    x = symmetrize(np.asarray(W, dtype=float))
+    rho = spectral_radius(a)
+    if not rho < 1.0:
+        raise ValueError(f"A has spectral radius {rho:.6g} >= 1, so "
+                         f"x' = A x + w has no stationary law")
+    for _ in range(max_iter):
+        x_next = symmetrize(x + a @ x @ a.T)
+        if not np.all(np.isfinite(x_next)):
+            raise DivergenceError(
+                "Lyapunov doubling overflowed (A's transient growth "
+                "exceeds the floating-point range)")
+        if np.array_equal(x_next, x):
+            return x
+        x, a = x_next, a @ a
+    raise DivergenceError(
+        f"Lyapunov doubling did not converge within {max_iter} steps")
 
 
 def kalman_recursion(model: LinearGaussianModel, sigma0: np.ndarray,

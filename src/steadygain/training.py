@@ -18,7 +18,10 @@ low-noise measurements; the pool itself still evolves stochastically.
 runs on a leading axis, with one set of array operations per iteration:
 gains (K, n, r), critics (K, n, n), one discount per run, and pools held
 as (K, n, M), members on the last axis, so that each moment summed over a
-pool is a BLAS product.  :meth:`TrainRuns.history` reads the record;
+pool is a BLAS product.  Each seed's pool starts as one draw from the
+stationary law of the zero-gain error process, N(0, P) with
+P = A P A^T + E Q E^T, so a plant with rho(A) >= 1, which has none, is
+refused.  :meth:`TrainRuns.history` reads the record;
 :func:`train_average` is the seed-averaged form of :func:`train_runs` at
 one discount, :func:`train` one seed's.
 """
@@ -37,10 +40,9 @@ import numpy as np
 # (perfbench/cases.py, trace_targets) wraps them at these names, and its
 # smoke test fails without them; they go when it traces what runs.
 from .error_mdp import (_closed_loop, _draw_normals,  # noqa: F401
-                        _n_step_law, _transposed, cov_factor, diverged_runs,
-                        draw_noise, sample_initial_error, step)
+                        cov_factor, diverged_runs, draw_noise, step)
 from .errors import DivergenceError, check_integer, check_real
-from .kalman import symmetrize
+from .kalman import solve_lyapunov, symmetrize
 from .models import LinearGaussianModel
 
 __all__ = [
@@ -98,11 +100,6 @@ class TrainerConfig:
     max_iters: int = 200000
     convergence_tol: float = 1e-6
     seed: int = 0
-    init_mode: str = "uniform_box"   # pool seeding: "uniform_box" | "fixed"
-    # Zero-gain pool steps before training, drawn as their exact law.
-    # Sampled at batch 32 from the uniform box, 9 of seeds 1-10 diverge
-    # (iterations 182-235) after 20, none of them after 100.
-    burn_in: int = 400
     estimator: str = "analytic"      # "analytic" | "sampled"
     tail_avg_frac: float = 0.5       # fraction of final iterates averaged
 
@@ -120,14 +117,12 @@ class TrainerConfig:
             raise ValueError("convergence_tol must be >= 0, "
                              f"got {self.convergence_tol}")
         for name, minimum in (("seed", 0), ("batch_size", 1),
-                              ("max_iters", 0), ("burn_in", 0)):
+                              ("max_iters", 0)):
             check_integer(name, getattr(self, name), minimum)
         if not 0.0 <= self.tail_avg_frac <= 1.0:
             raise ValueError("tail_avg_frac must be in [0, 1]")
         if self.estimator not in ("analytic", "sampled"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.init_mode not in ("uniform_box", "fixed"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
 
 def gain_columns(prefix: str, n: int, r: int) -> list[str]:
@@ -362,13 +357,12 @@ class TrainRuns:
                 raise DivergenceError(message, history=self.history(k))
 
 
-def _divergence_message(k, theta, guard, worst_pool) -> str:
+def _divergence_message(theta, guard, worst_pool) -> str:
     if not np.all(np.isfinite(theta)):
         return "gain contains non-finite entries"
     if np.abs(theta).max() > guard:
         return f"gain magnitude exceeded the divergence guard ({guard:.3e})"
-    during = " during burn-in" if k == 0 else ""
-    return f"error pool diverged{during} (max entry {worst_pool:.3e})"
+    return f"error pool diverged (max entry {worst_pool:.3e})"
 
 
 def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
@@ -382,10 +376,12 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     :class:`TrainerConfig`'s checks; an empty ``seeds`` or ``gammas``, or a
     seed or discount listed twice, raises ValueError.  What depends on the
     seed alone is done once per seed and shared by its discounts: one
-    generator, one initial pool and one burn-in.  The burn-in is one draw
-    from the pool's exact law after ``cfg.burn_in`` zero-gain steps
-    s' = A s + E xi (see :func:`~steadygain.error_mdp._n_step_law`), n M
-    normals per seed.  Each iteration then makes one ``standard_normal``
+    generator and one initial pool.  The pool is one draw of M errors from
+    N(0, P), the stationary law of the zero-gain error process
+    s' = A s + E xi, with P = A P A^T + E Q E^T from
+    :func:`~steadygain.kalman.solve_lyapunov`: n M normals per seed.  A
+    plant with rho(A) >= 1 has no such law, and raises ValueError naming
+    rho(A) before any work.  Each iteration then makes one ``standard_normal``
     call per seed, the stream :func:`draw_noise` draws, and every discount
     reads it.  A run still reads exactly what it would draw alone, so its
     result depends only on its seed and discount, never on what else is in
@@ -401,8 +397,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     ``cfg.convergence_tol`` (``converged``), when it diverges, or at
     ``cfg.max_iters``; the other runs go on.  Every run is checked after
     each k = 0 .. ``cfg.max_iters`` iterations, before iteration k + 1:
-    the check after 0 iterations reads the burned-in pools, so a seed
-    whose pool diverges in burn-in stops every discount's run of it at
+    the check after 0 iterations reads the initial pools, so a seed whose
+    pool is already beyond the guard stops every discount's run of it at
     iteration 0.  A discount or a seed whose runs have all stopped leaves
     the stack and costs no more; a stopped run whose discount and seed
     both still have a run going steps on but writes nothing to its
@@ -443,6 +439,11 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         # Only non-finite gains fail the comparison below.
         guard = np.finfo(float).max
 
+    # The zero-gain error process's stationary law, N(0, P), each seed's
+    # initial pool: its n x M normals coloured by a factor of P.
+    start_factor = cov_factor(
+        solve_lyapunov(model.A, model.effective_process_cov()))
+
     n, r, p = model.n, model.r, model.p
     size, max_iters = cfg.batch_size, cfg.max_iters
     count = len(gammas) * len(seeds)
@@ -450,9 +451,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     converged = np.zeros(count, dtype=bool)
     errors: list = [None] * count
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    pool = _transposed(np.stack([
-        sample_initial_error(model, cfg.init_mode, rng, size=size)
-        for rng in rngs]))
+    pool = start_factor @ np.stack(
+        [rng.standard_normal((n, size)) for rng in rngs])
     # A step's noise is its raw normals w = (xi, zeta), coloured by factors
     # L L^T of Q and R taken once.  The drawn law forms E (L_Q xi) and L_R
     # zeta per seed, in the order of the per-member transition; the closed
@@ -460,20 +460,6 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     q_factor, r_factor = cov_factor(model.Q), cov_factor(model.R)
     process_factor = model.E @ q_factor
 
-    # Burn-in: after N zero-gain steps s' = A s + E L_Q xi, a pool is
-    # Gaussian about A^N s with covariance S_N = sum_{k<N} A^k E Q E^T
-    # A^k^T, so each seed draws it at once, its n x M normals coloured by
-    # a factor of S_N.  A law that overflowed (a strongly unstable A) is
-    # neither factored nor drawn: it makes every pool infinite.
-    if cfg.burn_in:
-        with np.errstate(over="ignore", invalid="ignore"):
-            power, spread = _n_step_law(model.A, model.effective_process_cov(),
-                                        cfg.burn_in)
-            if np.isfinite(power).all() and np.isfinite(spread).all():
-                pool = power @ pool + cov_factor(spread) @ np.stack(
-                    [rng.standard_normal((n, size)) for rng in rngs])
-            else:
-                pool = np.full_like(pool, np.inf)
     # The stack holds the grid of the discounts and seeds that still have a
     # run going, discount-major: the (G, S, ...) view of a run array is its
     # grid, and per-seed noise broadcasts over the discounts.  A dropped
@@ -491,8 +477,10 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     noise = np.empty((len(normals), p + r, size))
     # A run's tolerance turns -inf when it stops, which marks it stopped:
     # the gain of a stopped run that steps on, converged or stalled, must
-    # not open the convergence window below.
+    # not open the convergence window below.  calm counts each run's
+    # trailing moves below its tolerance.
     tolerance = np.full(count, float(cfg.convergence_tol))
+    calm = np.zeros(count, dtype=int)
     gamma_col = np.repeat(np.asarray(gammas, dtype=float),
                           len(normals))[:, np.newaxis, np.newaxis]
     theta = np.zeros((count, n, r))
@@ -508,7 +496,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
 
     # Pass k checks every stacked run after k iterations, then takes
     # iteration k + 1 (Adam step k + 1, record row k).  Pass 0 checks the
-    # burned-in pools, so a seed whose pool diverged in burn-in stops all
+    # initial pools, so a seed whose pool starts beyond the guard stops all
     # of its runs at iteration 0, through the same stop and cut as any
     # later stop.  A stopped run whose discount and seed both still have a
     # run going steps on, writing only to the spare row.  A diverged run's
@@ -518,13 +506,19 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             worst_pool, failed = diverged_runs(pool)
             failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
             stop = failed
-            # A window's spread is at least its last move, so the window is
-            # only read once some run has moved less than the tolerance.
-            if (k > _CONVERGENCE_WINDOW
-                    and (last_move < tolerance).any()):
-                window = theta_hist[live, k - _CONVERGENCE_WINDOW - 1:k]
-                spread = np.ptp(window, axis=1).max(axis=(1, 2))
-                stop = failed | (spread < tolerance)
+            # A window's spread is at least each of its 100 moves and its
+            # net move, first to last iterate, so only the runs whose last
+            # 100 moves and net move were all below the tolerance read it.
+            if k > _CONVERGENCE_WINDOW and calm.max() >= _CONVERGENCE_WINDOW:
+                calmed = np.flatnonzero(calm >= _CONVERGENCE_WINDOW)
+                start = k - _CONVERGENCE_WINDOW - 1
+                net = np.abs(theta[calmed] - theta_hist[index[calmed], start])
+                calmed = calmed[net.max(axis=(1, 2)) < tolerance[calmed]]
+                if calmed.size:
+                    window = theta_hist[index[calmed], start:k]
+                    spread = np.ptp(window, axis=1).max(axis=(1, 2))
+                    stop = failed.copy()
+                    stop[calmed] |= spread < tolerance[calmed]
             if stop.any():
                 # A stopped run that steps on is not stopped again.
                 stop &= tolerance > -np.inf
@@ -534,7 +528,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                 converged[index[stop & ~failed]] = True
                 for j in np.flatnonzero(stop & failed):
                     errors[index[j]] = _divergence_message(
-                        k, theta[j], guard, worst_pool[j])
+                        theta[j], guard, worst_pool[j])
                 # Drop each discount and each seed whose runs have all
                 # stopped.
                 going = (tolerance > -np.inf).reshape(-1, len(normals))
@@ -544,11 +538,11 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                 if not (rows.all() and cols.all()):
                     keep = np.ix_(rows, cols)
                     (theta, w, m_w, v_w, m_theta, v_theta, pool, gamma_col,
-                     tolerance, index, *loop) = (
+                     tolerance, calm, index, *loop) = (
                         a.reshape(going.shape + a.shape[1:])[keep]
                         .reshape((-1,) + a.shape[1:])
                         for a in (theta, w, m_w, v_w, m_theta, v_theta, pool,
-                                  gamma_col, tolerance, index, *loop))
+                                  gamma_col, tolerance, calm, index, *loop))
                     normals = [normal for normal, kept in zip(normals, cols)
                                if kept]
                     raw, noise = raw[cols], noise[cols]
@@ -582,7 +576,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                 step_noise = drive.reshape(-1, len(normals), n, p + r) @ drawn
                 pool = closed @ pool
                 pool += step_noise.reshape(pool.shape)
-            last_move = np.abs(updated - theta).max(axis=(1, 2))
+            calm += 1
+            calm *= np.abs(updated - theta).max(axis=(1, 2)) < tolerance
             theta = updated
 
             theta_hist[live, k] = theta

@@ -9,15 +9,24 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
-from steadygain import TrainerConfig, cli, evaluation, training
+from steadygain import (TrainerConfig, cli, evaluation, spectral_radius,
+                        training)
 from steadygain.cli import RunConfig, main
 
 TABLE_KINF = np.array([[-5.31e-4, -2.31e-3], [3.25e-5, 5.07e-2]])
 
 SMALL_TRAINER = {
-    "batch_size": 32, "max_iters": 200, "burn_in": 20, "seed": 0,
+    "batch_size": 32, "max_iters": 200, "seed": 0,
 }
 SMALL_EVAL = {"n_traj": 20, "t_test": 250, "t_critical": 100, "seed": 0}
+
+# A 3-state plant with one noise input and one measurement.
+THREE_STATE = {
+    "A": [[0.9, 0.1, 0.0], [0.0, 0.8, 0.1], [0.0, 0.0, 0.7]],
+    "B": [[0.0], [0.0], [1.0]], "C": [[1.0, 0.0, 0.0]],
+    "D": [[0.0]], "E": [[0.0], [0.0], [1.0]], "Q": [[0.3]],
+    "R": [[0.2]], "dt": 0.01,
+}
 
 
 def write_config(tmp_path, **overrides):
@@ -103,22 +112,33 @@ class TestTrain:
         np.testing.assert_array_equal(np.array(doc["gain"]),
                                       np.zeros((2, 2)))
 
-    def test_pool_diverging_in_burn_in_exits_one(self, tmp_path, capsys):
-        # Burn-in draws the law of 400 zero-gain steps.  On the mode at 3,
-        # A^400 s is near 1e189 and S_400 (about 9^400) overflows, so the
-        # pool fails its guard, with no warning from the overflow.
+    def test_pool_diverging_at_start_exits_one(self, tmp_path, capsys):
+        # A stable plant whose stationary error spread, about 1.2e13, is
+        # beyond the pool guard at 1e12: the initial pool fails the first
+        # check, and train exits 1 with no warning.
         inline = {
-            "A": [[3.0, 0.0], [0.0, 0.5]], "B": [[0.0], [0.0]],
+            "A": (0.5 * np.eye(2)).tolist(), "B": [[0.0], [0.0]],
             "C": np.eye(2).tolist(), "D": [[0.0], [0.0]],
-            "E": np.eye(2).tolist(), "Q": np.eye(2).tolist(),
+            "E": np.eye(2).tolist(), "Q": (1e26 * np.eye(2)).tolist(),
             "R": np.eye(2).tolist(), "dt": 0.01,
         }
-        cfg = write_config(tmp_path, model={"inline": inline},
-                           trainer={**SMALL_TRAINER, "burn_in": 400})
+        cfg = write_config(tmp_path, model={"inline": inline})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["train", "--config", str(cfg)]) == 1
-        assert "burn-in" in capsys.readouterr().err
+        assert "error pool diverged" in capsys.readouterr().err
+
+    def test_three_state_plant_trains(self, tmp_path):
+        # Training draws no initial error from the vehicle's 2-state box,
+        # so a plant of any order trains; the learned gain stabilizes it.
+        cfg = write_config(tmp_path, model={"inline": THREE_STATE},
+                           trainer={"max_iters": 1000, "seed": 1})
+        assert main(["train", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "theta.json").read_text())
+        gain = np.array(doc["gain"])
+        model = RunConfig(model={"inline": THREE_STATE}).build_model()
+        assert gain.shape == (3, 1)
+        assert spectral_radius((np.eye(3) - gain @ model.C) @ model.A) < 1.0
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -228,7 +248,7 @@ class TestEval:
 
 class TestSweepGamma:
     def test_singleton_sweep_matches_train(self, tmp_path):
-        trainer = {**SMALL_TRAINER, "init_mode": "fixed", "gamma": 0.99}
+        trainer = {**SMALL_TRAINER, "gamma": 0.99}
         cfg = write_config(tmp_path, trainer=trainer, gamma_sweep=[0.99])
         assert main(["sweep-gamma", "--config", str(cfg), "--seeds", "2"]) == 0
         with open(tmp_path / "out" / "sweep.csv") as fh:
@@ -367,7 +387,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command,section,name,value", [
         ("eval", "eval", "t_critical", 195.5),
-        ("train", "trainer", "burn_in", True),
+        ("train", "trainer", "max_iters", True),
     ])
     def test_non_integer_count_exits_two_before_rollout(
             self, tmp_path, capsys, monkeypatch, command, section, name,
@@ -507,24 +527,48 @@ class TestConfigHandling:
             capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "sweep-gamma", "eval"])
-    def test_plant_of_other_order_exits_two_before_output(
-            self, tmp_path, capsys, command):
-        # solve takes any order; the commands that draw initial errors
-        # draw them from the vehicle's 2-state box.
-        inline = {
-            "A": [[0.9, 0.1, 0.0], [0.0, 0.8, 0.1], [0.0, 0.0, 0.7]],
-            "B": [[0.0], [0.0], [1.0]], "C": [[1.0, 0.0, 0.0]],
-            "D": [[0.0]], "E": [[0.0], [0.0], [1.0]], "Q": [[0.3]],
-            "R": [[0.2]], "dt": 0.01,
-        }
-        cfg = write_config(tmp_path, model={"inline": inline})
+    def test_eval_of_other_order_exits_two_before_output(self, tmp_path,
+                                                         capsys):
+        # solve, train and sweep-gamma take any order; eval draws its
+        # initial errors from the vehicle's 2-state box.
+        cfg = write_config(tmp_path, model={"inline": THREE_STATE})
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg)]) == 2
+        assert main(["eval", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "the model has n=3 states" in err
         assert "initial-error box is the vehicle's 2-state one" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep-gamma"])
+    def test_unstable_plant_exits_two_before_output(self, tmp_path, capsys,
+                                                    command):
+        # rho(A) = 1.02: the zero-gain error process has no stationary law
+        # to draw the initial pools from, although solve finds the gain.
+        inline = {
+            "A": [[1.02, 0.0], [0.0, 0.5]], "B": [[0.0], [0.0]],
+            "C": np.eye(2).tolist(), "D": [[0.0], [0.0]],
+            "E": np.eye(2).tolist(), "Q": np.eye(2).tolist(),
+            "R": np.eye(2).tolist(), "dt": 0.01,
+        }
+        cfg = write_config(tmp_path, model={"inline": inline})
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "A has spectral radius 1.02 >= 1" in err
+        assert not (tmp_path / "out").exists()
+        assert main(["solve", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "sweep-gamma"])
+    @pytest.mark.parametrize("name,value", [("burn_in", 400),
+                                            ("init_mode", "fixed")])
+    def test_retired_start_setting_exits_two_before_output(
+            self, tmp_path, capsys, command, name, value):
+        # Every run starts from the stationary pool; no setting picks
+        # another start.
+        cfg = write_config(tmp_path,
+                           trainer={**SMALL_TRAINER, name: value})
+        assert main([command, "--config", str(cfg)]) == 2
+        assert repr(name) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_gain_name_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_lyapunov
 
 from steadygain import (
     LinearGaussianModel,
@@ -12,8 +11,7 @@ from steadygain import (
     spectral_radius,
     step,
 )
-from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, _n_step_law,
-                                  diverged_runs)
+from steadygain.error_mdp import VEHICLE_INITIAL_ERROR, diverged_runs
 
 from conftest import random_system, scalar_model
 
@@ -129,23 +127,12 @@ class TestStep:
 
 
 class TestSampleInitialError:
-    def test_fixed_value(self, bicycle):
-        (e0,) = sample_initial_error(bicycle, "fixed", size=1)
-        assert round(e0[0], 5) == 0.08727
-        assert round(e0[1], 5) == 0.17453
-        np.testing.assert_allclose(e0, [np.pi / 36, np.pi / 18], rtol=1e-15)
-
-    def test_fixed_batch(self, bicycle):
-        batch = sample_initial_error(bicycle, "fixed", size=5)
-        assert batch.shape == (5, 2)
-        np.testing.assert_array_equal(batch,
-                                      np.tile(VEHICLE_INITIAL_ERROR, (5, 1)))
-
     def test_uniform_box_bounds_and_mean(self, bicycle):
         rng = np.random.default_rng(8)
         n_draws = 10_000
-        draws = sample_initial_error(bicycle, "uniform_box", rng, size=n_draws)
+        draws = sample_initial_error(bicycle, rng, size=n_draws)
         half = np.asarray(VEHICLE_INITIAL_ERROR)
+        np.testing.assert_allclose(half, [np.pi / 36, np.pi / 18], rtol=1e-15)
         assert np.all(np.abs(draws) <= half)
         # mean of U(-h, h) has std h / sqrt(3 N)
         tol = 3.0 * half / np.sqrt(3.0 * n_draws)
@@ -153,40 +140,28 @@ class TestSampleInitialError:
 
     def test_zero_width_override(self, bicycle):
         rng = np.random.default_rng(9)
-        draws = sample_initial_error(bicycle, "uniform_box", rng, size=4,
-                                     bounds=(0.0, 0.0))
+        draws = sample_initial_error(bicycle, rng, size=4, bounds=(0.0, 0.0))
         np.testing.assert_array_equal(draws, np.zeros((4, 2)))
 
     def test_uniform_box_requires_two_dims(self):
         model = scalar_model()
         with pytest.raises(ValueError, match="2-dimensional"):
-            sample_initial_error(model, "uniform_box",
-                                 np.random.default_rng(0), size=1)
+            sample_initial_error(model, np.random.default_rng(0), size=1)
         # explicit bounds lift the restriction
-        draws = sample_initial_error(model, "uniform_box",
-                                     np.random.default_rng(0), size=3,
+        draws = sample_initial_error(model, np.random.default_rng(0), size=3,
                                      bounds=(0.5,))
         assert draws.shape == (3, 1)
 
-    def test_fixed_requires_two_dims(self):
-        with pytest.raises(ValueError):
-            sample_initial_error(scalar_model(), "fixed", size=1)
-
     def test_default_refused_on_three_states_naming_both(self):
         model = identity_output_model(n=3)
-        for mode in ("fixed", "uniform_box"):
-            with pytest.raises(ValueError, match="2-dimensional.*n=3"):
-                sample_initial_error(model, mode, np.random.default_rng(0),
-                                     size=2)
+        with pytest.raises(ValueError, match="2-dimensional.*n=3"):
+            sample_initial_error(model, np.random.default_rng(0), size=2)
 
     def test_explicit_bounds_on_three_states(self):
         model = identity_output_model(n=3)
         bounds = (0.1, 0.2, 0.3)
-        fixed = sample_initial_error(model, "fixed", size=4, bounds=bounds)
-        np.testing.assert_array_equal(fixed, np.tile(bounds, (4, 1)))
-        draws = sample_initial_error(model, "uniform_box",
-                                     np.random.default_rng(3), size=1000,
-                                     bounds=bounds)
+        draws = sample_initial_error(model, np.random.default_rng(3),
+                                     size=1000, bounds=bounds)
         assert draws.shape == (1000, 3)
         assert np.all(np.abs(draws) <= bounds)
         # The draws fill the box: each component comes near its bound.
@@ -194,13 +169,9 @@ class TestSampleInitialError:
 
     def test_bound_count_checked(self):
         with pytest.raises(ValueError, match="need 3 bounds, got 2"):
-            sample_initial_error(identity_output_model(n=3), "fixed", size=1,
+            sample_initial_error(identity_output_model(n=3),
+                                 np.random.default_rng(0), size=1,
                                  bounds=(0.1, 0.2))
-
-    def test_unknown_mode(self, bicycle):
-        with pytest.raises(ValueError, match="mode"):
-            sample_initial_error(bicycle, "gaussian",
-                                 np.random.default_rng(0), size=1)
 
 
 def refresh(model, pool, gain, rng):
@@ -229,7 +200,7 @@ class TestRefreshPool:
         k_inf = bicycle_dare.gain
         filtered = (np.eye(2) - k_inf @ bicycle.C) @ bicycle_dare.sigma
         rng = np.random.default_rng(12)
-        pool = sample_initial_error(bicycle, "uniform_box", rng, size=1024)
+        pool = sample_initial_error(bicycle, rng, size=1024)
         for _ in range(500):
             pool = refresh(bicycle, pool, k_inf, rng)
         assert not diverged_runs(pool)[1]
@@ -243,7 +214,7 @@ class TestRefreshPool:
         closed = (np.eye(2) - gain @ bicycle.C) @ bicycle.A
         assert spectral_radius(closed) > 1.0
         rng = np.random.default_rng(13)
-        pool = sample_initial_error(bicycle, "uniform_box", rng, size=32)
+        pool = sample_initial_error(bicycle, rng, size=32)
         for _ in range(2000):
             pool = refresh(bicycle, pool, gain, rng)
             _, diverged = diverged_runs(pool)
@@ -255,7 +226,7 @@ class TestRefreshPool:
         # Under a stabilizing gain the window-averaged second moment of the
         # pool settles: consecutive 100-refresh averages agree within 5%.
         rng = np.random.default_rng(14)
-        pool = sample_initial_error(bicycle, "uniform_box", rng, size=256)
+        pool = sample_initial_error(bicycle, rng, size=256)
         gain = bicycle_dare.gain
         for _ in range(400):
             pool = refresh(bicycle, pool, gain, rng)
@@ -302,43 +273,6 @@ class TestRefreshPool:
         # An empty pool has no largest entry, so the guard refuses it.
         with pytest.raises(ValueError):
             diverged_runs(np.zeros((0, 2)))
-
-
-class TestNStepLaw:
-    """The law of N steps e' = A e + w, w ~ N(0, W): A^N and S_N."""
-
-    @staticmethod
-    def stepped(closed, cov, steps):
-        """A^N and S_N by N single steps, S <- A S A^T + W, Phi <- A Phi."""
-        power, total = np.eye(len(closed)), np.zeros_like(cov)
-        for _ in range(steps):
-            power = closed @ power
-            total = closed @ total @ closed.T + cov
-        return power, total
-
-    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 5, 400])
-    def test_matches_stepped_law_on_random_plants(self, steps):
-        rng = np.random.default_rng(600 + steps)
-        for _ in range(20):
-            model = random_system(rng)
-            cov = model.effective_process_cov()
-            power, total = _n_step_law(model.A, cov, steps)
-            ref_power, ref_total = self.stepped(model.A, cov, steps)
-            np.testing.assert_allclose(power, ref_power, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=0.0)
-
-    def test_long_law_of_a_stable_plant_is_its_lyapunov_solution(self):
-        # rho(A) <= 0.9 on these plants, so after 2 000 steps A^N is below
-        # 1e-60 and S_N is the stationary covariance to rounding.
-        rng = np.random.default_rng(700)
-        for _ in range(20):
-            model = random_system(rng)
-            cov = model.effective_process_cov()
-            power, total = _n_step_law(model.A, cov, 2000)
-            assert np.abs(power).max() < 1e-60
-            np.testing.assert_allclose(
-                total, solve_discrete_lyapunov(model.A, cov), rtol=1e-10,
-                atol=0.0)
 
 
 class TestNoiseDraw:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from steadygain import (
     DivergenceError,
@@ -14,6 +14,7 @@ from steadygain import (
     kalman_recursion,
     riccati_iterate,
     solve_dare,
+    solve_lyapunov,
     spectral_radius,
 )
 
@@ -216,6 +217,46 @@ class TestSolveDareAgainstScipy:
     @pytest.mark.parametrize("q", [1e-8, 1e-12])
     def test_near_marginal_plant(self, q):
         self.check(scalar_model(a=1.0, q=q))
+
+
+class TestSolveLyapunov:
+    """X = sum_k A^k W A^k^T by Smith doubling, against scipy."""
+
+    @staticmethod
+    def check(a, w):
+        x = solve_lyapunov(a, w)
+        ref = solve_discrete_lyapunov(a, w)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert x.tobytes() == x.T.tobytes()
+
+    def test_bicycle(self, bicycle):
+        self.check(bicycle.A, bicycle.effective_process_cov())
+
+    @pytest.mark.parametrize("rho", [0.9, 0.999])
+    def test_seeded_stable_plants(self, rho):
+        rng = np.random.default_rng(900)
+        for _ in range(25):
+            model = random_system(rng, rho=rho)
+            self.check(model.A, model.effective_process_cov())
+
+    def test_is_the_stationary_point(self):
+        # A slow mode (0.999) needs thousands of single steps; doubling
+        # reaches X = A X A^T + W in a few dozen products.
+        a = np.array([[0.999, 0.5], [0.0, -0.3]])
+        w = np.array([[1.0, 0.2], [0.2, 0.5]])
+        x = solve_lyapunov(a, w)
+        np.testing.assert_allclose(a @ x @ a.T + w, x, rtol=1e-12)
+
+    def test_zero_noise_gives_zero(self):
+        x = solve_lyapunov(0.5 * np.eye(2), np.zeros((2, 2)))
+        np.testing.assert_array_equal(x, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("a", [np.diag([1.02, 0.5]), np.diag([1.0, 0.5]),
+                                   np.array([[0.0, -1.0], [1.0, 0.0]])],
+                             ids=["unstable", "marginal", "rotation"])
+    def test_no_stationary_law_refused(self, a):
+        with pytest.raises(ValueError, match="spectral radius"):
+            solve_lyapunov(a, np.eye(2))
 
 
 # The gain of this plant amplifies covariance perturbations by ~3e6 (tiny

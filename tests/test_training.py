@@ -3,12 +3,12 @@ import json
 import subprocess
 import sys
 import textwrap
-import time
 import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from steadygain import (
     DivergenceError,
@@ -18,7 +18,6 @@ from steadygain import (
     adam_update,
     closed_form_one_step_gain,
     draw_noise,
-    sample_initial_error,
     solve_dare,
     step,
     symmetrize,
@@ -465,7 +464,7 @@ class TestTrainerConfig:
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 1.0}, {"gamma": -0.1}, {"lr_actor": 0.0},
         {"lr_critic": -1.0}, {"batch_size": 0}, {"estimator": "mc"},
-        {"init_mode": "gauss"}, {"tail_avg_frac": 1.5},
+        {"tail_avg_frac": 1.5}, {"max_iters": -1},
         {"lr_actor": float("nan")}, {"lr_critic": float("inf")},
         {"lr_actor": float("inf")}, {"lr_critic": float("nan")},
         {"convergence_tol": float("nan")}, {"convergence_tol": -1e-6},
@@ -475,8 +474,7 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["seed", "batch_size", "max_iters",
-                                      "burn_in"])
+    @pytest.mark.parametrize("name", ["seed", "batch_size", "max_iters"])
     @pytest.mark.parametrize("value", [2.0, 0.5, True, "10"])
     def test_integer_field_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
@@ -505,7 +503,7 @@ class TestTrainerConfig:
 
 class TestTrain:
     def test_deterministic_given_seed(self, bicycle):
-        cfg = TrainerConfig(batch_size=32, max_iters=300, burn_in=50, seed=4)
+        cfg = TrainerConfig(batch_size=32, max_iters=300, seed=4)
         theta_a, hist_a = train(bicycle, cfg)
         theta_b, hist_b = train(bicycle, cfg)
         np.testing.assert_array_equal(theta_a, theta_b)
@@ -514,7 +512,7 @@ class TestTrain:
         np.testing.assert_array_equal(hist_a.actor_loss, hist_b.actor_loss)
 
     def test_zero_iterations_passthrough(self, bicycle):
-        theta, history = train(bicycle, TrainerConfig(max_iters=0, burn_in=0))
+        theta, history = train(bicycle, TrainerConfig(max_iters=0))
         np.testing.assert_array_equal(theta, np.zeros((2, 2)))
         assert history.iterations == 0
 
@@ -523,13 +521,13 @@ class TestTrain:
             A=0.5 * np.eye(2), B=np.zeros((2, 1)), C=np.eye(2),
             D=np.zeros((2, 1)), E=np.eye(2), Q=np.zeros((2, 2)),
             R=1e-30 * np.eye(2), dt=0.01)
-        cfg = TrainerConfig(batch_size=16, max_iters=50, burn_in=400, seed=0)
+        cfg = TrainerConfig(batch_size=16, max_iters=50, seed=0)
         _, history = train(model, cfg)
         assert np.abs(history.critic_loss).max() < 1e-20
         assert np.abs(history.actor_loss).max() < 1e-20
 
     def test_divergence_guard(self, bicycle, bicycle_dare):
-        cfg = TrainerConfig(batch_size=16, max_iters=500, burn_in=10,
+        cfg = TrainerConfig(batch_size=16, max_iters=500,
                             lr_actor=1e6, seed=0)
         with pytest.raises(DivergenceError) as excinfo:
             train(bicycle, cfg, ref_gain=bicycle_dare.gain)
@@ -538,7 +536,7 @@ class TestTrain:
         assert history.iterations >= 1
 
     def test_history_fields(self, bicycle, bicycle_dare):
-        cfg = TrainerConfig(batch_size=16, max_iters=40, burn_in=10, seed=1)
+        cfg = TrainerConfig(batch_size=16, max_iters=40, seed=1)
         theta, history = train(bicycle, cfg, ref_gain=bicycle_dare.gain)
         assert history.iterations == 40
         assert history.theta.shape == (40, 2, 2)
@@ -548,7 +546,7 @@ class TestTrain:
         assert not history.converged
 
     def test_history_csv_header(self, bicycle, bicycle_dare, tmp_path):
-        cfg = TrainerConfig(batch_size=8, max_iters=5, burn_in=0, seed=2)
+        cfg = TrainerConfig(batch_size=8, max_iters=5, seed=2)
         _, history = train(bicycle, cfg, ref_gain=bicycle_dare.gain)
         path = tmp_path / "history.csv"
         history.to_csv(path)
@@ -567,23 +565,17 @@ class TestTrain:
 
     def test_critic_stays_symmetric(self, bicycle):
         # symmetry is enforced every update; spot-check via the sampled path
-        cfg = TrainerConfig(batch_size=16, max_iters=30, burn_in=5, seed=3,
+        cfg = TrainerConfig(batch_size=16, max_iters=30, seed=3,
                             estimator="sampled")
         _, history = train(bicycle, cfg)
         assert history.iterations == 30
 
     def test_sampled_estimator_runs_and_is_deterministic(self, bicycle):
-        cfg = TrainerConfig(batch_size=16, max_iters=50, burn_in=5, seed=6,
+        cfg = TrainerConfig(batch_size=16, max_iters=50, seed=6,
                             estimator="sampled")
         theta_a, _ = train(bicycle, cfg)
         theta_b, _ = train(bicycle, cfg)
         np.testing.assert_array_equal(theta_a, theta_b)
-
-    def test_fixed_init_mode(self, bicycle):
-        cfg = TrainerConfig(batch_size=16, max_iters=20, burn_in=5, seed=7,
-                            init_mode="fixed")
-        theta, history = train(bicycle, cfg)
-        assert history.iterations == 20
 
     def test_learns_steady_gain_small_budget(self, bicycle, bicycle_dare):
         # Short-budget sanity run; the acceptance suite exercises the full
@@ -598,7 +590,7 @@ class TestTrain:
                                                 estimator):
         # One body: the one-seed call, the seed average over that seed and
         # the stack's own record of the run agree bit for bit.
-        cfg = TrainerConfig(batch_size=16, max_iters=120, burn_in=10, seed=3,
+        cfg = TrainerConfig(batch_size=16, max_iters=120, seed=3,
                             estimator=estimator)
         ref = bicycle_dare.gain
         runs = train_runs(bicycle, cfg, ref_gain=ref)
@@ -700,7 +692,7 @@ class TestTrainRuns:
     @pytest.mark.parametrize("estimator", ["analytic", "sampled"])
     def test_run_matches_same_run_alone(self, bicycle, bicycle_dare,
                                         estimator):
-        cfg = TrainerConfig(batch_size=32, max_iters=150, burn_in=20,
+        cfg = TrainerConfig(batch_size=32, max_iters=150,
                             estimator=estimator)
         seeds, gammas = [4, 1, 7], [0.5, 0.99, 0.01]
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
@@ -712,20 +704,21 @@ class TestTrainRuns:
             np.testing.assert_array_equal(runs.gains[k], gain)
             np.testing.assert_array_equal(runs.history(k).theta, history.theta)
 
-    @pytest.mark.parametrize("init_mode", ["uniform_box", "fixed"])
-    @pytest.mark.parametrize("estimator", ["analytic", "sampled"])
+    @pytest.mark.parametrize("estimator,settings", [
+        ("analytic", {"lr_actor": 0.01, "convergence_tol": 2e-2}),
+        ("sampled", {"lr_actor": 0.02, "convergence_tol": 3e-3}),
+    ], ids=["analytic", "sampled"])
     def test_runs_sharing_a_seed_match_each_run_alone(self, bicycle,
                                                       bicycle_dare, estimator,
-                                                      init_mode):
+                                                      settings):
         # Seeds 1 and 2 each hold runs at three discounts, which share the
-        # seed's generator, initial pool and burn-in; each run still equals
-        # the same seed and discount trained alone, also when runs of one
-        # seed stop at different iterations.  Every run stops early:
-        # converged (analytic), or with its pool diverged (sampled, at this
-        # small batch and short burn-in).
-        cfg = TrainerConfig(batch_size=16, max_iters=400, burn_in=15,
-                            convergence_tol=3e-3, estimator=estimator,
-                            init_mode=init_mode)
+        # seed's generator and initial pool; each run still equals the same
+        # seed and discount trained alone, also when runs of one seed stop
+        # at different iterations.  Every run stops early: converged
+        # (analytic), or converged or with its pool diverged (sampled, at
+        # this small batch and large actor step).
+        cfg = TrainerConfig(batch_size=16, max_iters=400,
+                            estimator=estimator, **settings)
         seeds, gammas = [1, 2], [0.5, 0.99, 0.01]
         ref = bicycle_dare.gain
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
@@ -748,32 +741,24 @@ class TestTrainRuns:
     def test_matches_member_major_reference(self, bicycle, bicycle_dare,
                                             estimator):
         # Each run, trained alone on (M, n) batches by the per-member
-        # functions: a burn-in drawn once from the law of burn_in zero-gain
-        # steps (A^N and S_N stepped one transition at a time, one (n, M)
-        # draw coloured by cov_factor(S_N)), then draw_noise on the seed's
+        # functions: an initial pool drawn once from the zero-gain error
+        # process's stationary law (scipy's Lyapunov solution, one (n, M)
+        # draw coloured by its cov_factor), then draw_noise on the seed's
         # generator, step for the pool advance (under the updated gain when
         # the noise is integrated out, else the drawn s' under the old
         # gain), and the trainer's critic and actor steps through
         # kernel_steps, adam_update and symmetrize.
-        # After a burn-in of 20, the sampled run of seed 4 grows the
-        # rounding-level gap between the two burn-in laws to 2e-11 by
-        # iteration 150; after one of 100, every gap stays below 1e-16.
-        cfg = TrainerConfig(batch_size=32, max_iters=150, burn_in=100,
+        cfg = TrainerConfig(batch_size=32, max_iters=150,
                             estimator=estimator)
         seeds, gammas = [4, 1], [0.5, 0.99]
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas,
                           ref_gain=bicycle_dare.gain)
         sampled = estimator == "sampled"
-        power, spread = np.eye(bicycle.n), np.zeros((bicycle.n, bicycle.n))
-        for _ in range(cfg.burn_in):
-            power = bicycle.A @ power
-            spread = (bicycle.A @ spread @ bicycle.A.T
-                      + bicycle.E @ bicycle.Q @ bicycle.E.T)
+        start = cov_factor(solve_discrete_lyapunov(
+            bicycle.A, bicycle.E @ bicycle.Q @ bicycle.E.T))
         for k, (seed, gamma) in enumerate(grid(seeds, gammas)):
             rng = np.random.default_rng(seed)
-            pool = sample_initial_error(bicycle, cfg.init_mode, rng,
-                                        size=cfg.batch_size)
-            pool = (power @ pool.T + cov_factor(spread) @ rng.standard_normal(
+            pool = (start @ rng.standard_normal(
                 (bicycle.n, cfg.batch_size))).T
             zero = np.zeros((bicycle.n, bicycle.r))
             theta, w = zero, np.eye(bicycle.n)
@@ -836,7 +821,7 @@ class TestTrainRuns:
         # iteration 5; the first check, after 0 iterations, already sees
         # all six runs.  Run 1 stays in the stack, and every other run,
         # seed 1 at 0.9 among them, finishes exactly as it would alone.
-        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        cfg = TrainerConfig(batch_size=16, max_iters=60)
         seeds, gammas = [0, 1, 2], [0.5, 0.9]
         alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
                  for seed, gamma in grid(seeds, gammas)]
@@ -857,36 +842,37 @@ class TestTrainRuns:
             runs.raise_divergence()
         assert excinfo.value.history.iterations == 5
 
-    def test_run_diverging_in_burn_in_stops_alone(self, bicycle, monkeypatch):
-        # Flagged at the check after burn-in, run 1 never trains: its seed
-        # leaves the stack before the first iteration and its record stays
-        # zero.  Runs 0 and 2 draw and train exactly as they would alone.
-        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+    def test_run_diverging_at_start_stops_alone(self, bicycle, monkeypatch):
+        # Flagged at the check of the initial pools, run 1 never trains:
+        # its seed leaves the stack before the first iteration and its
+        # record stays zero.  Runs 0 and 2 draw and train exactly as they
+        # would alone.
+        cfg = TrainerConfig(batch_size=16, max_iters=60)
         seeds = [0, 1, 2]
         alone = [train(bicycle, replace(cfg, seed=seed)) for seed in seeds]
         calls = self._flag_runs(monkeypatch, {1: [1]})
         runs = train_runs(bicycle, cfg, seeds=seeds)
         assert calls == [3] + [2] * 60
         assert runs.iterations.tolist() == [60, 0, 60]
-        assert "diverged during burn-in" in runs.errors[1]
+        assert runs.errors[1].startswith("error pool diverged (max entry")
         assert np.isnan(runs.gains[1]).all()
         self._assert_record_ends_at_stop(runs)
         for k in (0, 2):
             gain, history = alone[k]
             np.testing.assert_array_equal(runs.gains[k], gain)
             np.testing.assert_array_equal(runs.history(k).theta, history.theta)
-        with pytest.raises(DivergenceError, match="burn-in") as excinfo:
+        with pytest.raises(DivergenceError, match="pool diverged") as excinfo:
             runs.raise_divergence()
         assert excinfo.value.history.iterations == 0
 
-    def test_shared_seed_diverging_in_burn_in_stops_all_its_runs(
+    def test_shared_seed_diverging_at_start_stops_all_its_runs(
             self, bicycle, monkeypatch):
-        # Burn-in runs once per seed, so both discounts of seed 1, runs 1
-        # and 4, hold the same burned-in pool; flagging both at the first
-        # check fails seed 1.  Its runs never train, the stack holds the
+        # The initial pool is drawn once per seed, so both discounts of
+        # seed 1, runs 1 and 4, hold the same pool; flagging both at the
+        # first check fails seed 1.  Its runs never train, the stack holds the
         # four runs of seeds 0 and 2, and those train exactly as they would
         # alone.
-        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        cfg = TrainerConfig(batch_size=16, max_iters=60)
         seeds, gammas = [0, 1, 2], [0.5, 0.9]
         alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
                  for seed, gamma in grid(seeds, gammas)]
@@ -895,7 +881,7 @@ class TestTrainRuns:
         assert calls == [6] + [4] * 60
         assert runs.iterations.tolist() == [60, 0, 60, 60, 0, 60]
         for k in (1, 4):
-            assert "diverged during burn-in" in runs.errors[k]
+            assert runs.errors[k].startswith("error pool diverged")
             assert np.isnan(runs.gains[k]).all()
             assert runs.history(k).iterations == 0
         assert runs.errors[1] == runs.errors[4]
@@ -906,14 +892,14 @@ class TestTrainRuns:
             np.testing.assert_array_equal(runs.gains[k], gain)
             np.testing.assert_array_equal(runs.history(k).theta, history.theta)
 
-    def test_burn_in_pool_has_the_law_of_its_steps(self, bicycle,
-                                                   monkeypatch):
-        # From the fixed initial error s0, the burned-in pool is A^N s0
-        # plus Gaussian errors of covariance S_N, both stepped here one
-        # transition at a time.  The pool reaches the guard once, after its
-        # draw; on M = 20 000 members the sample mean and covariance of
-        # pool - A^N s0 sit within 4 standard errors: sqrt(S_ii / M) and
-        # sqrt((S_ii S_jj + S_ij^2) / M).
+    def test_initial_pool_has_the_stationary_law(self, bicycle,
+                                                 monkeypatch):
+        # The initial pool is drawn from N(0, P), P the stationary
+        # covariance of the zero-gain error process, here scipy's Lyapunov
+        # solution.  The pool reaches the guard once, before the first
+        # iteration; on M = 20 000 members its sample mean and second
+        # moment sit within 4 standard errors, sqrt(P_ii / M) and
+        # sqrt((P_ii P_jj + P_ij^2) / M).
         pools = []
         real = training.diverged_runs
 
@@ -923,63 +909,47 @@ class TestTrainRuns:
 
         monkeypatch.setattr(training, "diverged_runs", keep_pool)
         size = 20_000
-        # A burn-in short enough that A^N s0 stays far from zero.
-        cfg = TrainerConfig(batch_size=size, max_iters=0, burn_in=20,
-                            init_mode="fixed")
-        train_runs(bicycle, cfg)
+        train_runs(bicycle, TrainerConfig(batch_size=size, max_iters=0))
         assert len(pools) == 1 and pools[0].shape == (1, bicycle.n, size)
-        power, spread = np.eye(bicycle.n), np.zeros((bicycle.n, bicycle.n))
-        for _ in range(cfg.burn_in):
-            power = bicycle.A @ power
-            spread = (bicycle.A @ spread @ bicycle.A.T
-                      + bicycle.E @ bicycle.Q @ bicycle.E.T)
-        start = sample_initial_error(bicycle, "fixed", size=1)[0]
-        errors = pools[0][0] - (power @ start)[:, None]
-        variance = np.diag(spread)
+        law = solve_discrete_lyapunov(bicycle.A,
+                                      bicycle.effective_process_cov())
+        errors = pools[0][0]
+        variance = np.diag(law)
         assert (np.abs(errors.mean(axis=1))
                 <= 4.0 * np.sqrt(variance / size)).all()
         sample = errors @ errors.T / size
-        bound = 4.0 * np.sqrt((np.outer(variance, variance) + spread ** 2)
+        bound = 4.0 * np.sqrt((np.outer(variance, variance) + law ** 2)
                               / size)
-        assert (np.abs(sample - spread) <= bound).all()
+        assert (np.abs(sample - law) <= bound).all()
 
-    def test_long_burn_in_is_one_draw(self, bicycle):
-        # A million zero-gain steps cost one draw of the law, not a
-        # million transitions.
-        cfg = TrainerConfig(batch_size=16, max_iters=1, burn_in=10**6)
-        start = time.perf_counter()
-        runs = train_runs(bicycle, cfg, seeds=[0, 1])
-        assert time.perf_counter() - start < 1.0
-        assert runs.errors == [None, None]
-        assert runs.iterations.tolist() == [1, 1]
+    @pytest.mark.parametrize("a", [[1e3, 0.5], [1.02, 0.5], [1.0, 0.5]],
+                             ids=["1e3", "1.02", "marginal"])
+    def test_plant_without_stationary_law_refused(self, monkeypatch, a):
+        # With rho(A) >= 1 the zero-gain error process has no stationary
+        # law to draw the initial pools from: refused before a generator
+        # is made.
+        def no_generator(seed):
+            raise AssertionError("a generator was made")
 
-    def test_overflowing_burn_in_stops_every_seed_without_warning(self):
-        # A^400 overflows on the mode at 1e3, and so does S_400: every seed
-        # stops in burn-in with an infinite pool, at one discount or two,
-        # the law is never factored, and no RuntimeWarning escapes.
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         model = LinearGaussianModel(
-            A=np.diag([1e3, 0.5]), B=np.zeros((2, 1)), C=np.eye(2),
+            A=np.diag(a), B=np.zeros((2, 1)), C=np.eye(2),
             D=np.zeros((2, 1)), E=np.eye(2), Q=np.eye(2), R=np.eye(2),
             dt=0.01)
-        for gammas, count in ((None, 3), ([0.5, 0.9], 6)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                runs = train_runs(model,
-                                  TrainerConfig(batch_size=16, max_iters=5),
-                                  seeds=[0, 1, 2], gammas=gammas)
-            assert runs.iterations.tolist() == [0] * count
-            assert runs.errors == ["error pool diverged during burn-in "
-                                   "(max entry inf)"] * count
-            assert np.isnan(runs.gains).all()
+        with pytest.raises(ValueError, match="A has spectral radius"):
+            train_runs(model, TrainerConfig(batch_size=16, max_iters=5),
+                       seeds=[0, 1, 2], gammas=[0.5, 0.9])
 
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="ru_maxrss is counted in kB on Linux")
-    def test_runs_stopped_in_burn_in_touch_no_record(self):
+    def test_runs_stopped_at_start_touch_no_record(self):
         # Ten runs of 200 000 iterations preallocate a 96 MB record; a run
-        # writes its rows only while it runs, so runs that all stop in
-        # burn-in leave those pages untouched.  ru_maxrss is the process's
-        # high-water mark, so the run gets a process of its own, warmed up
-        # by a one-iteration call.
+        # writes its rows only while it runs, so runs that all stop before
+        # the first iteration leave those pages untouched.  The plant is
+        # stable, but its stationary error spread, about 1.2e13, puts
+        # every initial pool beyond the guard at 1e12.  ru_maxrss is the
+        # process's high-water mark, so the run gets a process of its own,
+        # warmed up by a one-iteration call.
         script = textwrap.dedent("""
             import json, resource
             import numpy as np
@@ -987,9 +957,9 @@ class TestTrainRuns:
                                     train_runs)
             from steadygain.cli import DEFAULT_GAMMA_SWEEP
             model = LinearGaussianModel(
-                A=np.diag([1e3, 0.5]), B=np.zeros((2, 1)), C=np.eye(2),
-                D=np.zeros((2, 1)), E=np.eye(2), Q=np.eye(2), R=np.eye(2),
-                dt=0.01)
+                A=0.5 * np.eye(2), B=np.zeros((2, 1)), C=np.eye(2),
+                D=np.zeros((2, 1)), E=np.eye(2), Q=1e26 * np.eye(2),
+                R=np.eye(2), dt=0.01)
             def grid(max_iters):
                 return train_runs(model, TrainerConfig(max_iters=max_iters),
                                   seeds=[0, 1], gammas=DEFAULT_GAMMA_SWEEP)
@@ -1009,15 +979,17 @@ class TestTrainRuns:
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["iterations"] == [0] * 10
-        assert out["errors"] == ["error pool diverged during burn-in "
-                                 "(max entry inf)"] * 10
+        assert all(error.startswith("error pool diverged (max entry")
+                   for error in out["errors"])
+        # The discounts of a seed share its pool.
+        assert out["errors"][:2] * 5 == out["errors"]
         assert out["records"] == [10] * 3
         assert out["grown_mb"] < 32.0, out["grown_mb"]
 
     def test_each_seed_drawn_once_per_step(self, bicycle, monkeypatch):
         # Seeds 1 and 2 hold three runs each, one per discount.  Each
-        # seed's generator gives one burn-in draw of n M normals, then one
-        # batch of M (p + r) normals, process then measurement, per
+        # seed's generator gives one initial-pool draw of n M normals, then
+        # one batch of M (p + r) normals, process then measurement, per
         # iteration, however many runs read it, and goes on doing so after
         # run 1 (seed 2 at 0.5) stops at iteration 5.
         real = np.random.default_rng
@@ -1058,32 +1030,33 @@ class TestTrainRuns:
             return flagged(pool)
 
         monkeypatch.setattr(training, "diverged_runs", count_draws)
-        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        cfg = TrainerConfig(batch_size=16, max_iters=60)
         runs = train_runs(bicycle, cfg, seeds=[1, 2], gammas=[0.5, 0.9, 0.99])
         assert sorted(made) == [1, 2]
         assert runs.iterations.tolist() == [60, 5, 60, 60, 60, 60]
-        # One guard check after the burn-in draw and one per iteration.
+        # One guard check after the initial draw and one per iteration.
         assert drawn == [[step] * 2 for step in range(1, 62)]
         n, m_count, width = bicycle.n, cfg.batch_size, bicycle.p + bicycle.r
         for seed in (1, 2):
             assert made[seed].sizes == [n * m_count] + [m_count * width] * 60
 
     def test_gain_is_mean_of_recorded_tail(self, bicycle):
-        # Run 1 converges before the tail starts at iteration 320, so its
-        # gain is its last iterate; runs 0 and 2 average iterates 320-400.
-        cfg = TrainerConfig(max_iters=400, convergence_tol=4.2e-3,
+        # Runs 1 and 2 converge before the tail starts at iteration 320,
+        # so each gain is its last iterate; run 0 averages iterates
+        # 320-400.
+        cfg = TrainerConfig(max_iters=400, convergence_tol=3.6e-3,
                             tail_avg_frac=0.2)
         runs = train_runs(bicycle, cfg, seeds=[1, 2, 3])
-        assert runs.iterations.tolist() == [400, 263, 400]
-        np.testing.assert_array_equal(runs.gains[1], runs.theta[1, 262])
-        for k in (0, 2):
-            np.testing.assert_array_equal(
-                runs.gains[k], runs.theta[k, 319:400].sum(axis=0) / 81)
+        assert runs.iterations.tolist() == [400, 207, 234]
+        np.testing.assert_array_equal(runs.gains[1], runs.theta[1, 206])
+        np.testing.assert_array_equal(runs.gains[2], runs.theta[2, 233])
+        np.testing.assert_array_equal(
+            runs.gains[0], runs.theta[0, 319:400].sum(axis=0) / 81)
 
     def test_converged_run_stops_alone(self, bicycle):
         # With a tolerance between the two runs' smallest 101-iterate
         # spreads, exactly one run meets the convergence test.
-        cfg = TrainerConfig(batch_size=16, max_iters=400, burn_in=5,
+        cfg = TrainerConfig(batch_size=16, max_iters=400,
                             convergence_tol=0.0)
         free = train_runs(bicycle, cfg, seeds=[0, 1])
 
@@ -1105,36 +1078,68 @@ class TestTrainRuns:
                                       free.history(late).theta)
         assert not runs.history().converged
 
+    @staticmethod
+    def _calm(theta, tol, k):
+        """Whether the 100 moves of a record ``theta`` (iterations, n, r)
+        up to iteration k, and their sum, were all below ``tol``."""
+        moves = np.abs(np.diff(theta[:k], axis=0, prepend=0.0)).max(
+            axis=(1, 2))
+        net = np.abs(theta[k - 1] - theta[k - 101]).max()
+        return bool((moves[k - 100:k] < tol).all() and net < tol)
+
     def test_stopped_run_never_opens_the_window(self, bicycle, monkeypatch):
-        # Run 0 (seed 0 at 0.5) is reported diverged at iteration 5 but
+        # Run 2 (seed 5 at 0.5) is reported diverged at iteration 5 but
         # steps on, since its seed and its discount both still have runs
-        # going, and it moves less than the tolerance at iterations where
-        # no going run does.  The convergence window is read only at
-        # iterations where a going run moved less than the tolerance.
-        cfg = TrainerConfig(batch_size=16, max_iters=400, burn_in=5,
-                            convergence_tol=2.3e-6)
-        _, stopped = train(bicycle, replace(cfg, seed=0, gamma=0.5))
-        self._flag_runs(monkeypatch, {6: [0]})
+        # going, and its last 100 moves and their sum are all below the
+        # tolerance at iterations where no going run's are.  The
+        # convergence window is read only at iterations where a going
+        # run's were, and then only for those runs.
+        cfg = TrainerConfig(batch_size=16, max_iters=400,
+                            convergence_tol=3e-3)
+        _, stopped = train(bicycle, replace(cfg, seed=5, gamma=0.5))
+        self._flag_runs(monkeypatch, {6: [2]})
         real_ptp, windows = np.ptp, []
 
         def counting_ptp(a, axis=None):
-            windows.append(a.shape)
+            windows.append(len(a))
             return real_ptp(a, axis=axis)
 
         monkeypatch.setattr(np, "ptp", counting_ptp)
-        runs = train_runs(bicycle, cfg, seeds=[0, 1, 2], gammas=[0.5, 0.9])
+        runs = train_runs(bicycle, cfg, seeds=[2, 4, 5], gammas=[0.5, 0.9])
         monkeypatch.undo()
-        assert runs.iterations.tolist() == [5] + [400] * 5
-        moves = np.abs(np.diff(runs.theta, axis=1, prepend=0.0)).max(
-            axis=(2, 3))
-        stopped_moves = np.abs(np.diff(stopped.theta, axis=0,
-                                       prepend=0.0)).max(axis=(1, 2))
+        assert runs.iterations.tolist() == [400, 400, 5, 400, 400, 400]
         late = range(101, cfg.max_iters + 1)
-        opened = [k for k in late
-                  if (moves[1:, k - 1] < cfg.convergence_tol).any()]
-        assert len(windows) == len(opened)
-        assert any(stopped_moves[k - 1] < cfg.convergence_tol
+        calm = [[k for k in late
+                 if self._calm(runs.theta[j], cfg.convergence_tol, k)]
+                for j in (0, 1, 3, 4, 5)]
+        opened = sorted(set().union(*calm))
+        assert opened
+        assert windows == [sum(k in ks for ks in calm) for k in opened]
+        assert any(self._calm(stopped.theta, cfg.convergence_tol, k)
                    for k in late if k not in opened)
+
+    @pytest.mark.parametrize("tol", [3.6e-3, 5e-3])
+    def test_convergence_matches_the_rule_on_the_record(self, bicycle, tol):
+        # A run converges after the first iteration k >= 101 at which the
+        # elementwise spread of its iterates k - 100 .. k falls below the
+        # tolerance, read here from the record of the same runs trained
+        # without a stop.
+        cfg = TrainerConfig(max_iters=400, convergence_tol=0.0)
+        seeds = [1, 2, 3]
+        free = train_runs(bicycle, cfg, seeds=seeds)
+        runs = train_runs(bicycle, replace(cfg, convergence_tol=tol),
+                          seeds=seeds)
+        for j in range(len(seeds)):
+            spreads = [np.ptp(free.theta[j, k - 101:k], axis=0).max()
+                       for k in range(101, cfg.max_iters + 1)]
+            stops = [k for k, spread in zip(range(101, cfg.max_iters + 1),
+                                            spreads) if spread < tol]
+            expected = stops[0] if stops else cfg.max_iters
+            assert runs.iterations[j] == expected
+            assert runs.converged[j] == bool(stops)
+            np.testing.assert_array_equal(runs.history(j).theta,
+                                          free.theta[j, :expected])
+        assert runs.converged.any()
 
     def test_grid_drops_stopped_discounts_and_seeds(self, bicycle,
                                                     monkeypatch):
@@ -1144,7 +1149,7 @@ class TestTrainRuns:
         # discount 0.5 that are left, 0 and 2, stop at 15, after which that
         # row leaves too.  Every run's record equals the run trained alone,
         # up to its stop, and is zero after it.
-        cfg = TrainerConfig(batch_size=16, max_iters=60, burn_in=5)
+        cfg = TrainerConfig(batch_size=16, max_iters=60)
         seeds, gammas = [0, 1, 2], [0.5, 0.9]
         alone = [train(bicycle, replace(cfg, seed=seed, gamma=gamma))
                  for seed, gamma in grid(seeds, gammas)]
@@ -1174,7 +1179,7 @@ class TestTrainRuns:
                                                  monkeypatch):
         # Run 1 stops at iteration 5, so a selection holding it is cut to
         # five rows; an index and its one-element list read the same.
-        cfg = TrainerConfig(batch_size=16, max_iters=30, burn_in=5)
+        cfg = TrainerConfig(batch_size=16, max_iters=30)
         self._flag_runs(monkeypatch, {6: [1]})
         runs = train_runs(bicycle, cfg, seeds=[0, 1, 2],
                           ref_gain=bicycle_dare.gain)
@@ -1209,8 +1214,8 @@ class TestTrainRuns:
     ], ids=["empty", "bool", "bool-list", "past-the-end", "negative"])
     def test_history_refuses_a_bad_selection(self, bicycle, selection, error,
                                              message):
-        runs = train_runs(bicycle, TrainerConfig(batch_size=4, max_iters=3,
-                                                 burn_in=1), seeds=[0, 1])
+        runs = train_runs(bicycle, TrainerConfig(batch_size=4, max_iters=3),
+                          seeds=[0, 1])
         with pytest.raises(error, match=message):
             runs.history(selection)
 
@@ -1240,20 +1245,34 @@ class TestTrainRuns:
 
     def test_run_diverging_mid_stack_raises_no_warning(self, bicycle,
                                                        bicycle_dare):
-        # Sampled at batch 32 after a burn-in of 20, seed 92 diverges at
-        # discount 0.01 (iteration 196) but not at 0.99, and seed 2 at
+        # Sampled at batch 32 with an actor step of 0.01, seed 26 diverges
+        # at discount 0.01 (iteration 485) but not at 0.99, and seed 2 at
         # neither.  The diverged run steps on in the stack until its pool
         # overflows, and no RuntimeWarning leaves the stack.
-        cfg = TrainerConfig(batch_size=32, max_iters=600, burn_in=20,
+        cfg = TrainerConfig(batch_size=32, max_iters=600, lr_actor=0.01,
                             estimator="sampled")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            runs = train_runs(bicycle, cfg, seeds=[2, 92],
+            runs = train_runs(bicycle, cfg, seeds=[2, 26],
                               gammas=[0.01, 0.99], ref_gain=bicycle_dare.gain)
-        assert runs.iterations.tolist() == [600, 196, 600, 600]
+        assert runs.iterations.tolist() == [600, 485, 600, 600]
         assert "pool diverged" in runs.errors[1]
         assert runs.errors[0] is runs.errors[2] is runs.errors[3] is None
         self._assert_record_ends_at_stop(runs)
+
+    def test_small_sampled_batches_run_to_the_end(self, bicycle,
+                                                  bicycle_dare):
+        # Sampled at batch 32, runs started from errors far from the
+        # stationary spread used to leave the stable gains: from a 20-step
+        # burn-in of the vehicle's box, 9 of these 12 runs diverged by
+        # iteration 235.  Started from the stationary pool, all 12 run the
+        # 1 000 iterations.
+        cfg = TrainerConfig(batch_size=32, max_iters=1000,
+                            estimator="sampled")
+        runs = train_runs(bicycle, cfg, seeds=[1, 2, 3, 4],
+                          gammas=[0.01, 0.5, 0.99], ref_gain=bicycle_dare.gain)
+        assert runs.errors == [None] * 12
+        assert runs.iterations.tolist() == [1000] * 12
 
     @pytest.mark.parametrize("seeds, gammas, message", [
         ([4, 1, 4], [0.5], r"seeds\[2\] repeats seeds\[0\] = 4"),
