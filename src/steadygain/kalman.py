@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1e12
+# Doubling step j of solve_lyapunov adds 2^j terms of its sum, so 100 steps
+# reach the end of the sum for any mode that double precision tells from 1.
+_LYAPUNOV_MAX_DOUBLINGS = 100
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -192,8 +195,7 @@ def solve_dare(model: LinearGaussianModel, tol: float = 1e-12,
                                residual=residual)
 
 
-def solve_lyapunov(A: np.ndarray, W: np.ndarray,
-                   max_iter: int = 100) -> np.ndarray:
+def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Stationary covariance X = sum_k A^k W A^k^T of x' = A x + w.
 
     X solves X = A X A^T + W for a noise covariance W.  Smith's doubling
@@ -202,30 +204,33 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray,
 
         X <- X + A X A^T,   A <- A A,
 
-    so step j adds the next 2^j terms of the sum, until X stops changing.
-    ``max_iter`` caps the number of doubling steps.
+    so step j adds the next 2^j terms of the sum, until X stops changing,
+    for at most ``_LYAPUNOV_MAX_DOUBLINGS`` steps.
 
     Raises:
         ValueError: rho(A) >= 1, so the process has no stationary law.
         DivergenceError: the iterates overflow or the cap is reached.
     """
     a = np.asarray(A, dtype=float)
-    x = symmetrize(np.asarray(W, dtype=float))
     rho = spectral_radius(a)
     if not rho < 1.0:
         raise ValueError(f"A has spectral radius {rho:.6g} >= 1, so "
                          f"x' = A x + w has no stationary law")
-    for _ in range(max_iter):
-        x_next = symmetrize(x + a @ x @ a.T)
-        if not np.all(np.isfinite(x_next)):
-            raise DivergenceError(
-                "Lyapunov doubling overflowed (A's transient growth "
-                "exceeds the floating-point range)")
-        if np.array_equal(x_next, x):
-            return x
-        x, a = x_next, a @ a
+    # An overflow is caught below and raised as a DivergenceError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = symmetrize(np.asarray(W, dtype=float))
+        for _ in range(_LYAPUNOV_MAX_DOUBLINGS):
+            x_next = symmetrize(x + a @ x @ a.T)
+            if not np.all(np.isfinite(x_next)):
+                raise DivergenceError(
+                    "Lyapunov doubling overflowed (the stationary covariance "
+                    "exceeds the floating-point range)")
+            if np.array_equal(x_next, x):
+                return x
+            x, a = x_next, a @ a
     raise DivergenceError(
-        f"Lyapunov doubling did not converge within {max_iter} steps")
+        f"Lyapunov doubling did not converge within "
+        f"{_LYAPUNOV_MAX_DOUBLINGS} steps")
 
 
 def kalman_recursion(model: LinearGaussianModel, sigma0: np.ndarray,

@@ -509,6 +509,8 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             # A window's spread is at least each of its 100 moves and its
             # net move, first to last iterate, so only the runs whose last
             # 100 moves and net move were all below the tolerance read it.
+            # At a loose tolerance a slowly drifting run's moves stay below
+            # it for thousands of iterations; its net move does not.
             if k > _CONVERGENCE_WINDOW and calm.max() >= _CONVERGENCE_WINDOW:
                 calmed = np.flatnonzero(calm >= _CONVERGENCE_WINDOW)
                 start = k - _CONVERGENCE_WINDOW - 1

@@ -258,6 +258,20 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError, match="spectral radius"):
             solve_lyapunov(a, np.eye(2))
 
+    def test_overflow_raises(self):
+        with pytest.raises(DivergenceError, match="overflowed"):
+            solve_lyapunov(0.9 * np.eye(2), 1e308 * np.eye(2))
+
+    def test_unit_eigenvalues_read_below_one_reach_the_cap(self):
+        # An orthogonal matrix of order 4 with entries +-1/2: its powers
+        # are exact, so X doubles exactly at every step and never settles,
+        # yet eigvals reads its unit eigenvalues as 1 - 2^-53.
+        a = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, 1.0, 1.0],
+                            [1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0]])
+        assert spectral_radius(a) < 1.0
+        with pytest.raises(DivergenceError, match="did not converge"):
+            solve_lyapunov(a, np.eye(4))
+
 
 # The gain of this plant amplifies covariance perturbations by ~3e6 (tiny
 # innovation covariance), so gain-level agreement at 1e-12..1e-10 needs the
