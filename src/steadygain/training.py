@@ -21,9 +21,13 @@ as (K, n, M), members on the last axis, so that each moment summed over a
 pool is a BLAS product.  Each seed's pool starts as one draw from the
 stationary law of the zero-gain error process, N(0, P) with
 P = A P A^T + E Q E^T, so a plant with rho(A) >= 1, which has none, is
-refused.  :meth:`TrainRuns.history` reads the record;
-:func:`train_average` is the seed-averaged form of :func:`train_runs` at
-one discount, :func:`train` one seed's.
+refused.  No state of a run grows with ``max_iters``: a running sum of
+its iterates gives its tail-averaged gain (Polyak & Juditsky 1992), a ring
+of its last 101 iterates the convergence test, and its record keeps the
+iterations with at most three significant digits (every one to 1 000,
+then every 10th to 10 000, and so on), which :meth:`TrainRuns.history`
+reads.  :func:`train_average` is the seed-averaged form of
+:func:`train_runs` at one discount, :func:`train` one seed's.
 """
 
 from __future__ import annotations
@@ -67,11 +71,6 @@ _GUARD_FACTOR = 1e3
 # Adam's decay rates for the first and second moments, and its
 # denominator floor.
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-
-# History rows TrainHistory.to_csv converts to Python lists at a time: a
-# block converts far faster per row than list() of each row's arrays, and a
-# bounded one keeps the conversion's memory flat however long the run.
-_CSV_BLOCK_ROWS = 256
 
 
 def adam_update(params: np.ndarray, grad: np.ndarray, m: np.ndarray,
@@ -134,48 +133,54 @@ def gain_columns(prefix: str, n: int, r: int) -> list[str]:
     return [f"{prefix}{i + 1}{j + 1}" for i in range(n) for j in range(r)]
 
 
+def _recorded_iterations(max_iters: int) -> np.ndarray:
+    """The iterations 1 .. ``max_iters`` with at most three significant
+    digits, in order: 1 000 of them up to 1 000, 1 900 up to 10 000 and
+    2 900 up to 200 000."""
+    decades = [np.arange(10 ** e, 10 ** (e + 1), 10 ** (e - 2))
+               for e in range(3, len(str(max_iters)))]
+    iters = np.concatenate([np.arange(1, 1000)] + decades)
+    return iters[iters <= max_iters]
+
+
 @dataclass
 class TrainHistory:
-    """Per-iteration training record.
+    """Training record of the recorded iterations, one row each.
 
-    ``theta`` stacks the gain after each iteration, ``diff`` the elementwise
-    gap to the reference gain (NaN when no reference was supplied), and the
-    loss arrays the critic/actor objective values seen that iteration.
+    ``iters`` holds the iteration number of each row, ``theta`` the gain
+    after that iteration, ``diff`` its elementwise gap to the reference
+    gain (NaN when no reference was supplied), and the loss arrays the
+    critic/actor objective values seen at that iteration.  ``iterations``
+    is the number of iterations run, which the last row need not reach.
     """
 
     theta: np.ndarray
     diff: np.ndarray
     critic_loss: np.ndarray
     actor_loss: np.ndarray
+    iters: np.ndarray
+    iterations: int
     converged: bool = False
 
-    @property
-    def iterations(self) -> int:
-        """Number of iterations recorded, one row each."""
-        return len(self.theta)
-
     def to_csv(self, path) -> None:
-        """Write one row per iteration: iter, theta.., d.., losses.
+        """Write one row per recorded iteration: iter, theta.., d..,
+        losses.
 
         Values are written as Python writes a float, which for float64 is
         the text numpy gives each element.
         """
-        count = self.iterations
         n, r = self.theta.shape[1:]
         header = (["iter"] + gain_columns("theta", n, r)
                   + gain_columns("d", n, r) + ["critic_loss", "actor_loss"])
-        columns = (self.theta.reshape(count, n * r),
-                   self.diff.reshape(count, n * r),
-                   self.critic_loss[:, None], self.actor_loss[:, None])
+        rows = np.concatenate((self.theta.reshape(-1, n * r),
+                               self.diff.reshape(-1, n * r),
+                               self.critic_loss[:, None],
+                               self.actor_loss[:, None]), axis=1)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for start in range(0, count, _CSV_BLOCK_ROWS):
-                block = np.concatenate(
-                    [c[start:start + _CSV_BLOCK_ROWS] for c in columns],
-                    axis=1)
-                writer.writerows([k, *row] for k, row in
-                                 enumerate(block.tolist(), start + 1))
+            writer.writerows([k, *row.tolist()]
+                             for k, row in zip(self.iters.tolist(), rows))
 
 
 def critic_value(w: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -300,16 +305,20 @@ class TrainRuns:
 
     Run i S + j is the call's ``seeds[j]`` at ``gammas[i]``.  ``gains`` holds
     each run's tail-averaged gain, NaN for a run that diverged, whose
-    message is in ``errors`` (None for the others).  The unaveraged
-    iterates and losses are stored run-major, so that run k's record
-    ``theta[k, :iterations[k]]`` is contiguous and a mean over runs adds
-    them in run order; :meth:`history` reads them.
+    message is in ``errors`` (None for the others).  ``converged`` says that
+    a run's gain stopped moving by the window test, not that it reached the
+    Riccati gain: a stalled Adam step passes the test too.  The record
+    holds the unaveraged iterates and losses of the iterations ``iters``,
+    the same rows for every run, stored run-major, so that run k's record
+    ``theta[k]`` is contiguous and a mean over runs adds them in run order;
+    a run's rows past its stop are zero.  :meth:`history` reads them.
     """
 
     gains: np.ndarray
     theta: np.ndarray
     critic_loss: np.ndarray
     actor_loss: np.ndarray
+    iters: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     errors: list
@@ -321,18 +330,21 @@ class TrainRuns:
         ``runs`` is a run index 0 .. K-1 or a non-empty list of them
         (default: every run); a bool, an empty selection or an index out
         of range raises ValueError or IndexError naming the selection.
-        The record stops at the shortest selected run's length, and it is
+        The history's ``iterations`` is the fewest any selected run took,
+        and it keeps the rows of the iterations up to that count.  It is
         converged only if every selected run converged.  The average of
         one run is that run's record, bit for bit.
         """
         picked = slice(None) if runs is None else self._run_indices(runs)
         count = int(self.iterations[picked].min())
-        theta = self.theta[picked, :count]
+        rows = int(np.searchsorted(self.iters, count, side="right"))
+        theta = self.theta[picked, :rows]
         diff = theta - (np.nan if self.ref_gain is None else self.ref_gain)
         return TrainHistory(
             theta=theta.mean(axis=0), diff=diff.mean(axis=0),
-            critic_loss=self.critic_loss[picked, :count].mean(axis=0),
-            actor_loss=self.actor_loss[picked, :count].mean(axis=0),
+            critic_loss=self.critic_loss[picked, :rows].mean(axis=0),
+            actor_loss=self.actor_loss[picked, :rows].mean(axis=0),
+            iters=self.iters[:rows], iterations=count,
             converged=bool(self.converged[picked].all()))
 
     def _run_indices(self, runs) -> list:
@@ -393,18 +405,22 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     transition under the old gain (``"sampled"``), or under the updated
     gain in the evaluation rollout's closed-loop form e' = F e + D w, whose
     F and D then serve the next law (``"analytic"``).  A run stops when its
-    gain's elementwise spread over the trailing 100 iterations falls below
-    ``cfg.convergence_tol`` (``converged``), when it diverges, or at
-    ``cfg.max_iters``; the other runs go on.  Every run is checked after
-    each k = 0 .. ``cfg.max_iters`` iterations, before iteration k + 1:
-    the check after 0 iterations reads the initial pools, so a seed whose
-    pool is already beyond the guard stops every discount's run of it at
+    gain's elementwise spread over its last 101 iterates falls below
+    ``cfg.convergence_tol`` (``converged``: the gain stopped moving, which a
+    stalled Adam step far from the Riccati gain does too), when it diverges,
+    or at ``cfg.max_iters``; the other runs go on.  Every run is checked
+    after each k = 0 .. ``cfg.max_iters`` iterations, before iteration
+    k + 1: the check after 0 iterations reads the initial pools, so a seed
+    whose pool is already beyond the guard stops every discount's run of it at
     iteration 0.  A discount or a seed whose runs have all stopped leaves
-    the stack and costs no more; a stopped run whose discount and seed
-    both still have a run going steps on but writes nothing to its
-    record, which is zero past its stop.
-    A run's gain averages its final ``cfg.tail_avg_frac`` of iterates,
-    which suppresses the stationary jitter of the stochastic updates.
+    the stack and costs no more; a stopped run whose discount and seed both
+    still have a run going steps on but writes nothing to its record, which
+    is zero past its stop.  The record keeps the iterations with at most
+    three significant digits, the same rows for every run.  A run's gain is
+    the mean of its iterates from the tail start, the first of the final
+    ``cfg.tail_avg_frac`` of ``cfg.max_iters``, to its stop, which
+    suppresses the stationary jitter of the stochastic updates; a run that
+    stops before the tail starts keeps its last iterate.
 
     ``ref_gain``, a finite n x r matrix not all zero (else ValueError),
     only adds diagnostics (the histories' ``diff``) and a divergence guard
@@ -466,7 +482,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # seed's generator draws no more, which changes no other seed's
     # numbers.  index holds each stacked run's number, and live selects
     # their records: all of them, gathering nothing, until a run stops.
-    # The records hold one spare row, K, which takes the writes of every
+    # The records hold one spare run, K, which takes the writes of every
     # stopped run that steps on, so a run's rows are written only while it
     # runs and read zero past its stop.
     normals = [rng.standard_normal for rng in rngs]
@@ -489,20 +505,30 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # Adam's moment estimates for the critic and the actor.
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
                                   for a in (w, w, theta, theta))
-    theta_hist = np.zeros((count + 1, max_iters, n, r))
-    critic_hist, actor_hist = np.zeros((2, count + 1, max_iters))
+    # The record's rows, of the iterations iters[row]; the sum of the
+    # iterates from the tail start; and the ring of the last 101 iterates,
+    # whose slot k % 101 holds iterate k - 100 after k iterations and
+    # takes iterate k + 1 next.
+    iters = _recorded_iterations(max_iters)
+    theta_hist = np.zeros((count + 1, len(iters), n, r))
+    critic_hist, actor_hist = np.zeros((2, count + 1, len(iters)))
+    row = 0
     tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
+    tail_sum = np.zeros((count, n, r))
+    ring = np.zeros((count, _CONVERGENCE_WINDOW + 1, n, r))
+    gains = np.full((count, n, r), np.nan)
     sampled = cfg.estimator == "sampled"
 
     # Pass k checks every stacked run after k iterations, then takes
-    # iteration k + 1 (Adam step k + 1, record row k).  Pass 0 checks the
-    # initial pools, so a seed whose pool starts beyond the guard stops all
-    # of its runs at iteration 0, through the same stop and cut as any
-    # later stop.  A stopped run whose discount and seed both still have a
-    # run going steps on, writing only to the spare row.  A diverged run's
-    # overflow stays in its own arrays and that row, so it is not reported.
+    # iteration k + 1 (Adam step k + 1).  Pass 0 checks the initial pools,
+    # so a seed whose pool starts beyond the guard stops all of its runs at
+    # iteration 0, through the same stop and cut as any later stop.  A
+    # stopped run whose discount and seed both still have a run going steps
+    # on, writing only to the spare record.  A diverged run's overflow stays
+    # in its own arrays and that record, so it is not reported.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters + 1):
+            slot = k % (_CONVERGENCE_WINDOW + 1)
             worst_pool, failed = diverged_runs(pool)
             failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
             stop = failed
@@ -513,18 +539,22 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             # it for thousands of iterations; its net move does not.
             if k > _CONVERGENCE_WINDOW and calm.max() >= _CONVERGENCE_WINDOW:
                 calmed = np.flatnonzero(calm >= _CONVERGENCE_WINDOW)
-                start = k - _CONVERGENCE_WINDOW - 1
-                net = np.abs(theta[calmed] - theta_hist[index[calmed], start])
+                net = np.abs(theta[calmed] - ring[calmed, slot])
                 calmed = calmed[net.max(axis=(1, 2)) < tolerance[calmed]]
                 if calmed.size:
-                    window = theta_hist[index[calmed], start:k]
-                    spread = np.ptp(window, axis=1).max(axis=(1, 2))
+                    spread = np.ptp(ring[calmed], axis=1).max(axis=(1, 2))
                     stop = failed.copy()
                     stop[calmed] |= spread < tolerance[calmed]
-            if stop.any():
+            if stop.any() or k == max_iters:
                 # A stopped run that steps on is not stopped again.
                 stop &= tolerance > -np.inf
-            if stop.any():
+                # Each run that ends now, stopping or still going at
+                # max_iters, and did not diverge fixes its gain: its tail
+                # mean, or its last iterate (the zero start at k = 0).
+                ended = stop if k < max_iters else tolerance > -np.inf
+                fixed = ended & ~failed
+                gains[index[fixed]] = (tail_sum[fixed] / (k - tail_start + 1)
+                                       if k >= tail_start else theta[fixed])
                 tolerance[stop] = -np.inf
                 iterations[index[stop]] = k
                 converged[index[stop & ~failed]] = True
@@ -540,11 +570,12 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                 if not (rows.all() and cols.all()):
                     keep = np.ix_(rows, cols)
                     (theta, w, m_w, v_w, m_theta, v_theta, pool, gamma_col,
-                     tolerance, calm, index, *loop) = (
+                     tolerance, calm, index, tail_sum, ring, *loop) = (
                         a.reshape(going.shape + a.shape[1:])[keep]
                         .reshape((-1,) + a.shape[1:])
                         for a in (theta, w, m_w, v_w, m_theta, v_theta, pool,
-                                  gamma_col, tolerance, calm, index, *loop))
+                                  gamma_col, tolerance, calm, index, tail_sum,
+                                  ring, *loop))
                     normals = [normal for normal, kept in zip(normals, cols)
                                if kept]
                     raw, noise = raw[cols], noise[cols]
@@ -582,20 +613,18 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             calm *= np.abs(updated - theta).max(axis=(1, 2)) < tolerance
             theta = updated
 
-            theta_hist[live, k] = theta
-            critic_hist[live, k] = c_loss
-            actor_hist[live, k] = a_loss
+            ring[:, slot] = theta
+            if k + 1 >= tail_start:
+                tail_sum += theta
+            if row < len(iters) and iters[row] == k + 1:
+                theta_hist[live, row] = theta
+                critic_hist[live, row] = c_loss
+                actor_hist[live, row] = a_loss
+                row += 1
 
-    # Each surviving run's mean iterate from the tail start (or its last
-    # iterate alone) to its stop; with no iterations, the zero start gain.
-    gains = np.full((count, n, r), np.nan)
-    for run, k in enumerate(iterations):
-        if errors[run] is None:
-            gains[run] = (theta_hist[run, min(tail_start, k) - 1:k]
-                          .mean(axis=0) if k else 0.0)
     return TrainRuns(
         gains=gains, theta=theta_hist[:count], critic_loss=critic_hist[:count],
-        actor_loss=actor_hist[:count], iterations=iterations,
+        actor_loss=actor_hist[:count], iters=iters, iterations=iterations,
         converged=converged, errors=errors, ref_gain=ref_gain)
 
 

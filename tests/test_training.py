@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 
@@ -619,7 +620,8 @@ class TestTrain:
 
 
 def row_by_row_csv(history, path):
-    """The history writer as it was first written: one list() per row."""
+    """The history writer as it was first written: one list() per row,
+    numbered by the row's iteration."""
     n, r = history.theta.shape[1:]
     header = (["iter"]
               + [f"theta{i + 1}{j + 1}" for i in range(n) for j in range(r)]
@@ -628,8 +630,8 @@ def row_by_row_csv(history, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(history.iterations):
-            writer.writerow([k + 1]
+        for k, iteration in enumerate(history.iters.tolist()):
+            writer.writerow([iteration]
                             + list(history.theta[k].ravel())
                             + list(history.diff[k].ravel())
                             + [history.critic_loss[k], history.actor_loss[k]])
@@ -640,6 +642,8 @@ class TestHistoryCsv:
 
     @staticmethod
     def history(rows, n=2, r=2, seed=0, reference=True, scale=1.0):
+        # The rows of a run of a million iterations, up to the rows-th.
+        iters = training._recorded_iterations(10 ** 6)[:rows]
         rng = np.random.default_rng(seed)
         theta = rng.standard_normal((rows, n, r)) * scale
         diff = (theta - rng.standard_normal((n, r)) if reference
@@ -647,17 +651,18 @@ class TestHistoryCsv:
         return training.TrainHistory(
             theta=theta, diff=diff,
             critic_loss=rng.standard_normal(rows) ** 2 * scale,
-            actor_loss=-rng.standard_normal(rows) ** 2 * scale)
+            actor_loss=-rng.standard_normal(rows) ** 2 * scale,
+            iters=iters, iterations=int(iters[-1]) if rows else 0)
 
     @pytest.mark.parametrize("case", [
         {"rows": 40},
         {"rows": 40, "reference": False},
         {"rows": 40, "n": 3, "r": 1, "scale": 1e-20},
         {"rows": 40, "n": 1, "r": 3, "scale": 1e20},
-        {"rows": 2 * training._CSV_BLOCK_ROWS + 3},
+        {"rows": 3000},
         {"rows": 0},
     ], ids=["values", "nan-diffs", "near-1e-20", "near-1e20",
-            "several-blocks", "zero-iterations"])
+            "3000-rows", "zero-iterations"])
     def test_same_bytes_as_row_by_row_writer(self, tmp_path, case):
         history = self.history(**case)
         history.to_csv(tmp_path / "blocked.csv")
@@ -668,15 +673,27 @@ class TestHistoryCsv:
         if case["rows"]:
             assert b"-" in written
 
-    @pytest.mark.parametrize("rows", [0, 1, 7])
-    def test_iterations_is_the_record_length(self, rows):
-        history = self.history(rows)
-        assert history.iterations == len(history.theta) == rows
-        with pytest.raises(TypeError):
-            training.TrainHistory(theta=history.theta, diff=history.diff,
-                                  critic_loss=history.critic_loss,
-                                  actor_loss=history.actor_loss,
-                                  iterations=rows)
+    @pytest.mark.parametrize("max_iters, rows", [
+        (0, 0), (1, 1), (1000, 1000), (1009, 1000), (1010, 1001),
+        (10000, 1900), (200000, 2900)])
+    def test_record_keeps_three_significant_digits(self, max_iters, rows):
+        iters = training._recorded_iterations(max_iters)
+        assert iters.tolist() == [k for k in range(1, max_iters + 1)
+                                  if len(str(k).rstrip("0")) <= 3]
+        assert len(iters) == rows
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 7, 1005])
+    def test_iterations_is_the_count_run(self, bicycle, max_iters):
+        # The record keeps every iteration up to 1 000 and then every 10th,
+        # so a run of 1 005 iterations has 1 000 rows.
+        _, history = train(bicycle, TrainerConfig(batch_size=16,
+                                                  max_iters=max_iters))
+        rows = min(max_iters, 1000)
+        assert history.iterations == max_iters
+        assert history.iters.tolist() == list(range(1, rows + 1))
+        assert (len(history.theta) == len(history.diff)
+                == len(history.critic_loss) == len(history.actor_loss)
+                == rows)
 
 
 def grid(seeds, gammas):
@@ -813,8 +830,9 @@ class TestTrainRuns:
     def _assert_record_ends_at_stop(runs):
         """Each run's record is zero past its stop."""
         for k, stop in enumerate(runs.iterations):
+            rows = np.searchsorted(runs.iters, stop, side="right")
             for record in (runs.theta, runs.critic_loss, runs.actor_loss):
-                assert not record[k, stop:].any()
+                assert not record[k, rows:].any()
 
     def test_failing_run_stops_alone(self, bicycle, monkeypatch):
         # Run 1 (seed 1 at discount 0.5) has its pool reported diverged at
@@ -943,13 +961,13 @@ class TestTrainRuns:
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="ru_maxrss is counted in kB on Linux")
     def test_runs_stopped_at_start_touch_no_record(self):
-        # Ten runs of 200 000 iterations preallocate a 96 MB record; a run
-        # writes its rows only while it runs, so runs that all stop before
-        # the first iteration leave those pages untouched.  The plant is
-        # stable, but its stationary error spread, about 1.2e13, puts
-        # every initial pool beyond the guard at 1e12.  ru_maxrss is the
-        # process's high-water mark, so the run gets a process of its own,
-        # warmed up by a one-iteration call.
+        # Ten runs of 200 000 iterations preallocate a 1.5 MB record of
+        # 2 900 rows each; a run writes its rows only while it runs, so
+        # runs that all stop before the first iteration leave those pages
+        # untouched.  The plant is stable, but its stationary error spread,
+        # about 1.2e13, puts every initial pool beyond the guard at 1e12.
+        # ru_maxrss is the process's high-water mark, so the run gets a
+        # process of its own, warmed up by a one-iteration call.
         script = textwrap.dedent("""
             import json, resource
             import numpy as np
@@ -1052,6 +1070,73 @@ class TestTrainRuns:
         np.testing.assert_array_equal(runs.gains[2], runs.theta[2, 233])
         np.testing.assert_array_equal(
             runs.gains[0], runs.theta[0, 319:400].sum(axis=0) / 81)
+
+    @pytest.mark.parametrize("estimator", ["analytic", "sampled"])
+    def test_gain_and_stop_past_the_first_thousand_iterations(
+            self, bicycle, monkeypatch, estimator):
+        # Past iteration 1 000 the record keeps every 10th iteration, so
+        # the gain, the stop and the record are checked here against every
+        # iterate, captured from the actor's Adam steps (the second of each
+        # iteration's two).  The tail starts at iteration 500.
+        cfg = TrainerConfig(batch_size=16, max_iters=2500, tail_avg_frac=0.8,
+                            convergence_tol=0.0, estimator=estimator)
+        tail_start = 500
+
+        def run(tol):
+            steps = []
+
+            def capturing(*args):
+                out = adam_update(*args)
+                steps.append(out[0][0])
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(training, "adam_update", capturing)
+                runs = train_runs(bicycle, replace(cfg, convergence_tol=tol),
+                                  seeds=[0])
+            return runs, np.array(steps[1::2])
+
+        free, iterates = run(0.0)
+        assert free.iterations[0] == len(iterates) == 2500
+        assert not free.converged[0]
+        # Each window of 101 iterates, the last iterate k, k = 101 .. 2 500.
+        spreads = np.array([np.ptp(iterates[k - 101:k], axis=0).max()
+                            for k in range(101, 2501)])
+        # A tolerance between the smallest spreads up to iteration 1 000
+        # and past it stops the run past 1 000.
+        early, late = spreads[:900].min(), spreads[900:].min()
+        assert late < early
+        tol = (early + late) / 2
+        expected = 101 + int(np.argmax(spreads < tol))
+        assert 1000 < expected < 2500
+        runs, stopped = run(tol)
+        assert runs.iterations[0] == len(stopped) == expected
+        assert runs.converged[0]
+        np.testing.assert_array_equal(stopped, iterates[:expected])
+        for result in (free, runs):
+            stop = result.iterations[0]
+            np.testing.assert_array_equal(
+                result.gains[0], iterates[tail_start - 1:stop].mean(axis=0))
+            history = result.history(0)
+            assert history.iters[-1] == stop // 10 * 10
+            np.testing.assert_array_equal(history.theta,
+                                          iterates[history.iters - 1])
+
+    def test_memory_does_not_grow_with_max_iters(self, bicycle):
+        # Past 2 000 iterations the record adds 900 rows by 20 000, about
+        # 130 kB for two runs and the spare; nothing else in a run's state
+        # grows with its iteration budget.
+        def peak(max_iters):
+            cfg = TrainerConfig(batch_size=16, max_iters=max_iters,
+                                convergence_tol=0.0)
+            tracemalloc.start()
+            try:
+                train_runs(bicycle, cfg, seeds=[0, 1])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(20000) - peak(2000)) < 200e3
 
     def test_converged_run_stops_alone(self, bicycle):
         # With a tolerance between the two runs' smallest 101-iterate
