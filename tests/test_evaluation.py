@@ -1,5 +1,6 @@
 import csv
 import re
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -16,10 +17,11 @@ from steadygain import (
     run_trajectories,
     spectral_radius,
 )
-from steadygain import evaluation
+from steadygain import cli, evaluation
 from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, diverged_runs,
                                   draw_noise, step)
-from steadygain.evaluation import _rollout, write_eval_csv
+from steadygain.evaluation import (_closed_loops, _rollout,
+                                   write_eval_csv)
 
 from conftest import random_system
 
@@ -255,9 +257,10 @@ class TestRollout:
     def assert_same_steps(model, gains, t_test, e0, seed):
         gains = np.asarray(gains, dtype=float)
         # Each yielded array is overwritten by the next step: square it now.
+        closed, drive = _closed_loops(model, gains)
         got = [(t, alive.copy(), (errors ** 2).sum(axis=1))
                for t, alive, errors
-               in _rollout(model, gains, t_test, e0,
+               in _rollout(model, closed, drive, t_test, e0,
                            np.random.default_rng(seed))]
         want = list(reference_rollout(model, gains, t_test, e0,
                                       np.random.default_rng(seed)))
@@ -531,6 +534,136 @@ class TestEvaluateGains:
                              "status"]
         assert parsed[1][0] == "kinf"
         assert float(parsed[1][3]) == pytest.approx(rows[0]["loss_full"])
+
+
+def block_gains(bicycle_dare):
+    # rho[(I - K C) A] = 1.406 under "bad": it leaves the stack mid-run.
+    return [("dare", bicycle_dare.gain),
+            ("bad", np.array([[0.0, 0.0], [0.0, -0.5]])),
+            ("zero", np.zeros((2, 2)))]
+
+
+class TestBlocks:
+    """The trajectories run as seeded blocks, on threads or in turn."""
+
+    @staticmethod
+    def outputs(model, gains, cfg):
+        """Each row's status, losses and curve, then each gain's squared
+        errors alone, or the step at which they diverged."""
+        out = []
+        for row in evaluate_gains(model, gains, cfg):
+            out += [row["status"], [row["loss_tran"], row["loss_ss"],
+                                    row["loss_full"]],
+                    row["report"] and row["report"].logmse_curve]
+        for _, gain in gains:
+            try:
+                out.append(run_trajectories(model, gain, cfg))
+            except DivergenceError as err:
+                out.append(err.step)
+        return out
+
+    @pytest.mark.parametrize("n_traj", [1, 2, 3, 200])
+    def test_threads_and_one_cpu_give_identical_outputs(
+            self, bicycle, bicycle_dare, monkeypatch, n_traj):
+        gains = block_gains(bicycle_dare)
+        cfg = EvalConfig(n_traj=n_traj, t_test=300, t_critical=100, seed=13)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        threaded = self.outputs(bicycle, gains, cfg)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+        serial = self.outputs(bicycle, gains, cfg)
+        assert threaded[0:9:3] == ["ok", "diverged", "ok"]
+        assert len(threaded) == len(serial)
+        for got, want in zip(threaded, serial):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_traj", [1, 3, 200])
+    def test_blocks_are_seeded_shares_of_the_trajectories(
+            self, bicycle, bicycle_dare, n_traj):
+        # Block b takes the b-th contiguous share of the seeded initial
+        # errors, the first share the longer, and draws its noise from an
+        # SFC64 generator seeded with child b of the seed's SeedSequence;
+        # the blocks' sums of squares are added in block order.
+        gains = block_gains(bicycle_dare)
+        cfg = EvalConfig(n_traj=n_traj, t_test=300, t_critical=100, seed=14)
+        stack = np.array([gain for _, gain in gains])
+        e0 = np.random.default_rng(14).uniform(-1.0, 1.0, (n_traj, 2)) \
+            * VEHICLE_INITIAL_ERROR
+        streams = np.random.SeedSequence(14).spawn(2)
+        half = (n_traj + 1) // 2
+        closed, drive = _closed_loops(bicycle, stack)
+        sums = np.zeros((3, cfg.t_test))
+        dropped = set()
+        for block, rows in enumerate([slice(0, half), slice(half, n_traj)]):
+            if rows.start == rows.stop:
+                continue
+            for t, alive, errors in _rollout(
+                    bicycle, closed, drive, cfg.t_test, e0[rows],
+                    np.random.Generator(np.random.SFC64(streams[block]))):
+                sums[alive, t - 1] += np.einsum("kij,kij->k", errors, errors)
+                if 1 not in alive:
+                    dropped.add(t)
+        rows = evaluate_gains(bicycle, gains, cfg)
+        for k in (0, 2):
+            np.testing.assert_array_equal(
+                rows[k]["report"].logmse_curve,
+                losses(sums[k] / n_traj, cfg.t_critical).logmse_curve)
+        assert rows[1]["status"] == "diverged"
+        with pytest.raises(DivergenceError) as excinfo:
+            run_trajectories(bicycle, gains[1][1], cfg)
+        assert excinfo.value.step == min(dropped)
+
+    def test_worker_error_reaches_the_caller(self, bicycle, bicycle_dare,
+                                             monkeypatch):
+        class WorkerFailure(Exception):
+            pass
+
+        draw = evaluation._draw_normals
+
+        def failing_on_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise WorkerFailure("raised in block 1")
+            return draw(*args)
+
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation, "_draw_normals", failing_on_worker)
+        threads = threading.active_count()
+        cfg = EvalConfig(n_traj=40, t_test=50, t_critical=10, seed=2)
+        with pytest.raises(WorkerFailure, match="raised in block 1"):
+            evaluate_gains(bicycle, [("dare", bicycle_dare.gain)], cfg)
+        with pytest.raises(WorkerFailure, match="raised in block 1"):
+            run_trajectories(bicycle, bicycle_dare.gain, cfg)
+        assert threading.active_count() == threads
+
+    def test_traced_names_run_on_the_calling_thread(self, monkeypatch,
+                                                    tmp_path):
+        # A profiler that keeps one call stack per process, not per
+        # thread, may wrap these names; the block threads call none.
+        seen = {}
+
+        def recorded(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, set()).add(threading.get_ident())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in [(evaluation, "cov_factor"),
+                            (evaluation, "losses"),
+                            (evaluation, "_draw_normals"),
+                            (cli, "evaluate_gains"),
+                            (cli, "write_eval_csv")]:
+            recorded(owner, name)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        code = cli.main(["eval", "--n-traj", "50", "--gain", "dare",
+                         "--gain", "zero", "--out", str(tmp_path)])
+        assert code == 0
+        caller = {threading.get_ident()}
+        draws = seen.pop("_draw_normals")
+        assert caller < draws and len(draws) == 2
+        assert seen == {name: caller for name in (
+            "cov_factor", "losses", "evaluate_gains", "write_eval_csv")}
 
 
 class TestEvalConfig:

@@ -959,17 +959,21 @@ class TestTrainRuns:
                        seeds=[0, 1, 2], gammas=[0.5, 0.9])
 
     @pytest.mark.skipif(sys.platform != "linux",
-                        reason="ru_maxrss is counted in kB on Linux")
+                        reason="VmHWM is read from Linux's /proc")
     def test_runs_stopped_at_start_touch_no_record(self):
-        # Ten runs of 200 000 iterations preallocate a 1.5 MB record of
-        # 2 900 rows each; a run writes its rows only while it runs, so
-        # runs that all stop before the first iteration leave those pages
-        # untouched.  The plant is stable, but its stationary error spread,
-        # about 1.2e13, puts every initial pool beyond the guard at 1e12.
-        # ru_maxrss is the process's high-water mark, so the run gets a
-        # process of its own, warmed up by a one-iteration call.
+        # 200 runs (40 seeds x 5 discounts) of 200 000 iterations
+        # preallocate a record of 2 900 rows of 48 B each, 27 MB in all,
+        # more than six times the 4 MB bound below; a run writes its rows
+        # only while it runs, so runs that all stop before the first
+        # iteration leave those pages untouched.  The plant is stable, but
+        # its stationary error spread, about 1.2e13, puts every initial
+        # pool beyond the guard at 1e12.  VmHWM is the high-water mark of
+        # the process's resident memory, so the run gets a process of its
+        # own, warmed up by a one-iteration call.  ru_maxrss would not do:
+        # Linux carries it over from the parent across exec, so a child of
+        # this test process starts at the test process's own peak.
         script = textwrap.dedent("""
-            import json, resource
+            import json
             import numpy as np
             from steadygain import (LinearGaussianModel, TrainerConfig,
                                     train_runs)
@@ -980,11 +984,16 @@ class TestTrainRuns:
                 R=np.eye(2), dt=0.01)
             def grid(max_iters):
                 return train_runs(model, TrainerConfig(max_iters=max_iters),
-                                  seeds=[0, 1], gammas=DEFAULT_GAMMA_SWEEP)
+                                  seeds=list(range(40)),
+                                  gammas=DEFAULT_GAMMA_SWEEP)
+            def peak_kb():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh
+                                if line.startswith("VmHWM:"))
             grid(1)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            before = peak_kb()
             runs = grid(200000)
-            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            after = peak_kb()
             print(json.dumps({
                 "grown_mb": (after - before) / 1024,
                 "iterations": runs.iterations.tolist(),
@@ -996,13 +1005,13 @@ class TestTrainRuns:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
-        assert out["iterations"] == [0] * 10
+        assert out["iterations"] == [0] * 200
         assert all(error.startswith("error pool diverged (max entry")
                    for error in out["errors"])
         # The discounts of a seed share its pool.
-        assert out["errors"][:2] * 5 == out["errors"]
-        assert out["records"] == [10] * 3
-        assert out["grown_mb"] < 32.0, out["grown_mb"]
+        assert out["errors"][:40] * 5 == out["errors"]
+        assert out["records"] == [200] * 3
+        assert out["grown_mb"] < 4.0, out["grown_mb"]
 
     def test_each_seed_drawn_once_per_step(self, bicycle, monkeypatch):
         # Seeds 1 and 2 hold three runs each, one per discount.  Each
