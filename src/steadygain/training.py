@@ -22,12 +22,12 @@ pool is a BLAS product.  Each seed's pool starts as one draw from the
 stationary law of the zero-gain error process, N(0, P) with
 P = A P A^T + E Q E^T, so a plant with rho(A) >= 1, which has none, is
 refused.  No state of a run grows with ``max_iters``: a running sum of
-its iterates gives its tail-averaged gain (Polyak & Juditsky 1992), a ring
-of its last 101 iterates the convergence test, and its record keeps the
-iterations with at most three significant digits (every one to 1 000,
-then every 10th to 10 000, and so on), which :meth:`TrainRuns.history`
-reads.  :func:`train_average` is the seed-averaged form of
-:func:`train_runs` at one discount, :func:`train` one seed's.
+its iterates gives its tail-averaged gain (Polyak & Juditsky 1992), and
+its record keeps the iterations with at most three significant digits
+(every one to 1 000, then every 10th to 10 000, and so on), which
+:meth:`TrainRuns.history` reads.  :func:`train_average` is the
+seed-averaged form of :func:`train_runs` at one discount, :func:`train`
+one seed's.
 """
 
 from __future__ import annotations
@@ -61,12 +61,13 @@ __all__ = [
     "train_runs",
 ]
 
-# Iteration window for the gain-stability stopping test.
-_CONVERGENCE_WINDOW = 100
-
 # Divergence guard: |theta| beyond this multiple of the reference gain's
 # max element (when a reference is supplied) stops the run as diverged.
 _GUARD_FACTOR = 1e3
+
+# A run's gain is the mean of its iterates over this final fraction of
+# ``max_iters``.
+_TAIL_FRACTION = 0.5
 
 # Adam's decay rates for the first and second moments, and its
 # denominator floor.
@@ -97,14 +98,11 @@ class TrainerConfig:
     lr_critic: float = 0.01
     gamma: float = 0.99
     max_iters: int = 200000
-    convergence_tol: float = 1e-6
     seed: int = 0
     estimator: str = "analytic"      # "analytic" | "sampled"
-    tail_avg_frac: float = 0.5       # fraction of final iterates averaged
 
     def __post_init__(self):
-        for name in ("gamma", "lr_actor", "lr_critic", "convergence_tol",
-                     "tail_avg_frac"):
+        for name in ("gamma", "lr_actor", "lr_critic"):
             check_real(name, getattr(self, name))
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
@@ -112,14 +110,9 @@ class TrainerConfig:
                 and 0.0 < self.lr_critic < np.inf):
             raise ValueError("learning rates must be positive and finite, "
                              f"got {self.lr_actor} and {self.lr_critic}")
-        if not self.convergence_tol >= 0.0:
-            raise ValueError("convergence_tol must be >= 0, "
-                             f"got {self.convergence_tol}")
         for name, minimum in (("seed", 0), ("batch_size", 1),
                               ("max_iters", 0)):
             check_integer(name, getattr(self, name), minimum)
-        if not 0.0 <= self.tail_avg_frac <= 1.0:
-            raise ValueError("tail_avg_frac must be in [0, 1]")
         if self.estimator not in ("analytic", "sampled"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
@@ -160,7 +153,6 @@ class TrainHistory:
     actor_loss: np.ndarray
     iters: np.ndarray
     iterations: int
-    converged: bool = False
 
     def to_csv(self, path) -> None:
         """Write one row per recorded iteration: iter, theta.., d..,
@@ -305,13 +297,12 @@ class TrainRuns:
 
     Run i S + j is the call's ``seeds[j]`` at ``gammas[i]``.  ``gains`` holds
     each run's tail-averaged gain, NaN for a run that diverged, whose
-    message is in ``errors`` (None for the others).  ``converged`` says that
-    a run's gain stopped moving by the window test, not that it reached the
-    Riccati gain: a stalled Adam step passes the test too.  The record
-    holds the unaveraged iterates and losses of the iterations ``iters``,
-    the same rows for every run, stored run-major, so that run k's record
-    ``theta[k]`` is contiguous and a mean over runs adds them in run order;
-    a run's rows past its stop are zero.  :meth:`history` reads them.
+    message is in ``errors`` (None for the others, which ran all
+    ``max_iters`` iterations).  The record holds the unaveraged iterates
+    and losses of the iterations ``iters``, the same rows for every run,
+    stored run-major, so that run k's record ``theta[k]`` is contiguous and
+    a mean over runs adds them in run order; a run's rows past its stop are
+    zero.  :meth:`history` reads them.
     """
 
     gains: np.ndarray
@@ -320,7 +311,6 @@ class TrainRuns:
     actor_loss: np.ndarray
     iters: np.ndarray
     iterations: np.ndarray
-    converged: np.ndarray
     errors: list
     ref_gain: np.ndarray | None = None
 
@@ -331,9 +321,8 @@ class TrainRuns:
         (default: every run); a bool, an empty selection or an index out
         of range raises ValueError or IndexError naming the selection.
         The history's ``iterations`` is the fewest any selected run took,
-        and it keeps the rows of the iterations up to that count.  It is
-        converged only if every selected run converged.  The average of
-        one run is that run's record, bit for bit.
+        and it keeps the rows of the iterations up to that count.  The
+        average of one run is that run's record, bit for bit.
         """
         picked = slice(None) if runs is None else self._run_indices(runs)
         count = int(self.iterations[picked].min())
@@ -344,8 +333,7 @@ class TrainRuns:
             theta=theta.mean(axis=0), diff=diff.mean(axis=0),
             critic_loss=self.critic_loss[picked, :rows].mean(axis=0),
             actor_loss=self.actor_loss[picked, :rows].mean(axis=0),
-            iters=self.iters[:rows], iterations=count,
-            converged=bool(self.converged[picked].all()))
+            iters=self.iters[:rows], iterations=count)
 
     def _run_indices(self, runs) -> list:
         """The indices ``runs`` selects, checked as :meth:`history` says."""
@@ -404,23 +392,20 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     evaluation and improvement steps, then advances the pool: by the drawn
     transition under the old gain (``"sampled"``), or under the updated
     gain in the evaluation rollout's closed-loop form e' = F e + D w, whose
-    F and D then serve the next law (``"analytic"``).  A run stops when its
-    gain's elementwise spread over its last 101 iterates falls below
-    ``cfg.convergence_tol`` (``converged``: the gain stopped moving, which a
-    stalled Adam step far from the Riccati gain does too), when it diverges,
-    or at ``cfg.max_iters``; the other runs go on.  Every run is checked
-    after each k = 0 .. ``cfg.max_iters`` iterations, before iteration
-    k + 1: the check after 0 iterations reads the initial pools, so a seed
-    whose pool is already beyond the guard stops every discount's run of it at
+    F and D then serve the next law (``"analytic"``).  A run stops only
+    when it diverges, with its message in ``errors``, or at
+    ``cfg.max_iters``; the other runs go on.  Every run is checked after
+    each k = 0 .. ``cfg.max_iters`` iterations, before iteration k + 1: the
+    check after 0 iterations reads the initial pools, so a seed whose pool
+    is already beyond the guard stops every discount's run of it at
     iteration 0.  A discount or a seed whose runs have all stopped leaves
     the stack and costs no more; a stopped run whose discount and seed both
     still have a run going steps on but writes nothing to its record, which
     is zero past its stop.  The record keeps the iterations with at most
-    three significant digits, the same rows for every run.  A run's gain is
-    the mean of its iterates from the tail start, the first of the final
-    ``cfg.tail_avg_frac`` of ``cfg.max_iters``, to its stop, which
-    suppresses the stationary jitter of the stochastic updates; a run that
-    stops before the tail starts keeps its last iterate.
+    three significant digits, the same rows for every run.  A run that does
+    not diverge gets the mean of its iterates over the final half of
+    ``cfg.max_iters``, which suppresses the stationary jitter of the
+    stochastic updates (the zero start when ``cfg.max_iters`` is 0).
 
     ``ref_gain``, a finite n x r matrix not all zero (else ValueError),
     only adds diagnostics (the histories' ``diff``) and a divergence guard
@@ -464,7 +449,6 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     size, max_iters = cfg.batch_size, cfg.max_iters
     count = len(gammas) * len(seeds)
     iterations = np.full(count, max_iters)
-    converged = np.zeros(count, dtype=bool)
     errors: list = [None] * count
     rngs = [np.random.default_rng(seed) for seed in seeds]
     pool = start_factor @ np.stack(
@@ -491,12 +475,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     live = slice(count)
     raw = np.empty((len(normals), size * (p + r)))
     noise = np.empty((len(normals), p + r, size))
-    # A run's tolerance turns -inf when it stops, which marks it stopped:
-    # the gain of a stopped run that steps on, converged or stalled, must
-    # not open the convergence window below.  calm counts each run's
-    # trailing moves below its tolerance.
-    tolerance = np.full(count, float(cfg.convergence_tol))
-    calm = np.zeros(count, dtype=int)
+    going = np.ones(count, dtype=bool)
     gamma_col = np.repeat(np.asarray(gammas, dtype=float),
                           len(normals))[:, np.newaxis, np.newaxis]
     theta = np.zeros((count, n, r))
@@ -505,17 +484,14 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # Adam's moment estimates for the critic and the actor.
     m_w, v_w, m_theta, v_theta = (np.zeros_like(a)
                                   for a in (w, w, theta, theta))
-    # The record's rows, of the iterations iters[row]; the sum of the
-    # iterates from the tail start; and the ring of the last 101 iterates,
-    # whose slot k % 101 holds iterate k - 100 after k iterations and
-    # takes iterate k + 1 next.
+    # The record's rows, of the iterations iters[row], and the sum of the
+    # iterates from the tail start.
     iters = _recorded_iterations(max_iters)
     theta_hist = np.zeros((count + 1, len(iters), n, r))
     critic_hist, actor_hist = np.zeros((2, count + 1, len(iters)))
     row = 0
-    tail_start = max(int(np.ceil(max_iters * (1.0 - cfg.tail_avg_frac))), 1)
+    tail_start = max(int(np.ceil(max_iters * _TAIL_FRACTION)), 1)
     tail_sum = np.zeros((count, n, r))
-    ring = np.zeros((count, _CONVERGENCE_WINDOW + 1, n, r))
     gains = np.full((count, n, r), np.nan)
     sampled = cfg.estimator == "sampled"
 
@@ -528,58 +504,34 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     # in its own arrays and that record, so it is not reported.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters + 1):
-            slot = k % (_CONVERGENCE_WINDOW + 1)
             worst_pool, failed = diverged_runs(pool)
             failed |= ~(np.abs(theta).max(axis=(1, 2)) <= guard)
-            stop = failed
-            # A window's spread is at least each of its 100 moves and its
-            # net move, first to last iterate, so only the runs whose last
-            # 100 moves and net move were all below the tolerance read it.
-            # At a loose tolerance a slowly drifting run's moves stay below
-            # it for thousands of iterations; its net move does not.
-            if k > _CONVERGENCE_WINDOW and calm.max() >= _CONVERGENCE_WINDOW:
-                calmed = np.flatnonzero(calm >= _CONVERGENCE_WINDOW)
-                net = np.abs(theta[calmed] - ring[calmed, slot])
-                calmed = calmed[net.max(axis=(1, 2)) < tolerance[calmed]]
-                if calmed.size:
-                    spread = np.ptp(ring[calmed], axis=1).max(axis=(1, 2))
-                    stop = failed.copy()
-                    stop[calmed] |= spread < tolerance[calmed]
-            if stop.any() or k == max_iters:
-                # A stopped run that steps on is not stopped again.
-                stop &= tolerance > -np.inf
-                # Each run that ends now, stopping or still going at
-                # max_iters, and did not diverge fixes its gain: its tail
-                # mean, or its last iterate (the zero start at k = 0).
-                ended = stop if k < max_iters else tolerance > -np.inf
-                fixed = ended & ~failed
-                gains[index[fixed]] = (tail_sum[fixed] / (k - tail_start + 1)
-                                       if k >= tail_start else theta[fixed])
-                tolerance[stop] = -np.inf
-                iterations[index[stop]] = k
-                converged[index[stop & ~failed]] = True
-                for j in np.flatnonzero(stop & failed):
+            # A stopped run that steps on is not stopped again.
+            failed &= going
+            if failed.any():
+                going &= ~failed
+                iterations[index[failed]] = k
+                for j in np.flatnonzero(failed):
                     errors[index[j]] = _divergence_message(
                         theta[j], guard, worst_pool[j])
                 # Drop each discount and each seed whose runs have all
                 # stopped.
-                going = (tolerance > -np.inf).reshape(-1, len(normals))
-                rows, cols = going.any(axis=1), going.any(axis=0)
+                grid = going.reshape(-1, len(normals))
+                rows, cols = grid.any(axis=1), grid.any(axis=0)
                 if not rows.any():
                     break
                 if not (rows.all() and cols.all()):
                     keep = np.ix_(rows, cols)
                     (theta, w, m_w, v_w, m_theta, v_theta, pool, gamma_col,
-                     tolerance, calm, index, tail_sum, ring, *loop) = (
-                        a.reshape(going.shape + a.shape[1:])[keep]
+                     going, index, tail_sum, *loop) = (
+                        a.reshape(grid.shape + a.shape[1:])[keep]
                         .reshape((-1,) + a.shape[1:])
                         for a in (theta, w, m_w, v_w, m_theta, v_theta, pool,
-                                  gamma_col, tolerance, calm, index, tail_sum,
-                                  ring, *loop))
+                                  gamma_col, going, index, tail_sum, *loop))
                     normals = [normal for normal, kept in zip(normals, cols)
                                if kept]
                     raw, noise = raw[cols], noise[cols]
-                live = np.where(tolerance > -np.inf, index, count)
+                live = np.where(going, index, count)
             if k == max_iters:
                 break
 
@@ -596,7 +548,7 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k + 1,
                                       cfg.lr_critic)
             a_loss, a_grad = _actor_step(model, law, w, gamma_col)
-            updated, m_theta, v_theta = adam_update(
+            theta, m_theta, v_theta = adam_update(
                 theta, a_grad, m_theta, v_theta, k + 1, cfg.lr_actor)
             if sampled:
                 # This draw's transition under the old gain.
@@ -604,16 +556,11 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
             else:
                 # The updated gain's closed loop advances the pool by this
                 # step's normals, and serves the next iteration's law.
-                loop = _closed_loop(model, updated, process_factor, r_factor)
+                loop = _closed_loop(model, theta, process_factor, r_factor)
                 _, closed, drive = loop
                 step_noise = drive.reshape(-1, len(normals), n, p + r) @ drawn
                 pool = closed @ pool
                 pool += step_noise.reshape(pool.shape)
-            calm += 1
-            calm *= np.abs(updated - theta).max(axis=(1, 2)) < tolerance
-            theta = updated
-
-            ring[:, slot] = theta
             if k + 1 >= tail_start:
                 tail_sum += theta
             if row < len(iters) and iters[row] == k + 1:
@@ -622,10 +569,14 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                 actor_hist[live, row] = a_loss
                 row += 1
 
+    # Each run still going ran all max_iters iterations: its tail mean, or
+    # the zero start when there were none.
+    gains[index[going]] = (tail_sum[going] / (max_iters - tail_start + 1)
+                           if max_iters else theta[going])
     return TrainRuns(
         gains=gains, theta=theta_hist[:count], critic_loss=critic_hist[:count],
         actor_loss=actor_hist[:count], iters=iters, iterations=iterations,
-        converged=converged, errors=errors, ref_gain=ref_gain)
+        errors=errors, ref_gain=ref_gain)
 
 
 def train(model: LinearGaussianModel, cfg: TrainerConfig,

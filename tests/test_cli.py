@@ -321,11 +321,24 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("trainer", [
         {"lr_actor": float("nan")}, {"lr_critic": float("inf")},
-        {"convergence_tol": float("nan")}])
+        {"gamma": float("nan")}])
     def test_non_finite_setting_exits_two(self, tmp_path, capsys, trainer):
         cfg = write_config(tmp_path, trainer={**SMALL_TRAINER, **trainer})
         assert main(["train", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "theta.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("convergence_tol", 1e-3), ("tail_avg_frac", 0.5)])
+    def test_retired_trainer_key_exits_two(self, tmp_path, capsys, key,
+                                           value):
+        # A run stops only when it diverges or at max_iters, and its gain
+        # is the mean of the final half: neither key sets anything, so a
+        # config that carries one is refused by name before any training.
+        cfg = write_config(tmp_path, trainer={**SMALL_TRAINER, key: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"'{key}'" in err
         assert not (tmp_path / "out" / "theta.json").exists()
 
     @pytest.mark.parametrize("command,overrides,name", [
