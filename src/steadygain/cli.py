@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .error_mdp import VEHICLE_INITIAL_ERROR
-from .errors import DivergenceError, NumericalError, check_integer, check_real
+from .errors import (DivergenceError, NumericalError, check_integer,
+                     check_keys, check_real)
 from .evaluation import (EvalConfig, _check_named_gains, evaluate_gains,
                          gain_metrics, write_eval_csv)
 from .kalman import solve_dare, solve_lyapunov
@@ -65,6 +66,7 @@ class RunConfig:
                 raise ValueError(f"the model's {kind} section must be a JSON "
                                  f"object, got {type(section).__name__}")
             if kind == "bicycle":
+                check_keys("model.bicycle", section, VehicleParams)
                 return build_bicycle_model(VehicleParams(**section))
             if kind == "inline":
                 return LinearGaussianModel.from_dict(section)
@@ -81,10 +83,9 @@ class RunConfig:
             if not isinstance(section, dict):
                 raise ValueError(f"the {key} section must be a JSON object, "
                                  f"got {type(section).__name__}")
-        unknown = set(doc) - {"model", "trainer", "eval", "gamma_sweep",
-                              "output_dir"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        check_keys("config", doc, cls)
+        check_keys("trainer", sections["trainer"], TrainerConfig)
+        check_keys("eval", sections["eval"], EvalConfig)
         output_dir = doc.get("output_dir", ".")
         if not isinstance(output_dir, str):
             raise ValueError("output_dir must be a string, "

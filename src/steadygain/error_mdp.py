@@ -186,9 +186,9 @@ def sample_initial_error(model: LinearGaussianModel, rng: np.random.Generator,
     if bounds is None:
         if model.n != len(VEHICLE_INITIAL_ERROR):
             raise ValueError(
-                f"default initial error is "
-                f"{len(VEHICLE_INITIAL_ERROR)}-dimensional but the model "
-                f"has n={model.n}; pass explicit bounds")
+                f"the default initial error is the vehicle's "
+                f"{len(VEHICLE_INITIAL_ERROR)}-dimensional box, but the "
+                f"model has n={model.n}")
         bounds = VEHICLE_INITIAL_ERROR
     if len(bounds) != model.n:
         raise ValueError(f"need {model.n} bounds, got {len(bounds)}")

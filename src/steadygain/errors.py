@@ -1,6 +1,7 @@
 """Exception types and input checks shared across the package."""
 
 import numbers
+from dataclasses import fields
 
 
 def check_integer(name: str, value, minimum: int) -> None:
@@ -30,6 +31,14 @@ def check_real(name: str, value) -> None:
     except OverflowError:
         raise ValueError(
             f"{name} must be a real number within float range") from None
+
+
+def check_keys(section: str, doc: dict, cls) -> None:
+    """Raise ValueError, naming ``section`` and the keys, unless every key
+    of ``doc`` is a field of the dataclass ``cls``."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {unknown}")
 
 
 class NumericalError(RuntimeError):

@@ -11,8 +11,11 @@ neither the plant state nor the input is simulated.  The trajectories
 run as two blocks, each on its own seeded noise stream, on two threads
 when two CPUs are usable and one after the other otherwise; the results
 are the same either way.  Several gains advance together in one paired
-pass: each step's noise is drawn once and drives every gain's errors,
-and only the per-step mean squared error of each gain is kept.  Every
+pass: each step's noise is drawn once and drives every gain's errors.
+A gain whose errors leave the divergence guard leaves the pass, and a
+drop record keeps the step at which it did.  After each step a callback
+takes the errors of the gains still in it, and keeps only the per-step
+mean squared error of each gain for :func:`evaluate_gains`.  Every
 trajectory has the same length, so the losses are plain averages of
 that curve, split at a critical time into transient and steady windows;
 the critical time can either be configured or detected from the
@@ -25,6 +28,7 @@ import csv
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -53,6 +57,11 @@ __all__ = [
 # core of a 2-vCPU x86 host), so that one CPU running both blocks in turn
 # is no slower than one generator over all the trajectories.
 _BLOCKS = 2
+
+# detect_critical_time reads the curve as flat where a least-squares line
+# over this many trailing steps has a slope below _FLAT_SLOPE.
+_FLAT_WINDOW = 50
+_FLAT_SLOPE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -84,26 +93,9 @@ class EvalReport:
     logmse_curve: np.ndarray = field(repr=False)
 
 
-def _closed_loops(model: LinearGaussianModel, gains: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """F = (I - K C) A and D = [(I - K C) E L_Q, -K L_R] per gain K.
-
-    L_Q and L_R are the :func:`cov_factor` factors of Q and R, and
-    ``gains`` is a (count, n, r) stack; F and D stack the same way.
-    """
-    # A gain so large that F or D overflows gives inf and nan errors, which
-    # the guard drops at step 1; they are not warned about, here or in
-    # _rollout.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, closed, drive = _closed_loop(model, np.asarray(gains, dtype=float),
-                                        model.E @ cov_factor(model.Q),
-                                        cov_factor(model.R))
-    return closed, drive
-
-
 def _rollout(model: LinearGaussianModel, closed: np.ndarray,
              drive: np.ndarray, t_test: int, e0: np.ndarray,
-             rng: np.random.Generator):
+             rng: np.random.Generator, keep, left: np.ndarray) -> None:
     """Advance one trajectory set under a stack of gains, step by step.
 
     Every gain of the stack starts from the same initial errors ``e0``
@@ -112,23 +104,24 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
 
         e' = F e + D w,    F = (I - K C) A,    D = [(I - K C) E L_Q, -K L_R],
 
-    with ``closed`` and ``drive`` the stacks of F and D that
-    :func:`_closed_loops` forms, and w = (xi, zeta) the raw standard
-    normals.  This is the error transition
+    with ``closed`` and ``drive`` the stacks of F and D, L_Q and L_R the
+    :func:`cov_factor` factors of Q and R, and w = (xi, zeta) the raw
+    standard normals.  This is the error transition
     e' = (I - K C)(A e + E L_Q xi) - K L_R zeta with the noise colouring
     folded into D.  Each step draws N p normals for xi and then N r for
     zeta from ``rng`` in one call by :func:`_draw_normals`, as training
     does, and advances the (count, n, N) error stack, trajectories on the
     last axis.
-    A gain leaves the stack at the step where :func:`diverged_runs` flags its
-    errors (non-finite or beyond the guard); the noise is shared, so that
-    never changes another gain's numbers.
 
-    Yields, for steps t = 1..t_test, ``(t, alive, errors)``: the indices of
-    the gains still in the stack and their (len(alive), n, N) errors.
-    Stops after the step at which the last gain leaves.  The steps run in
-    one workspace allocated here, so ``errors`` is a view that the next
-    step overwrites.
+    A gain leaves the stack at the step where :func:`diverged_runs` flags
+    its errors (non-finite or beyond the guard), and that step is written
+    to its entry of ``left``; the noise is shared, so that never changes
+    another gain's numbers.  After each step t = 1..t_test that leaves a
+    gain in the stack, ``keep(t, alive, errors)`` takes the indices of the
+    gains still in it and their (len(alive), n, N) errors.  The rollout
+    stops at the step at which the last gain leaves.  The steps run in one
+    workspace allocated here, so ``errors`` is a view that the next step
+    overwrites.
     """
     count, size = len(closed), len(e0)
     p = model.p
@@ -154,21 +147,14 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
         state, spare = spare, state
         _, bad = diverged_runs(state[:live])
         if bad.any():
+            left[alive[bad]] = t
             kept = np.flatnonzero(~bad)
             alive, live = alive[kept], kept.size
+            if not live:
+                return
             state[:live] = state[kept]
             closed[:live], drive[:live] = closed[kept], drive[kept]
-        yield t, alive, state[:live]
-        if not live:
-            return
-
-
-def _initial_error(model: LinearGaussianModel, cfg: EvalConfig, bounds=None
-                   ) -> np.ndarray:
-    """Seeded initial errors: one (N, n) draw from a generator seeded with
-    ``cfg.seed``."""
-    rng = np.random.default_rng(cfg.seed)
-    return sample_initial_error(model, rng, size=cfg.n_traj, bounds=bounds)
+        keep(t, alive, state[:live])
 
 
 def _usable_cpus() -> int:
@@ -182,46 +168,47 @@ def _rollout_blocks(model: LinearGaussianModel, gains: np.ndarray,
                     cfg: EvalConfig, keep, bounds=None) -> np.ndarray:
     """Roll ``cfg.n_traj`` trajectories under a gain stack, block by block.
 
-    The initial errors are drawn by :func:`_initial_error`, and the
-    trajectories are split into ``_BLOCKS`` contiguous blocks, the first
-    ones a trajectory longer when N does not divide.  Block b draws its
-    noise from its own SFC64 generator, seeded with child b of
-    ``SeedSequence(cfg.seed).spawn(_BLOCKS)``, and runs :func:`_rollout`
-    on F and D, which are formed once here.  Block 0 runs on the calling
-    thread; the others run on worker threads when more than one CPU is
-    usable, and after block 0 on the calling thread otherwise.  A block's
-    numbers depend only on its own errors and stream, so they are the
-    same either way.  An empty block (N below ``_BLOCKS``) does not run.
-    Everything but :func:`_rollout` and ``keep`` runs on the calling
-    thread.
+    The initial errors are one :func:`sample_initial_error` draw from a
+    generator seeded with ``cfg.seed``, and the trajectories are split
+    into ``_BLOCKS`` contiguous blocks, the first ones a trajectory longer
+    when N does not divide.  Block b draws its noise from its own SFC64
+    generator, seeded with child b of ``SeedSequence(cfg.seed).spawn(
+    _BLOCKS)``, and runs :func:`_rollout` on F and D, which are formed
+    once here.  Block 0 runs on the calling thread; the others run on
+    worker threads when more than one CPU is usable, and after block 0 on
+    the calling thread otherwise.  A block's numbers depend only on its
+    own errors and stream, so they are the same either way.  An empty
+    block (N below ``_BLOCKS``) does not run.  Everything but
+    :func:`_rollout` and ``keep`` runs on the calling thread.
 
-    ``keep(block, rows, t, alive, errors)`` takes each step of each block
-    at which a gain is left, on the thread that runs the block: ``rows``
-    is the block's slice of the N trajectories, and the rest is what
-    :func:`_rollout` yields.  It must write only where no other block
-    writes.  An exception raised in any block reaches the caller once
-    every block has stopped.
+    ``keep(block, rows, t, alive, errors)`` is each block's ``keep`` of
+    :func:`_rollout`, on the thread that runs the block, with ``rows`` the
+    block's slice of the N trajectories.  It must write only where no
+    other block writes.  An exception raised in any block reaches the
+    caller once every block has stopped.
 
-    Returns, per gain, the first step at which a block dropped it, and
-    ``t_test + 1`` for a gain that no block dropped.
+    Each block's :func:`_rollout` writes its drop steps into the block's
+    row of one drop record.  Returns, per gain, the first step at which a
+    block dropped it, and ``t_test + 1`` for a gain that no block dropped.
     """
-    e0 = _initial_error(model, cfg, bounds)
-    closed, drive = _closed_loops(model, gains)
+    e0 = sample_initial_error(model, np.random.default_rng(cfg.seed),
+                              size=cfg.n_traj, bounds=bounds)
+    # A gain so large that F or D overflows gives inf and nan errors, which
+    # the guard drops at step 1; they are not warned about, here or in
+    # _rollout.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, closed, drive = _closed_loop(model, gains,
+                                        model.E @ cov_factor(model.Q),
+                                        cov_factor(model.R))
     streams = np.random.SeedSequence(cfg.seed).spawn(_BLOCKS)
     edges = [-(-cfg.n_traj * b // _BLOCKS) for b in range(_BLOCKS + 1)]
     left = np.full((_BLOCKS, len(gains)), cfg.t_test + 1)
 
     def run(block):
         rows = slice(edges[block], edges[block + 1])
-        held = np.arange(len(gains))
-        for t, alive, errors in _rollout(
-                model, closed, drive, cfg.t_test, e0[rows],
-                np.random.Generator(np.random.SFC64(streams[block]))):
-            if alive.size < held.size:
-                left[block, np.setdiff1d(held, alive)] = t
-                held = alive
-            if alive.size:
-                keep(block, rows, t, alive, errors)
+        _rollout(model, closed, drive, cfg.t_test, e0[rows],
+                 np.random.Generator(np.random.SFC64(streams[block])),
+                 partial(keep, block, rows), left[block])
 
     failed = []
 
@@ -310,32 +297,29 @@ def losses(mse: np.ndarray, t_critical: int) -> EvalReport:
                       loss_full=float(curve.mean()), logmse_curve=logmse)
 
 
-def detect_critical_time(logmse_curve: np.ndarray, window: int = 50,
-                         slope_tol: float = 1e-4,
-                         fallback: int = 195) -> int:
+def detect_critical_time(logmse_curve: np.ndarray) -> int:
     """First step at which the log-MSE curve is flat over a trailing window.
 
-    Fits a least-squares line to each trailing ``window``-step segment and
-    returns the smallest end step whose slope magnitude is below
-    ``slope_tol``; if no segment qualifies, returns ``fallback``, which
-    must then split the curve as :func:`losses` needs, 1 <= fallback <
-    len(curve) (else ValueError).  A line needs two points, so ``window``
-    must be at least 2.
+    Fits a least-squares line to each trailing ``_FLAT_WINDOW``-step (50)
+    segment and returns the smallest end step whose slope magnitude is
+    below ``_FLAT_SLOPE`` (1e-4); if no segment qualifies, returns
+    :class:`EvalConfig`'s default ``t_critical``, which must then split the
+    curve as :func:`losses` needs (else ValueError).
     """
-    check_integer("window", window, 2)
     curve = np.asarray(logmse_curve, dtype=float)
-    if curve.ndim != 1 or len(curve) < window:
-        raise ValueError(f"curve must hold at least {window} steps")
-    x = np.arange(window) - (window - 1) / 2.0
+    if curve.ndim != 1 or len(curve) < _FLAT_WINDOW:
+        raise ValueError(f"curve must hold at least {_FLAT_WINDOW} steps")
+    x = np.arange(_FLAT_WINDOW) - (_FLAT_WINDOW - 1) / 2.0
     sxx = float(x @ x)
-    for t in range(window, len(curve) + 1):
-        segment = curve[t - window:t]
-        slope = float(x @ segment) / sxx
-        if abs(slope) < slope_tol:
+    for t in range(_FLAT_WINDOW, len(curve) + 1):
+        slope = float(x @ curve[t - _FLAT_WINDOW:t]) / sxx
+        if abs(slope) < _FLAT_SLOPE:
             return t
-    if not 1 <= fallback < len(curve):
-        raise ValueError(f"no window is flat and fallback={fallback} is "
-                         f"not a step 1 .. {len(curve) - 1} of the curve")
+    fallback = EvalConfig.t_critical
+    if not fallback < len(curve):
+        raise ValueError(f"no window is flat and the default t_critical="
+                         f"{fallback} is not a step 1 .. {len(curve) - 1} "
+                         f"of the curve")
     return fallback
 
 

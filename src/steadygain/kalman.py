@@ -42,9 +42,13 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1e12
-# Doubling step j of solve_lyapunov adds 2^j terms of its sum, so 100 steps
-# reach the end of the sum for any mode that double precision tells from 1.
-_LYAPUNOV_MAX_DOUBLINGS = 100
+# solve_dare stops once a doubling step changes H by at most this much,
+# relative to max|H|.
+_DARE_TOL = 1e-12
+# Both doubling solvers stop after this many steps.  Doubling step j of
+# solve_lyapunov adds 2^j terms of its sum, so 100 steps reach the end of
+# the sum for any mode that double precision tells from 1.
+_MAX_DOUBLINGS = 100
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -135,8 +139,7 @@ def _relative_gap(x: np.ndarray, ref: np.ndarray) -> float:
     return gap / float(np.abs(ref).max()) if gap else 0.0
 
 
-def solve_dare(model: LinearGaussianModel, tol: float = 1e-12,
-               max_iter: int = 100) -> SteadyStateSolution:
+def solve_dare(model: LinearGaussianModel) -> SteadyStateSolution:
     """Solve the DARE by structure-preserving doubling.
 
     Starts from ``A_0 = A^T``, ``G_0 = C^T R^-1 C``, ``H_0 = E Q E^T`` and,
@@ -145,11 +148,11 @@ def solve_dare(model: LinearGaussianModel, tol: float = 1e-12,
         A <- A W^-1 A,   G <- G + A W^-1 G A^T,   H <- H + A^T H W^-1 A
 
     until the relative change ``max|dH| / max|H|`` of a step is at most
-    ``tol`` (0 when H is identically 0).  ``W`` is invertible because G and
-    H stay positive semidefinite.  H converges quadratically to the
-    predicted covariance S, and once the change falls below one ulp of H it
-    is exactly 0, so any ``tol >= 0`` ends.  ``max_iter`` caps the number
-    of doubling steps.  The gain comes from :func:`gain_from_predicted_cov`
+    ``_DARE_TOL``, 1e-12 (0 when H is identically 0), for at most
+    ``_MAX_DOUBLINGS`` steps.  ``W`` is invertible because G and H stay
+    positive semidefinite.  H converges quadratically to the predicted
+    covariance S, and once the change falls below one ulp of H it is
+    exactly 0.  The gain comes from :func:`gain_from_predicted_cov`
     and the reported residual is the relative DARE residual of S (see
     :class:`SteadyStateSolution`).
 
@@ -164,7 +167,7 @@ def solve_dare(model: LinearGaussianModel, tol: float = 1e-12,
     g = symmetrize(model.C.T @ np.linalg.solve(model.R, model.C))
     h = symmetrize(model.effective_process_cov())
     change = np.inf
-    for step in range(1, max_iter + 1):
+    for step in range(1, _MAX_DOUBLINGS + 1):
         w_inv_ag = np.linalg.solve(model.eye + g @ h, np.hstack([a, g]))
         w_inv_a, w_inv_g = w_inv_ag[:, :model.n], w_inv_ag[:, model.n:]
         a, g, h_next = (a @ w_inv_a, symmetrize(g + a @ w_inv_g @ a.T),
@@ -176,11 +179,11 @@ def solve_dare(model: LinearGaussianModel, tol: float = 1e-12,
                 "the plant is likely undetectable", residual=change)
         change = _relative_gap(h, h_next)
         h = h_next
-        if change <= tol:
+        if change <= _DARE_TOL:
             break
     else:
         raise DivergenceError(
-            f"Riccati doubling did not converge within {max_iter} steps "
+            f"Riccati doubling did not converge within {_MAX_DOUBLINGS} steps "
             f"(last relative change {change:.3e})", residual=change)
     gain = gain_from_predicted_cov(model, h)
     residual = _relative_gap(riccati_iterate(model, h), h)
@@ -205,7 +208,7 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
         X <- X + A X A^T,   A <- A A,
 
     so step j adds the next 2^j terms of the sum, until X stops changing,
-    for at most ``_LYAPUNOV_MAX_DOUBLINGS`` steps.
+    for at most ``_MAX_DOUBLINGS`` steps.
 
     Raises:
         ValueError: rho(A) >= 1, so the process has no stationary law.
@@ -219,7 +222,7 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     # An overflow is caught below and raised as a DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         x = symmetrize(np.asarray(W, dtype=float))
-        for _ in range(_LYAPUNOV_MAX_DOUBLINGS):
+        for _ in range(_MAX_DOUBLINGS):
             x_next = symmetrize(x + a @ x @ a.T)
             if not np.all(np.isfinite(x_next)):
                 raise DivergenceError(
@@ -229,8 +232,7 @@ def solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
                 return x
             x, a = x_next, a @ a
     raise DivergenceError(
-        f"Lyapunov doubling did not converge within "
-        f"{_LYAPUNOV_MAX_DOUBLINGS} steps")
+        f"Lyapunov doubling did not converge within {_MAX_DOUBLINGS} steps")
 
 
 def kalman_recursion(model: LinearGaussianModel, sigma0: np.ndarray,

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import check_real
+from .errors import check_keys, check_real
 
 __all__ = [
     "LinearGaussianModel",
@@ -183,13 +183,13 @@ class LinearGaussianModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearGaussianModel":
-        missing = {"A", "B", "C", "D", "E", "Q", "R", "dt"} - set(doc)
+        """The model of a :meth:`to_dict` document; a missing or unknown
+        key is a ValueError that names it."""
+        check_keys("model", doc, cls)
+        missing = {f.name for f in fields(cls)} - set(doc)
         if missing:
             raise ValueError(f"model document missing keys: {sorted(missing)}")
-        return cls(
-            A=doc["A"], B=doc["B"], C=doc["C"], D=doc["D"],
-            E=doc["E"], Q=doc["Q"], R=doc["R"], dt=doc["dt"],
-        )
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

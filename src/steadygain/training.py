@@ -314,17 +314,24 @@ class TrainRuns:
     errors: list
     ref_gain: np.ndarray | None = None
 
-    def history(self, runs=None) -> TrainHistory:
-        """The record of the selected runs, averaged over them.
+    def history(self, run=None) -> TrainHistory:
+        """The record of run index ``run``, or of every run averaged.
 
-        ``runs`` is a run index 0 .. K-1 or a non-empty list of them
-        (default: every run); a bool, an empty selection or an index out
-        of range raises ValueError or IndexError naming the selection.
-        The history's ``iterations`` is the fewest any selected run took,
-        and it keeps the rows of the iterations up to that count.  The
-        average of one run is that run's record, bit for bit.
+        A bool or another non-integer ``run`` raises ValueError, and an
+        index out of 0 .. K-1 IndexError, each naming it.  The history's
+        ``iterations`` is the fewest any read run took, and it keeps the
+        rows of the iterations up to that count.  One run's history is
+        that run's record, bit for bit.
         """
-        picked = slice(None) if runs is None else self._run_indices(runs)
+        picked = slice(None)
+        if run is not None:
+            total = len(self.iterations)
+            if isinstance(run, bool) or not isinstance(run, numbers.Integral):
+                raise ValueError(f"run={run!r} must be a run index")
+            if not 0 <= run < total:
+                raise IndexError(f"run {run} is not one of the {total} runs "
+                                 f"0 .. {total - 1}")
+            picked = slice(run, run + 1)
         count = int(self.iterations[picked].min())
         rows = int(np.searchsorted(self.iters, count, side="right"))
         theta = self.theta[picked, :rows]
@@ -334,21 +341,6 @@ class TrainRuns:
             critic_loss=self.critic_loss[picked, :rows].mean(axis=0),
             actor_loss=self.actor_loss[picked, :rows].mean(axis=0),
             iters=self.iters[:rows], iterations=count)
-
-    def _run_indices(self, runs) -> list:
-        """The indices ``runs`` selects, checked as :meth:`history` says."""
-        picked = [runs] if np.ndim(runs) == 0 else list(runs)
-        if not picked:
-            raise ValueError(f"runs={runs!r} selects no run")
-        count = len(self.iterations)
-        for k in picked:
-            if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-                raise ValueError(
-                    f"runs={runs!r} must hold run indices, got {k!r}")
-            if not 0 <= k < count:
-                raise IndexError(f"runs={runs!r}: run {k} is not one of "
-                                 f"the {count} runs 0 .. {count - 1}")
-        return picked
 
     def raise_divergence(self) -> None:
         """Raise the first diverged run's error, its record attached."""

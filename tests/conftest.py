@@ -18,7 +18,7 @@ def bicycle():
 
 @pytest.fixture(scope="session")
 def bicycle_dare(bicycle):
-    return solve_dare(bicycle, tol=1e-12)
+    return solve_dare(bicycle)
 
 
 def scalar_model(a=0.5, c=1.0, q=1.0, r=1.0):

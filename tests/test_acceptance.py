@@ -22,6 +22,7 @@ from steadygain import (
     spectral_radius,
     step,
 )
+from steadygain import kalman
 from steadygain.cli import main
 from steadygain.training import critic_value
 
@@ -84,7 +85,7 @@ def train_artifacts(config_path, workdir, solve_artifacts):
     return {"code": code, "elapsed": elapsed, "theta": np.array(doc["gain"])}
 
 
-def test_dare_oracle_accuracy(bicycle, solve_artifacts):
+def test_dare_oracle_accuracy(bicycle, solve_artifacts, monkeypatch):
     ok = solve_artifacts["code"] == 0
     gain = solve_artifacts["gain"]
     rel = np.abs((gain - TABLE_KINF) / TABLE_KINF)
@@ -93,7 +94,8 @@ def test_dare_oracle_accuracy(bicycle, solve_artifacts):
     # internal consistency: recursion limit vs the fixed point
     seq = kalman_recursion(bicycle, bicycle.effective_process_cov(), 300)
     cov_gap = np.abs(seq[-1][1] - solve_artifacts["sigma"]).max()
-    tight = solve_dare(bicycle, tol=1e-22)
+    monkeypatch.setattr(kalman, "_DARE_TOL", 1e-22)
+    tight = solve_dare(bicycle)
     gain_gap = np.abs(seq[-1][0] - tight.gain).max()
     ok = ok and cov_gap < 1e-10 and gain_gap < 1e-10
     ok = ok and solve_artifacts["elapsed"] < 1.0

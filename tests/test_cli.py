@@ -291,10 +291,33 @@ class TestConfigHandling:
         assert again == cfg
         assert RunConfig.from_dict(asdict(again)) == again
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"modle": "bicycle"}))
+        path.write_text(json.dumps({"modle": "bicycle",
+                                    "output_dir": str(tmp_path / "out")}))
         assert main(["solve", "--config", str(path)]) == 2
+        assert ("config error: unknown config keys: ['modle']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,overrides,section,key", [
+        ("train", {"trainer": {**SMALL_TRAINER, "lr": 0.1}}, "trainer",
+         "lr"),
+        ("eval", {"eval": {**SMALL_EVAL, "ntraj": 5}}, "eval", "ntraj"),
+        ("solve", {"model": {"bicycle": {"mass": 1}}}, "model.bicycle",
+         "mass"),
+        ("eval", {"model": {"inline": {**THREE_STATE, "Dt": 5}}}, "model",
+         "Dt"),
+    ], ids=["trainer", "eval", "bicycle", "inline"])
+    def test_unknown_section_key_named_before_output(
+            self, tmp_path, capsys, command, overrides, section, key):
+        # Each section is checked against its object's fields, as the top
+        # level is.
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert (f"config error: unknown {section} keys: ['{key}']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -408,10 +431,10 @@ class TestConfigHandling:
         def no_rollout(*args, **kwargs):
             raise AssertionError("noise drawn before the config was checked")
 
-        # eval's generator is made and first drawn in _initial_error;
+        # eval's initial errors are its first draw, by sample_initial_error;
         # training draws each step's normals in _draw_normals.
         if command == "eval":
-            monkeypatch.setattr(evaluation, "_initial_error", no_rollout)
+            monkeypatch.setattr(evaluation, "sample_initial_error", no_rollout)
         else:
             monkeypatch.setattr(training, "_draw_normals", no_rollout)
         base = SMALL_EVAL if section == "eval" else SMALL_TRAINER
@@ -503,7 +526,7 @@ class TestConfigHandling:
         def no_rollout(*args, **kwargs):
             raise AssertionError("noise drawn before the gains were checked")
 
-        monkeypatch.setattr(evaluation, "_initial_error", no_rollout)
+        monkeypatch.setattr(evaluation, "sample_initial_error", no_rollout)
         bad = tmp_path / "theta.json"
         bad.write_text(text)
         cfg = write_config(tmp_path)

@@ -18,10 +18,9 @@ from steadygain import (
     spectral_radius,
 )
 from steadygain import cli, evaluation
-from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, diverged_runs,
-                                  draw_noise, step)
-from steadygain.evaluation import (_closed_loops, _rollout,
-                                   write_eval_csv)
+from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, _closed_loop,
+                                  cov_factor, diverged_runs, draw_noise, step)
+from steadygain.evaluation import _rollout, write_eval_csv
 
 from conftest import random_system
 
@@ -93,7 +92,7 @@ class TestRunTrajectory:
         def no_draw(*args, **kwargs):
             raise AssertionError("errors drawn before the gain was checked")
 
-        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        monkeypatch.setattr(evaluation, "sample_initial_error", no_draw)
         gain = bicycle_dare.gain.copy()
         gain[1, 0] = bad
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
@@ -164,22 +163,16 @@ class TestDetectCriticalTime:
             detect_critical_time(np.zeros(10))
 
     def test_fallback_outside_the_curve_named(self):
-        # No 50-step window of this ramp is flat, and losses would refuse
-        # each of these fallbacks as a split of its 60 steps.
-        curve = np.linspace(0.0, -5.0, 60)
-        for fallback in (500, 60, 0):
-            with pytest.raises(ValueError, match=f"fallback={fallback} "):
-                detect_critical_time(curve, window=50, fallback=fallback)
-        assert detect_critical_time(curve, window=50, fallback=59) == 59
-        # A flat window is found whatever the fallback.
-        assert detect_critical_time(np.full(60, -5.0), window=50,
-                                    fallback=500) == 50
-
-    @pytest.mark.parametrize("window", [1, 0, -3])
-    def test_window_below_two_named(self, window):
-        # A least-squares slope needs two points.
-        with pytest.raises(ValueError, match="window must be an integer >= 2"):
-            detect_critical_time(np.zeros(300), window=window)
+        # No 50-step window of these ramps is flat, and losses would refuse
+        # the default t_critical of 195 as a split of up to 195 steps.
+        for steps in (60, 195):
+            curve = np.linspace(0.0, -5.0, steps)
+            with pytest.raises(ValueError, match="t_critical=195 is not a "
+                               f"step 1 .. {steps - 1} of the curve"):
+                detect_critical_time(curve)
+        assert detect_critical_time(np.linspace(0.0, -5.0, 196)) == 195
+        # A flat window is found whatever the length.
+        assert detect_critical_time(np.full(60, -5.0)) == 50
 
 
 class TestGainMetrics:
@@ -245,6 +238,13 @@ def reference_rollout(model, gains, t_test, e0, rng):
             return
 
 
+def closed_loops(model, gains):
+    """The stacks of F and D that ``_rollout_blocks`` forms for ``gains``."""
+    _, closed, drive = _closed_loop(
+        model, gains, model.E @ cov_factor(model.Q), cov_factor(model.R))
+    return closed, drive
+
+
 class TestRollout:
     """The closed-loop rollout against :func:`reference_rollout`.
 
@@ -255,16 +255,25 @@ class TestRollout:
 
     @staticmethod
     def assert_same_steps(model, gains, t_test, e0, seed):
+        """Check the steps ``keep`` takes and the drop record against the
+        reference; return the drop record."""
         gains = np.asarray(gains, dtype=float)
-        # Each yielded array is overwritten by the next step: square it now.
-        closed, drive = _closed_loops(model, gains)
-        got = [(t, alive.copy(), (errors ** 2).sum(axis=1))
-               for t, alive, errors
-               in _rollout(model, closed, drive, t_test, e0,
-                           np.random.default_rng(seed))]
+        got = []
+
+        def keep(t, alive, errors):
+            # errors is overwritten by the next step: square it now.
+            got.append((t, alive.copy(), (errors ** 2).sum(axis=1)))
+
+        left = np.full(len(gains), t_test + 1)
+        _rollout(model, *closed_loops(model, gains), t_test, e0,
+                 np.random.default_rng(seed), keep, left)
         want = list(reference_rollout(model, gains, t_test, e0,
                                       np.random.default_rng(seed)))
-        assert len(got) == len(want)
+        # keep takes each step that leaves a gain in the stack.
+        assert len(got) == sum(alive.size > 0 for _, alive, _ in want)
+        for k in range(len(gains)):
+            assert left[k] == next(
+                (t for t, alive, _ in want if k not in alive), t_test + 1)
         for (t, alive, squared), (t_ref, alive_ref, squared_ref) in zip(
                 got, want):
             assert t == t_ref
@@ -275,7 +284,7 @@ class TestRollout:
             np.testing.assert_allclose(
                 squared, squared_ref, rtol=1e-12,
                 atol=1e-13 * np.abs(squared_ref).max(initial=0.0))
-        return got
+        return left
 
     @pytest.mark.parametrize("names", [
         ("kinf",), ("kinf", "slow"), ("kinf", "slow", "zero"),
@@ -291,17 +300,14 @@ class TestRollout:
                  "bad": np.array([[0.0, 0.0], [0.0, -0.5]]),
                  "instant": np.array([[0.0, 0.0], [0.0, -1e14]])}
         e0 = np.random.default_rng(40).uniform(-0.1, 0.1, (64, 2))
-        got = self.assert_same_steps(bicycle, [table[n] for n in names],
-                                     300, e0, seed=41)
-        left = set(got[-1][1].tolist())
+        left = self.assert_same_steps(bicycle, [table[n] for n in names],
+                                      300, e0, seed=41)
         for k, name in enumerate(names):
-            assert (k in left) == (name not in ("bad", "instant"))
+            assert (left[k] == 301) == (name not in ("bad", "instant"))
         if "instant" in names:
-            assert "instant" not in {names[k] for k in got[0][1]}
+            assert left[names.index("instant")] == 1
         if "bad" in names:
-            dropped = next(t for t, alive, _ in got
-                           if names.index("bad") not in alive)
-            assert 1 < dropped < 300
+            assert 1 < left[names.index("bad")] < 300
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_plants_of_each_size_match_reference(self, n):
@@ -367,7 +373,7 @@ class TestEvaluateGains:
         def no_draw(*args, **kwargs):
             raise AssertionError("errors drawn before the gain was checked")
 
-        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        monkeypatch.setattr(evaluation, "sample_initial_error", no_draw)
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
         with pytest.raises(ValueError, match=re.escape(
                 f"gain 'wrong' must be 2 x 2, got {shape}")):
@@ -376,12 +382,21 @@ class TestEvaluateGains:
                 f"gain must be 2 x 2, got {shape}")):
             run_trajectories(bicycle, np.zeros(shape), cfg)
 
+    def test_three_state_plant_names_the_vehicle_box(self):
+        # The initial errors come from the vehicle's box, and evaluate_gains
+        # takes no bounds, so the message gives no advice to pass them.
+        model = random_system(np.random.default_rng(30), n=3, r=2, p=2)
+        cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
+        with pytest.raises(ValueError, match="vehicle's 2-dimensional box, "
+                                             "but the model has n=3$"):
+            evaluate_gains(model, [("zero", np.zeros((3, 2)))], cfg)
+
     def test_gains_sharing_a_wrong_shape_name_the_first(self, bicycle,
                                                         monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("errors drawn before the gains were checked")
 
-        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        monkeypatch.setattr(evaluation, "sample_initial_error", no_draw)
         gains = [("a", np.zeros((3, 3))), ("b", np.zeros((3, 3)))]
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
         message = re.escape("gain 'a' must be 2 x 2, got (3, 3)")
@@ -394,7 +409,7 @@ class TestEvaluateGains:
         def no_draw(*args, **kwargs):
             raise AssertionError("errors drawn before the gains were checked")
 
-        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        monkeypatch.setattr(evaluation, "sample_initial_error", no_draw)
         gains = [("a", np.zeros((2, 2))), ("b", np.zeros((3, 3)))]
         if order == "bad-first":
             gains.reverse()
@@ -411,7 +426,7 @@ class TestEvaluateGains:
         def no_draw(*args, **kwargs):
             raise AssertionError("errors drawn before the gains were checked")
 
-        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        monkeypatch.setattr(evaluation, "sample_initial_error", no_draw)
         gain = bicycle_dare.gain.copy()
         gain[0, 1] = bad
         gains = [("dare", bicycle_dare.gain), ("bad", gain),
@@ -425,7 +440,7 @@ class TestEvaluateGains:
         def no_draw(*args, **kwargs):
             raise AssertionError("errors drawn before the names were checked")
 
-        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        monkeypatch.setattr(evaluation, "sample_initial_error", no_draw)
         gains = [("a", np.zeros((2, 2))), ("b", np.zeros((2, 2))),
                  ("a", np.eye(2))]
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
@@ -437,7 +452,7 @@ class TestEvaluateGains:
         def no_draw(*args, **kwargs):
             raise AssertionError("errors drawn before the names were checked")
 
-        monkeypatch.setattr(evaluation, "_initial_error", no_draw)
+        monkeypatch.setattr(evaluation, "sample_initial_error", no_draw)
         gains = [("a", np.zeros((2, 2))), ("", np.eye(2))]
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
         with pytest.raises(ValueError, match="gain number 2 has an empty name"):
@@ -590,18 +605,19 @@ class TestBlocks:
             * VEHICLE_INITIAL_ERROR
         streams = np.random.SeedSequence(14).spawn(2)
         half = (n_traj + 1) // 2
-        closed, drive = _closed_loops(bicycle, stack)
+        closed, drive = closed_loops(bicycle, stack)
         sums = np.zeros((3, cfg.t_test))
-        dropped = set()
+        left = np.full((2, 3), cfg.t_test + 1)
+
+        def keep(t, alive, errors):
+            sums[alive, t - 1] += np.einsum("kij,kij->k", errors, errors)
+
         for block, rows in enumerate([slice(0, half), slice(half, n_traj)]):
             if rows.start == rows.stop:
                 continue
-            for t, alive, errors in _rollout(
-                    bicycle, closed, drive, cfg.t_test, e0[rows],
-                    np.random.Generator(np.random.SFC64(streams[block]))):
-                sums[alive, t - 1] += np.einsum("kij,kij->k", errors, errors)
-                if 1 not in alive:
-                    dropped.add(t)
+            _rollout(bicycle, closed, drive, cfg.t_test, e0[rows],
+                     np.random.Generator(np.random.SFC64(streams[block])),
+                     keep, left[block])
         rows = evaluate_gains(bicycle, gains, cfg)
         for k in (0, 2):
             np.testing.assert_array_equal(
@@ -610,7 +626,7 @@ class TestBlocks:
         assert rows[1]["status"] == "diverged"
         with pytest.raises(DivergenceError) as excinfo:
             run_trajectories(bicycle, gains[1][1], cfg)
-        assert excinfo.value.step == min(dropped)
+        assert excinfo.value.step == left[:, 1].min() <= cfg.t_test
 
     def test_worker_error_reaches_the_caller(self, bicycle, bicycle_dare,
                                              monkeypatch):

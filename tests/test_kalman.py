@@ -17,6 +17,7 @@ from steadygain import (
     solve_lyapunov,
     spectral_radius,
 )
+from steadygain import kalman
 
 from conftest import random_psd, random_system, scalar_model
 
@@ -107,9 +108,10 @@ class TestRiccatiIterate:
 
 
 class TestSolveDare:
-    def test_scalar_closed_form(self):
+    def test_scalar_closed_form(self, monkeypatch):
         sigma_oracle, k_oracle = scalar_dare_oracle()
-        sol = solve_dare(scalar_model(), tol=1e-14)
+        monkeypatch.setattr(kalman, "_DARE_TOL", 1e-14)
+        sol = solve_dare(scalar_model())
         assert sol.sigma[0, 0] == pytest.approx(sigma_oracle, rel=1e-12)
         assert sol.gain[0, 0] == pytest.approx(k_oracle, rel=1e-12)
         assert sol.sigma[0, 0] == pytest.approx(1.1328, abs=5e-5)
@@ -131,18 +133,20 @@ class TestSolveDare:
         closed = (np.eye(2) - bicycle_dare.gain @ bicycle.C) @ bicycle.A
         assert spectral_radius(closed) < 1.0
 
-    def test_divergence_reported(self):
+    def test_divergence_reported(self, monkeypatch):
         # Unobservable unstable plant: the recursion grows without bound.
         model = LinearGaussianModel(
             A=[[2.0]], B=[[0.0]], C=[[0.0]], D=[[0.0]], E=[[1.0]],
             Q=[[1.0]], R=[[1.0]], dt=0.01)
+        monkeypatch.setattr(kalman, "_MAX_DOUBLINGS", 50)
         with pytest.raises(DivergenceError) as excinfo:
-            solve_dare(model, tol=1e-12, max_iter=50)
+            solve_dare(model)
         assert excinfo.value.residual > 0
 
-    def test_iteration_cap_reported(self):
+    def test_iteration_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(kalman, "_MAX_DOUBLINGS", 2)
         with pytest.raises(DivergenceError) as excinfo:
-            solve_dare(scalar_model(a=1.0, q=1e-8), max_iter=2)
+            solve_dare(scalar_model(a=1.0, q=1e-8))
         assert excinfo.value.residual > 0
 
     def test_ill_conditioned_measurement_noise_raises(self):
@@ -279,7 +283,9 @@ class TestSolveLyapunov:
 # covariance tolerance.
 @pytest.fixture(scope="module")
 def tight_dare(bicycle):
-    return solve_dare(bicycle, tol=1e-22)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kalman, "_DARE_TOL", 1e-22)
+        return solve_dare(bicycle)
 
 
 class TestKalmanRecursion:
