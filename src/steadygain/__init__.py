@@ -25,7 +25,6 @@ from .kalman import (
     symmetrize,
 )
 from .error_mdp import (
-    NoiseDraw,
     draw_noise,
     sample_initial_error,
     step,
@@ -67,7 +66,6 @@ __all__ = [
     "solve_lyapunov",
     "spectral_radius",
     "symmetrize",
-    "NoiseDraw",
     "draw_noise",
     "sample_initial_error",
     "step",

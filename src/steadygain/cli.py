@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .error_mdp import VEHICLE_INITIAL_ERROR
 from .errors import (DivergenceError, NumericalError, check_integer,
                      check_keys, check_real)
 from .evaluation import (EvalConfig, _check_named_gains, evaluate_gains,
@@ -129,20 +128,6 @@ def _load_json(path: str, what: str):
             return json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{what} from {path} is not JSON: {err}") from None
-
-
-def _eval_model(cfg: RunConfig) -> LinearGaussianModel:
-    """The model of eval, checked before any output.
-
-    Its initial errors come from the vehicle's box, so n must match it.
-    """
-    model = cfg.build_model()
-    if model.n != len(VEHICLE_INITIAL_ERROR):
-        raise ValueError(
-            f"the model has n={model.n} states, but the command line's "
-            f"initial-error box is the vehicle's "
-            f"{len(VEHICLE_INITIAL_ERROR)}-state one")
-    return model
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -248,7 +233,7 @@ def _load_gain(source: str, model: LinearGaussianModel) -> np.ndarray:
 
 
 def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:
-    model = _eval_model(cfg)
+    model = cfg.build_model()
     named = []
     for spec in gain_specs:
         name, _, source = spec.partition("=")

@@ -9,20 +9,24 @@ so that maximizing accumulated reward means driving the error to zero.
 Pools of error states stand in for the stationary error distribution
 during training: each is drawn once from the stationary law of the
 zero-gain error process and rolled forward one transition at a time.
-Evaluation starts its trajectories from a uniform box of initial errors
-(:func:`sample_initial_error`).
+Evaluation starts its trajectories from the vehicle's uniform box of
+initial errors (:func:`sample_initial_error`).
+
+Each transition's noise is one block of raw standard normals, p + r rows
+by M members: p rows that xi = L_Q w colours, then r rows that
+zeta = L_R w colours, for factors L L^T of Q and R.  Training and
+evaluation draw each step's block straight into the array their kernels
+read (:func:`_draw_normals`); :func:`draw_noise` draws the same stream
+and colours it member-major, for the written reference :func:`step`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import LinearGaussianModel
 
 __all__ = [
-    "NoiseDraw",
     "cov_factor",
     "draw_noise",
     "step",
@@ -39,23 +43,6 @@ VEHICLE_INITIAL_ERROR = (5.0 * np.pi / 180.0, 10.0 * np.pi / 180.0)
 _DIVERGENCE_GUARD = 1e12
 
 
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One realization (or a batch) of process and measurement noise.
-
-    ``xi`` has trailing dimension p (raw process noise), ``zeta`` trailing
-    dimension r (measurement noise).  Batched draws stack along the leading
-    axis.
-    """
-
-    xi: np.ndarray
-    zeta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        object.__setattr__(self, "zeta", np.asarray(self.zeta, dtype=float))
-
-
 def cov_factor(cov: np.ndarray) -> np.ndarray:
     """Factor F with F F^T = cov for a symmetric PSD matrix.
 
@@ -68,42 +55,32 @@ def cov_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def draw_noise(model: LinearGaussianModel, rng: np.random.Generator,
-               size: int) -> NoiseDraw:
-    """A (size, .) noise batch from ``rng``, the members on the first axis.
+               size: int) -> tuple[np.ndarray, np.ndarray]:
+    """One noise draw per member, ``(xi, zeta)``, shaped (size, p) and
+    (size, r).
 
-    One ``standard_normal`` call gives size p normals for xi and then
-    size r for zeta, the stream :func:`_draw_normals` draws per generator,
-    coloured by the :func:`cov_factor` factors of Q and R.  The factors
-    are transposed C-contiguous so that the products stay on BLAS (see
-    :func:`step`), which takes the draw in this form.
+    One ``rng.standard_normal((p + r, size))`` call gives the block that
+    :func:`_draw_normals` draws per generator, p rows and then r, coloured
+    by the :func:`cov_factor` factors of Q and R.  The members go on the
+    first axis, C-contiguous, as :func:`step` takes them.
     """
-    p, r = model.p, model.r
-    raw = rng.standard_normal(size * (p + r))
-    return NoiseDraw(
-        xi=raw[:size * p].reshape(size, p)
-        @ _transposed(cov_factor(model.Q)),
-        zeta=raw[size * p:].reshape(size, r)
-        @ _transposed(cov_factor(model.R)))
+    raw = rng.standard_normal((model.p + model.r, size))
+    return (_transposed(cov_factor(model.Q) @ raw[:model.p]),
+            _transposed(cov_factor(model.R) @ raw[model.p:]))
 
 
-def _draw_normals(normals, raw: np.ndarray, out: np.ndarray, p: int
-                  ) -> np.ndarray:
+def _draw_normals(normals, out: np.ndarray) -> np.ndarray:
     """One step's raw normals, ``out`` (S, p + r, M), one call per generator.
 
-    ``normals`` holds the ``standard_normal`` methods of S generators, and
-    ``raw`` an (S, M (p + r)) buffer.  Generator u fills row u of ``raw``
-    with M p normals for xi and then M r for zeta in one call, the stream
-    :func:`draw_noise` colours.  One copy moves them into ``out``, xi's p
-    rows over zeta's r, the M members on the last axis.  Each training
-    iteration and each evaluation step draws its noise through this;
-    training draws its initial pool once, n M normals per generator,
-    outside it.
+    ``normals`` holds the ``standard_normal`` methods of S generators.
+    Generator u fills its block ``out[u]`` in one call: p rows of normals
+    for xi over r rows for zeta, the M members on the last axis, the
+    stream :func:`draw_noise` colours.  Each training iteration and each
+    evaluation step draws its noise through this; training draws its
+    initial pool once, n M normals per generator, outside it.
     """
-    for normal, row in zip(normals, raw):
-        normal(out=row)
-    seeds, size = len(raw), out.shape[-1]
-    out[:, :p] = raw[:, :size * p].reshape(seeds, size, p).swapaxes(1, 2)
-    out[:, p:] = raw[:, size * p:].reshape(seeds, size, -1).swapaxes(1, 2)
+    for normal, block in zip(normals, out):
+        normal(out=block)
     return out
 
 
@@ -126,26 +103,29 @@ def _closed_loop(model: LinearGaussianModel, gains: np.ndarray,
 
 
 def step(model: LinearGaussianModel, s: np.ndarray, a: np.ndarray,
-         noise: NoiseDraw) -> tuple[np.ndarray, np.ndarray]:
+         xi: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance a batch of error states one transition under gain ``a``.
 
-    ``s`` is an (M, n) batch, ``a`` one n x r gain and ``noise`` one draw
-    per member, (M, p) and (M, r), as :func:`draw_noise` gives it.  Returns
-    the next states s' = z - a v, with z = A s + E xi and v = C z + zeta,
-    and the rewards -s'^T s' of the transitions, the squared components
-    added in order.
+    The member-major reference of the transition: ``s`` is an (M, n)
+    batch, ``a`` one n x r gain, and ``xi`` and ``zeta`` one coloured
+    noise per member, (M, p) and (M, r), as :func:`draw_noise` gives them.
+    Returns the next states s' = z - a v, with z = A s + E xi and
+    v = C z + zeta, and the rewards -s'^T s' of the transitions, the
+    squared components added in order.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    _check_transition(model, s, a, noise)
+    xi = np.asarray(xi, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
+    _check_transition(model, s, a, xi, zeta)
     # Every right operand is a C-contiguous transpose, because numpy's
     # matmul stays on BLAS only for contiguous operands: a transposed view
     # such as A.T sends it to a slow generic loop, which gives bitwise
     # equal products.
     nxt = np.matmul(s, model.A_T)
-    nxt += np.matmul(noise.xi, _transposed(model.E))
+    nxt += np.matmul(xi, _transposed(model.E))
     v = np.matmul(nxt, model.C_T)
-    v += noise.zeta
+    v += zeta
     nxt -= np.matmul(v, _transposed(a))
     # Summed over a C-contiguous (n, M) copy, the components are added in
     # order, one row after the other.
@@ -158,7 +138,8 @@ def _transposed(m: np.ndarray) -> np.ndarray:
 
 
 def _check_transition(model: LinearGaussianModel, s: np.ndarray,
-                      a: np.ndarray, noise: NoiseDraw) -> None:
+                      a: np.ndarray, xi: np.ndarray, zeta: np.ndarray
+                      ) -> None:
     """Raise ValueError unless :func:`step` accepts these shapes."""
     if a.shape != (model.n, model.r):
         raise ValueError(
@@ -166,34 +147,35 @@ def _check_transition(model: LinearGaussianModel, s: np.ndarray,
     if s.ndim != 2 or s.shape[1] != model.n:
         raise ValueError(
             f"state must be an (M, {model.n}) batch, got {s.shape}")
-    if noise.xi.shape != (len(s), model.p):
+    if xi.shape != (len(s), model.p):
         raise ValueError(
-            f"process noise shape {noise.xi.shape} does not match state")
-    if noise.zeta.shape != (len(s), model.r):
-        raise ValueError(f"measurement noise shape {noise.zeta.shape} "
+            f"process noise shape {xi.shape} does not match state")
+    if zeta.shape != (len(s), model.r):
+        raise ValueError(f"measurement noise shape {zeta.shape} "
                          "does not match state")
 
 
-def sample_initial_error(model: LinearGaussianModel, rng: np.random.Generator,
-                         *, size: int,
-                         bounds: tuple[float, ...] | None = None) -> np.ndarray:
-    """Draw a (size, n) batch of initial errors uniform in a box.
+def _check_initial_error_box(model: LinearGaussianModel) -> None:
+    """Raise ValueError unless the vehicle's box of initial errors fits
+    ``model``: it has one half-width per state of the 2-state vehicle."""
+    if model.n != len(VEHICLE_INITIAL_ERROR):
+        raise ValueError(
+            f"the initial errors come from the vehicle's "
+            f"{len(VEHICLE_INITIAL_ERROR)}-state box, but the model has "
+            f"n={model.n}")
 
-    Component i is drawn uniformly from +-bounds[i] with ``rng``.
-    ``bounds`` holds one half-width per state, :data:`VEHICLE_INITIAL_ERROR`
-    by default, which fits only a 2-dimensional model.
+
+def sample_initial_error(model: LinearGaussianModel, rng: np.random.Generator,
+                         *, size: int) -> np.ndarray:
+    """Draw a (size, n) batch of initial errors uniform in the vehicle's box.
+
+    Component i is drawn uniformly from +-VEHICLE_INITIAL_ERROR[i] with
+    ``rng``; a model with n != 2 raises ValueError
+    (:func:`_check_initial_error_box`) before any draw.
     """
-    if bounds is None:
-        if model.n != len(VEHICLE_INITIAL_ERROR):
-            raise ValueError(
-                f"the default initial error is the vehicle's "
-                f"{len(VEHICLE_INITIAL_ERROR)}-dimensional box, but the "
-                f"model has n={model.n}")
-        bounds = VEHICLE_INITIAL_ERROR
-    if len(bounds) != model.n:
-        raise ValueError(f"need {model.n} bounds, got {len(bounds)}")
+    _check_initial_error_box(model)
     return rng.uniform(-1.0, 1.0, (size, model.n)) * np.asarray(
-        bounds, dtype=float)
+        VEHICLE_INITIAL_ERROR)
 
 
 def diverged_runs(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

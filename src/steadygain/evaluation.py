@@ -4,10 +4,11 @@ Trajectories roll the estimation error forward under a constant gain K
 and record its squared norm per step.  They run the error MDP's
 transition in closed-loop form, e' = F e + D w, with F = (I - K C) A,
 D = [(I - K C) E L_Q, -K L_R] for factors L L^T of Q and R, and w the raw
-standard normals of the process and then the measurement noise, in the
-layout the error MDP's noise is drawn in.  For a linear plant whose
-input the filter knows, the input cancels from the error exactly, so
-neither the plant state nor the input is simulated.  The trajectories
+standard normals of the process and then the measurement noise, which
+each step draws straight into the (p + r, N) block the product reads.
+For a linear plant whose input the filter knows, the input cancels from
+the error exactly, so neither the plant state nor the input is
+simulated.  The trajectories
 run as two blocks, each on its own seeded noise stream, on two threads
 when two CPUs are usable and one after the other otherwise; the results
 are the same either way.  Several gains advance together in one paired
@@ -32,8 +33,9 @@ from functools import partial
 
 import numpy as np
 
-from .error_mdp import (_closed_loop, _draw_normals, cov_factor,
-                        diverged_runs, sample_initial_error)
+from .error_mdp import (_check_initial_error_box, _closed_loop,
+                        _draw_normals, cov_factor, diverged_runs,
+                        sample_initial_error)
 from .errors import DivergenceError, check_integer
 from .models import LinearGaussianModel
 
@@ -108,10 +110,10 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
     :func:`cov_factor` factors of Q and R, and w = (xi, zeta) the raw
     standard normals.  This is the error transition
     e' = (I - K C)(A e + E L_Q xi) - K L_R zeta with the noise colouring
-    folded into D.  Each step draws N p normals for xi and then N r for
-    zeta from ``rng`` in one call by :func:`_draw_normals`, as training
-    does, and advances the (count, n, N) error stack, trajectories on the
-    last axis.
+    folded into D.  Each step fills w, p rows for xi over r rows for zeta
+    with the N trajectories on the last axis, from ``rng`` in one call by
+    :func:`_draw_normals`, as training does, and advances the (count, n, N)
+    error stack, trajectories on the last axis too.
 
     A gain leaves the stack at the step where :func:`diverged_runs` flags
     its errors (non-finite or beyond the guard), and that step is written
@@ -124,7 +126,6 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
     overwrites.
     """
     count, size = len(closed), len(e0)
-    p = model.p
     # Copies, since the stacks are compacted in place below.
     closed, drive = closed.copy(), drive.copy()
     # Two state buffers used in turn, since a product cannot overwrite the
@@ -135,12 +136,11 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
     state = np.repeat(e0.T[np.newaxis], count, axis=0)
     spare, driven = np.empty_like(state), np.empty_like(state)
     normals = [rng.standard_normal]
-    raw = np.empty((1, size * (p + model.r)))
-    w = np.empty((1, p + model.r, size))
+    w = np.empty((1, model.p + model.r, size))
     alive = np.arange(count)
     for t in range(1, t_test + 1):
         live = alive.size
-        _draw_normals(normals, raw, w, p)
+        _draw_normals(normals, w)
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(closed[:live], state[:live], out=spare[:live])
             spare[:live] += np.matmul(drive[:live], w, out=driven[:live])
@@ -165,7 +165,7 @@ def _usable_cpus() -> int:
 
 
 def _rollout_blocks(model: LinearGaussianModel, gains: np.ndarray,
-                    cfg: EvalConfig, keep, bounds=None) -> np.ndarray:
+                    cfg: EvalConfig, keep) -> np.ndarray:
     """Roll ``cfg.n_traj`` trajectories under a gain stack, block by block.
 
     The initial errors are one :func:`sample_initial_error` draw from a
@@ -192,7 +192,7 @@ def _rollout_blocks(model: LinearGaussianModel, gains: np.ndarray,
     block dropped it, and ``t_test + 1`` for a gain that no block dropped.
     """
     e0 = sample_initial_error(model, np.random.default_rng(cfg.seed),
-                              size=cfg.n_traj, bounds=bounds)
+                              size=cfg.n_traj)
     # A gain so large that F or D overflows gives inf and nan errors, which
     # the guard drops at step 1; they are not warned about, here or in
     # _rollout.
@@ -238,13 +238,13 @@ def _rollout_blocks(model: LinearGaussianModel, gains: np.ndarray,
 
 
 def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
-                     cfg: EvalConfig, bounds=None) -> np.ndarray:
+                     cfg: EvalConfig) -> np.ndarray:
     """Squared errors for ``cfg.n_traj`` trajectories, shape (N, t_test).
 
-    Each trajectory's initial error is drawn from the uniform box
-    (``bounds`` overrides its half-widths) and then advanced by the error
-    recursion e' = (I - K C)(A e + E xi) - K zeta under ``gain``.  The
-    initial errors come from a generator seeded with ``cfg.seed``, and
+    Each trajectory's initial error is drawn from the vehicle's uniform
+    box and then advanced by the error recursion
+    e' = (I - K C)(A e + E xi) - K zeta under ``gain``.  The initial
+    errors come from a generator seeded with ``cfg.seed``, and
     the noise from two seeded block streams, one per half of the
     trajectories (see :func:`_rollout_blocks`).  So two gains evaluated
     with the same config see identical initial errors and noise (paired
@@ -255,7 +255,7 @@ def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
 
     Raises:
         ValueError: before any noise is drawn, if ``gain`` is not n x r or
-            has a non-finite entry.
+            has a non-finite entry, or the model has n != 2 states.
         DivergenceError: once the rollout ends, if at some step ``step``
             an error entry was non-finite or beyond the divergence guard;
             ``step`` is the first such step of any block.
@@ -267,7 +267,7 @@ def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
         # The components of each error are squared and added in order.
         squared[rows, t - 1] = np.add.reduce(np.square(errors[0]), axis=0)
 
-    left, = _rollout_blocks(model, gains, cfg, keep, bounds)
+    left, = _rollout_blocks(model, gains, cfg, keep)
     if left <= cfg.t_test:
         raise DivergenceError(
             f"estimation error diverged at step {left}", step=int(left))
@@ -358,9 +358,11 @@ def _checked_gain(model: LinearGaussianModel, gain, label: str
 
 
 def _check_named_gains(model: LinearGaussianModel, named: list) -> None:
-    """Raise ValueError naming the first (name, gain) pair that
-    :func:`evaluate_gains` refuses: an empty name, a gain that
+    """Raise ValueError for what :func:`evaluate_gains` refuses: a model
+    that the vehicle's box of initial errors does not fit (n != 2), or the
+    first (name, gain) pair with an empty name, a gain that
     :func:`_checked_gain` refuses, or a name given twice."""
+    _check_initial_error_box(model)
     names = [name for name, _ in named]
     for k, (name, gain) in enumerate(named):
         if not name:
@@ -390,9 +392,10 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
         and the report (None when diverged).
 
     Raises:
-        ValueError: before any noise is drawn, naming the first gain that
-            has an empty name, is not n x r (with its shape) or has a
-            non-finite entry, or the first name given twice.
+        ValueError: before any noise is drawn, if the model has n != 2
+            states, or naming the first gain that has an empty name, is
+            not n x r (with its shape) or has a non-finite entry, or the
+            first name given twice.
     """
     named = list(gains)
     if not named:

@@ -374,10 +374,10 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     :func:`~steadygain.kalman.solve_lyapunov`: n M normals per seed.  A
     plant with rho(A) >= 1 has no such law, and raises ValueError naming
     rho(A) before any work.  Each iteration then makes one ``standard_normal``
-    call per seed, the stream :func:`draw_noise` draws, and every discount
-    reads it.  A run still reads exactly what it would draw alone, so its
-    result depends only on its seed and discount, never on what else is in
-    the stack.
+    call per seed into that seed's (p + r, M) block of normals, the stream
+    :func:`draw_noise` draws, and every discount reads it.  A run still
+    reads exactly what it would draw alone, so its result depends only on
+    its seed and discount, never on what else is in the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
     iteration forms one law of the pool's next error, shared by the
@@ -446,11 +446,10 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     pool = start_factor @ np.stack(
         [rng.standard_normal((n, size)) for rng in rngs])
     # A step's noise is its raw normals w = (xi, zeta), coloured by factors
-    # L L^T of Q and R taken once.  The drawn law forms E (L_Q xi) and L_R
-    # zeta per seed, in the order of the per-member transition; the closed
-    # loop's D holds E L_Q.
-    q_factor, r_factor = cov_factor(model.Q), cov_factor(model.R)
-    process_factor = model.E @ q_factor
+    # L L^T of Q and R taken once: the drawn law forms (E L_Q) xi and L_R
+    # zeta per seed, the factors the closed loop's D holds.
+    process_factor = model.E @ cov_factor(model.Q)
+    r_factor = cov_factor(model.R)
 
     # The stack holds the grid of the discounts and seeds that still have a
     # run going, discount-major: the (G, S, ...) view of a run array is its
@@ -465,7 +464,6 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     pool = np.tile(pool, (len(gammas), 1, 1))
     index = np.arange(count)
     live = slice(count)
-    raw = np.empty((len(normals), size * (p + r)))
     noise = np.empty((len(normals), p + r, size))
     going = np.ones(count, dtype=bool)
     gamma_col = np.repeat(np.asarray(gammas, dtype=float),
@@ -522,15 +520,15 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
                                   gamma_col, going, index, tail_sum, *loop))
                     normals = [normal for normal, kept in zip(normals, cols)
                                if kept]
-                    raw, noise = raw[cols], noise[cols]
+                    noise = noise[cols]
                 live = np.where(going, index, count)
             if k == max_iters:
                 break
 
-            drawn = _draw_normals(normals, raw, noise, p)
+            drawn = _draw_normals(normals, noise)
             if sampled:
                 law = _drawn_law(model, theta, pool,
-                                 model.E @ (q_factor @ drawn[:, :p]),
+                                 process_factor @ drawn[:, :p],
                                  r_factor @ drawn[:, p:])
             else:
                 law = _integrated_law(model, theta, pool, loop)

@@ -58,10 +58,10 @@ def kernel_steps(model, w, theta, batch, noise=None, gamma=0.99):
 
     ``batch`` is an (M, n) batch or a (K, M, n) stack of them, with one
     critic ``w`` and gain ``theta`` per batch and ``gamma`` one discount or
-    one per run.  ``noise`` is a draw as ``step`` takes it, (M, .) or
-    (K, M, .); None integrates the noise out.  The batch becomes the pool
-    (..., n, M) that training holds, and ``_critic_step`` and
-    ``_actor_step`` run on its ``_drawn_law`` or ``_integrated_law``.
+    one per run.  ``noise`` is a draw ``(xi, zeta)`` as ``step`` takes it,
+    (M, .) or (K, M, .) each; None integrates the noise out.  The batch
+    becomes the pool (..., n, M) that training holds, and ``_critic_step``
+    and ``_actor_step`` run on its ``_drawn_law`` or ``_integrated_law``.
     Returns (critic loss, critic gradient) and (actor loss, actor
     gradient), the actor's gradient that of the return it ascends.
     """
@@ -71,9 +71,10 @@ def kernel_steps(model, w, theta, batch, noise=None, gamma=0.99):
         law = training._integrated_law(model, theta, pool, _closed_loop(
             model, theta, model.E @ cov_factor(model.Q), cov_factor(model.R)))
     else:
+        xi, zeta = noise
         law = training._drawn_law(model, theta, pool,
-                                  model.E @ _transposed(noise.xi),
-                                  _transposed(noise.zeta))
+                                  model.E @ _transposed(xi),
+                                  _transposed(zeta))
     gamma_col = np.reshape(gamma, np.shape(gamma) + (1, 1))
     w = np.asarray(w, dtype=float)
     critic = training._critic_step(model, law, w, pool, gamma_col)

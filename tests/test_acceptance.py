@@ -242,7 +242,7 @@ def test_gradient_suites():
 
         (_, c_grad), _ = kernel_steps(model, w0, theta, batch, noise,
                                       gamma=gamma)
-        nxt, reward = step(model, batch, theta, noise)
+        nxt, reward = step(model, batch, theta, *noise)
         target = reward + gamma * critic_value(w0, nxt)
 
         def frozen(w):

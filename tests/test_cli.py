@@ -571,8 +571,8 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["eval", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "the model has n=3 states" in err
-        assert "initial-error box is the vehicle's 2-state one" in err
+        assert ("config error: the initial errors come from the vehicle's "
+                "2-state box, but the model has n=3") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep-gamma"])

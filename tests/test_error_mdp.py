@@ -5,13 +5,13 @@ import pytest
 
 from steadygain import (
     LinearGaussianModel,
-    NoiseDraw,
     draw_noise,
     sample_initial_error,
     spectral_radius,
     step,
 )
-from steadygain.error_mdp import VEHICLE_INITIAL_ERROR, diverged_runs
+from steadygain.error_mdp import (VEHICLE_INITIAL_ERROR, _draw_normals,
+                                  cov_factor, diverged_runs)
 
 from conftest import random_system, scalar_model
 
@@ -28,21 +28,21 @@ class TestStep:
         model = LinearGaussianModel(
             A=[[2.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]], E=[[1.0]],
             Q=[[1.0]], R=[[1.0]], dt=0.01)
-        noise = NoiseDraw(xi=[[0.2]], zeta=[[0.4]])
-        nxt, reward = step(model, np.array([[1.0]]), np.array([[0.5]]), noise)
+        nxt, reward = step(model, np.array([[1.0]]), np.array([[0.5]]),
+                           [[0.2]], [[0.4]])
         assert nxt[0, 0] == pytest.approx(0.9, rel=1e-14)
         assert reward[0] == pytest.approx(-0.81, rel=1e-14)
 
     def test_open_loop_propagation(self, bicycle):
-        noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
+        noise = np.zeros((1, 2)), np.zeros((1, 2))
         s = np.array([[0.1, -0.2]])
-        nxt, _ = step(bicycle, s, np.zeros((2, 2)), noise)
+        nxt, _ = step(bicycle, s, np.zeros((2, 2)), *noise)
         np.testing.assert_allclose(nxt, s @ bicycle.A.T, rtol=1e-14)
 
     def test_perfect_correction(self):
         model = identity_output_model()
-        noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
-        nxt, reward = step(model, np.array([[0.3, -0.7]]), np.eye(2), noise)
+        noise = np.zeros((1, 2)), np.zeros((1, 2))
+        nxt, reward = step(model, np.array([[0.3, -0.7]]), np.eye(2), *noise)
         np.testing.assert_array_equal(nxt, np.zeros((1, 2)))
         assert reward[0] == 0.0
 
@@ -50,21 +50,21 @@ class TestStep:
         rng = np.random.default_rng(2)
         gain = rng.standard_normal((2, 2)) * 0.1
         s = rng.standard_normal((1, 2))
-        noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
-        base, _ = step(bicycle, s, gain, noise)
+        noise = np.zeros((1, 2)), np.zeros((1, 2))
+        base, _ = step(bicycle, s, gain, *noise)
         for alpha in (0.0, -1.5, 3.0):
-            scaled, _ = step(bicycle, alpha * s, gain, noise)
+            scaled, _ = step(bicycle, alpha * s, gain, *noise)
             np.testing.assert_allclose(scaled, alpha * base, atol=1e-15)
 
     def test_batch_matches_single(self, bicycle):
         rng = np.random.default_rng(4)
         gain = rng.standard_normal((2, 2)) * 0.05
         states = rng.standard_normal((8, 2))
-        noise = draw_noise(bicycle, rng, size=8)
-        batch_next, batch_reward = step(bicycle, states, gain, noise)
+        xi, zeta = draw_noise(bicycle, rng, size=8)
+        batch_next, batch_reward = step(bicycle, states, gain, xi, zeta)
         for i in range(8):
-            single = NoiseDraw(xi=noise.xi[i:i + 1], zeta=noise.zeta[i:i + 1])
-            nxt, reward = step(bicycle, states[i:i + 1], gain, single)
+            nxt, reward = step(bicycle, states[i:i + 1], gain, xi[i:i + 1],
+                               zeta[i:i + 1])
             np.testing.assert_allclose(batch_next[i], nxt[0], rtol=1e-14)
             assert batch_reward[i] == pytest.approx(reward[0], rel=1e-12)
 
@@ -73,7 +73,7 @@ class TestStep:
         for _ in range(50):
             noise = draw_noise(bicycle, rng, size=1)
             _, reward = step(bicycle, rng.standard_normal((1, 2)),
-                             rng.standard_normal((2, 2)), noise)
+                             rng.standard_normal((2, 2)), *noise)
             assert reward[0] <= 0.0
 
     def test_matches_written_formula_on_random_plants(self):
@@ -84,13 +84,13 @@ class TestStep:
             model = random_system(rng, n=n, r=r, p=p)
             gain = 0.3 * rng.standard_normal((n, r))
             states = rng.standard_normal((size, n))
-            noise = NoiseDraw(xi=rng.standard_normal((size, p)),
-                              zeta=rng.standard_normal((size, r)))
-            nxt, reward = step(model, states, gain, noise)
+            xi = rng.standard_normal((size, p))
+            zeta = rng.standard_normal((size, r))
+            nxt, reward = step(model, states, gain, xi, zeta)
             closed = np.eye(n) - gain @ model.C
             expected = np.array([
-                closed @ (model.A @ states[i] + model.E @ noise.xi[i])
-                - gain @ noise.zeta[i] for i in range(size)])
+                closed @ (model.A @ states[i] + model.E @ xi[i])
+                - gain @ zeta[i] for i in range(size)])
             # An entry that cancels to near zero is held to the batch's
             # scale: the two association orders differ by a rounding there.
             np.testing.assert_allclose(
@@ -100,30 +100,32 @@ class TestStep:
                                        rtol=1e-13)
 
     def test_dimension_errors(self, bicycle):
-        noise = NoiseDraw(xi=np.zeros((1, 2)), zeta=np.zeros((1, 2)))
+        noise = np.zeros((1, 2)), np.zeros((1, 2))
         with pytest.raises(ValueError):
-            step(bicycle, np.zeros((1, 3)), np.zeros((2, 2)), noise)
+            step(bicycle, np.zeros((1, 3)), np.zeros((2, 2)), *noise)
         with pytest.raises(ValueError):
-            step(bicycle, np.zeros((1, 2)), np.zeros((3, 2)), noise)
-        with pytest.raises(ValueError):
+            step(bicycle, np.zeros((1, 2)), np.zeros((3, 2)), *noise)
+        with pytest.raises(ValueError, match="process noise shape"):
             step(bicycle, np.zeros((1, 2)), np.zeros((2, 2)),
-                 NoiseDraw(xi=np.zeros((1, 3)), zeta=np.zeros((1, 2))))
+                 np.zeros((1, 3)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="measurement noise shape"):
+            step(bicycle, np.zeros((1, 2)), np.zeros((2, 2)),
+                 np.zeros((1, 2)), np.zeros((1, 3)))
         # One noise row does not broadcast over the batch.
         with pytest.raises(ValueError, match="noise shape"):
-            step(bicycle, np.zeros((8, 2)), np.zeros((2, 2)), noise)
+            step(bicycle, np.zeros((8, 2)), np.zeros((2, 2)), *noise)
         # a single state is not a batch
         with pytest.raises(ValueError, match="batch"):
-            step(bicycle, np.zeros(2), np.zeros((2, 2)),
-                 NoiseDraw(xi=np.zeros(2), zeta=np.zeros(2)))
+            step(bicycle, np.zeros(2), np.zeros((2, 2)), np.zeros(2),
+                 np.zeros(2))
         # One gain advances one batch: a stack of gains or of state
         # batches is refused, naming its shape.
-        stack_noise = NoiseDraw(xi=np.zeros((3, 4, 2)),
-                                zeta=np.zeros((3, 4, 2)))
+        stack_noise = np.zeros((3, 4, 2)), np.zeros((3, 4, 2))
         with pytest.raises(ValueError, match=r"gain .*\(3, 2, 2\)"):
             step(bicycle, np.zeros((3, 4, 2)), np.zeros((3, 2, 2)),
-                 stack_noise)
+                 *stack_noise)
         with pytest.raises(ValueError, match=r"state .*\(3, 4, 2\)"):
-            step(bicycle, np.zeros((3, 4, 2)), np.zeros((2, 2)), stack_noise)
+            step(bicycle, np.zeros((3, 4, 2)), np.zeros((2, 2)), *stack_noise)
 
 
 class TestSampleInitialError:
@@ -138,45 +140,21 @@ class TestSampleInitialError:
         tol = 3.0 * half / np.sqrt(3.0 * n_draws)
         assert np.all(np.abs(draws.mean(axis=0)) <= tol)
 
-    def test_zero_width_override(self, bicycle):
-        rng = np.random.default_rng(9)
-        draws = sample_initial_error(bicycle, rng, size=4, bounds=(0.0, 0.0))
-        np.testing.assert_array_equal(draws, np.zeros((4, 2)))
-
     def test_uniform_box_requires_two_dims(self):
         model = scalar_model()
-        with pytest.raises(ValueError, match="2-dimensional"):
+        with pytest.raises(ValueError, match="vehicle's 2-state box"):
             sample_initial_error(model, np.random.default_rng(0), size=1)
-        # explicit bounds lift the restriction
-        draws = sample_initial_error(model, np.random.default_rng(0), size=3,
-                                     bounds=(0.5,))
-        assert draws.shape == (3, 1)
 
     def test_default_refused_on_three_states_naming_both(self):
         model = identity_output_model(n=3)
-        with pytest.raises(ValueError, match="2-dimensional.*n=3"):
+        with pytest.raises(ValueError, match="vehicle's 2-state box, but the "
+                                             "model has n=3$"):
             sample_initial_error(model, np.random.default_rng(0), size=2)
-
-    def test_explicit_bounds_on_three_states(self):
-        model = identity_output_model(n=3)
-        bounds = (0.1, 0.2, 0.3)
-        draws = sample_initial_error(model, np.random.default_rng(3),
-                                     size=1000, bounds=bounds)
-        assert draws.shape == (1000, 3)
-        assert np.all(np.abs(draws) <= bounds)
-        # The draws fill the box: each component comes near its bound.
-        assert np.all(np.abs(draws).max(axis=0) > 0.9 * np.asarray(bounds))
-
-    def test_bound_count_checked(self):
-        with pytest.raises(ValueError, match="need 3 bounds, got 2"):
-            sample_initial_error(identity_output_model(n=3),
-                                 np.random.default_rng(0), size=1,
-                                 bounds=(0.1, 0.2))
 
 
 def refresh(model, pool, gain, rng):
     """Advance every pool member one transition with fresh noise."""
-    nxt, _ = step(model, pool, gain, draw_noise(model, rng, size=len(pool)))
+    nxt, _ = step(model, pool, gain, *draw_noise(model, rng, size=len(pool)))
     return nxt
 
 
@@ -276,11 +254,37 @@ class TestRefreshPool:
 
 
 class TestNoiseDraw:
+    @pytest.mark.parametrize("n, r, p", [(2, 2, 2), (3, 1, 2), (1, 3, 1)])
+    def test_one_block_per_generator_step(self, n, r, p):
+        # Each generator fills its (p + r, M) block with its next
+        # standard_normal((p + r, M)): p rows for xi over r for zeta.  On
+        # the same seed, draw_noise gives those normals coloured by the
+        # cov_factor factors of Q and R, members on the first axis.
+        model = random_system(np.random.default_rng(40 + n), n=n, r=r, p=p)
+        size, seeds = 7, [3, 8]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        refs = [np.random.default_rng(seed) for seed in seeds]
+        out = np.empty((len(seeds), p + r, size))
+        for _ in range(3):
+            drawn = _draw_normals([rng.standard_normal for rng in rngs], out)
+            assert drawn is out
+            for block, ref in zip(out, refs):
+                np.testing.assert_array_equal(
+                    block, ref.standard_normal((p + r, size)))
+        xi, zeta = draw_noise(model, np.random.default_rng(seeds[0]), size)
+        first = np.random.default_rng(seeds[0]).standard_normal(
+            (p + r, size))
+        assert xi.shape == (size, p) and zeta.shape == (size, r)
+        assert xi.flags.c_contiguous and zeta.flags.c_contiguous
+        np.testing.assert_array_equal(xi, (cov_factor(model.Q) @ first[:p]).T)
+        np.testing.assert_array_equal(zeta,
+                                      (cov_factor(model.R) @ first[p:]).T)
+
     def test_covariance_of_draws(self, bicycle):
         rng = np.random.default_rng(16)
-        noise = draw_noise(bicycle, rng, size=200_000)
-        emp_q = noise.xi.T @ noise.xi / len(noise.xi)
-        emp_r = noise.zeta.T @ noise.zeta / len(noise.zeta)
+        xi, zeta = draw_noise(bicycle, rng, size=200_000)
+        emp_q = xi.T @ xi / len(xi)
+        emp_r = zeta.T @ zeta / len(zeta)
         assert np.abs(emp_q - bicycle.Q).max() < 0.03 * np.abs(bicycle.Q).max()
         np.testing.assert_allclose(np.diag(emp_r), np.diag(bicycle.R),
                                    rtol=0.03)
@@ -288,5 +292,4 @@ class TestNoiseDraw:
     def test_seeded_reproducibility(self, bicycle):
         a = draw_noise(bicycle, np.random.default_rng(21), size=10)
         b = draw_noise(bicycle, np.random.default_rng(21), size=10)
-        np.testing.assert_array_equal(a.xi, b.xi)
-        np.testing.assert_array_equal(a.zeta, b.zeta)
+        np.testing.assert_array_equal(a, b)

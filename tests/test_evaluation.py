@@ -52,21 +52,23 @@ class TestRunTrajectory:
         assert a.shape == (1, cfg.t_test)
         np.testing.assert_array_equal(a, b)
 
-    def test_zero_error_stays_zero_without_noise(self):
+    def test_zero_error_stays_zero_without_noise(self, monkeypatch):
         model = quiet_model(r_scale=1e-300)
         cfg = EvalConfig(n_traj=1, t_test=200, t_critical=50, seed=3)
         gain = np.array([[0.1, 0.0], [0.0, 0.1]])
-        se = run_trajectories(model, gain, cfg, bounds=(0.0, 0.0))
+        monkeypatch.setattr(evaluation, "sample_initial_error",
+                            lambda model, rng, size: np.zeros((size, 2)))
+        se = run_trajectories(model, gain, cfg)
         assert np.all(se < 1e-250)
 
     def test_open_loop_follows_matrix_powers(self):
         # Oracle: closed-form propagation e_t = A^t e_0 with zero gain.
         model = quiet_model(r_scale=1e-300)
         cfg = EvalConfig(n_traj=1, t_test=80, t_critical=50, seed=11)
-        se = run_trajectories(model, np.zeros((2, 2)), cfg,
-                              bounds=(0.1, 0.1))
-        # replicate the seeded draw to know e0 exactly
-        e0 = np.random.default_rng(11).uniform(-1, 1, (1, 2)) * 0.1
+        se = run_trajectories(model, np.zeros((2, 2)), cfg)
+        # replicate the seeded draw from the vehicle's box to know e0
+        e0 = (np.random.default_rng(11).uniform(-1, 1, (1, 2))
+              * np.asarray(VEHICLE_INITIAL_ERROR))
         expected = []
         e = e0[0]
         for _ in range(cfg.t_test):
@@ -225,7 +227,7 @@ def reference_rollout(model, gains, t_test, e0, rng):
     err = np.repeat(e0[np.newaxis], len(gains), axis=0)
     for t in range(1, t_test + 1):
         noise = draw_noise(model, rng, len(e0))
-        steps = [step(model, e, gain, noise) for e, gain in zip(err, gains)]
+        steps = [step(model, e, gain, *noise) for e, gain in zip(err, gains)]
         err = np.array([nxt for nxt, _ in steps])
         reward = np.array([r for _, r in steps])
         _, bad = diverged_runs(err.swapaxes(1, 2))
@@ -383,12 +385,12 @@ class TestEvaluateGains:
             run_trajectories(bicycle, np.zeros(shape), cfg)
 
     def test_three_state_plant_names_the_vehicle_box(self):
-        # The initial errors come from the vehicle's box, and evaluate_gains
-        # takes no bounds, so the message gives no advice to pass them.
+        # The initial errors come from the vehicle's box, which has no
+        # other size, so the message gives no advice to pass one.
         model = random_system(np.random.default_rng(30), n=3, r=2, p=2)
         cfg = EvalConfig(n_traj=10, t_test=20, t_critical=5)
-        with pytest.raises(ValueError, match="vehicle's 2-dimensional box, "
-                                             "but the model has n=3$"):
+        with pytest.raises(ValueError, match="vehicle's 2-state box, but the "
+                                             "model has n=3$"):
             evaluate_gains(model, [("zero", np.zeros((3, 2)))], cfg)
 
     def test_gains_sharing_a_wrong_shape_name_the_first(self, bicycle,

@@ -14,7 +14,6 @@ from scipy.linalg import solve_discrete_lyapunov
 from steadygain import (
     DivergenceError,
     LinearGaussianModel,
-    NoiseDraw,
     TrainerConfig,
     adam_update,
     closed_form_one_step_gain,
@@ -87,7 +86,7 @@ class TestCriticLossAndGrad:
             A=[[1.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]], E=[[1.0]],
             Q=[[0.0]], R=[[1.0]], dt=0.01)
         batch = np.array([[1.0]])
-        noise = NoiseDraw(xi=np.zeros((1, 1)), zeta=np.zeros((1, 1)))
+        noise = np.zeros((1, 1)), np.zeros((1, 1))
         (loss, grad), _ = kernel_steps(
             model, np.eye(1), np.zeros((1, 1)), batch, noise, gamma=0.5)
         assert loss == pytest.approx(0.125, rel=1e-14)
@@ -95,7 +94,7 @@ class TestCriticLossAndGrad:
 
     def test_origin_batch_vanishes(self, bicycle):
         batch = np.zeros((8, 2))
-        noise = NoiseDraw(xi=np.zeros((8, 2)), zeta=np.zeros((8, 2)))
+        noise = np.zeros((8, 2)), np.zeros((8, 2))
         (loss, grad), _ = kernel_steps(
             bicycle, np.eye(2), np.zeros((2, 2)), batch, noise, gamma=0.99)
         assert loss == 0.0
@@ -116,7 +115,7 @@ class TestCriticLossAndGrad:
                 model, w0, theta, batch, noise, gamma=gamma)
 
             from steadygain import step
-            nxt, reward = step(model, batch, theta, noise)
+            nxt, reward = step(model, batch, theta, *noise)
             target = reward + gamma * critic_value(w0, nxt)
 
             def frozen_loss(w):
@@ -162,8 +161,7 @@ class TestCriticLossAndGrad:
     @staticmethod
     def stepped(model, batch, theta, noise):
         """``step``'s next states and rewards for each run of a stack."""
-        steps = [step(model, *args) for args in zip(
-            batch, theta, map(NoiseDraw, noise.xi, noise.zeta))]
+        steps = [step(model, *args) for args in zip(batch, theta, *noise)]
         return (np.array([nxt for nxt, _ in steps]),
                 np.array([reward for _, reward in steps]))
 
@@ -202,9 +200,8 @@ class TestCriticLossAndGrad:
         from steadygain import step
         for model, batch, theta, w, gamma, rng in self.random_stacks(n):
             runs, size = batch.shape[:2]
-            noise = NoiseDraw(
-                xi=rng.standard_normal((runs, size, model.p)),
-                zeta=rng.standard_normal((runs, size, model.r)))
+            noise = (rng.standard_normal((runs, size, model.p)),
+                     rng.standard_normal((runs, size, model.r)))
             (loss, grad), _ = kernel_steps(model, w, theta, batch, noise,
                                            gamma=gamma)
             nxt, reward = self.stepped(model, batch, theta, noise)
@@ -217,7 +214,7 @@ class TestCriticLossAndGrad:
 class TestActorLossAndGrad:
     def test_origin_batch_vanishes(self, bicycle):
         batch = np.zeros((8, 2))
-        noise = NoiseDraw(xi=np.zeros((8, 2)), zeta=np.zeros((8, 2)))
+        noise = np.zeros((8, 2)), np.zeros((8, 2))
         _, (loss, grad) = kernel_steps(
             bicycle, np.eye(2), np.zeros((2, 2)), batch, noise, gamma=0.99)
         assert loss == 0.0
@@ -290,7 +287,7 @@ class TestActorLossAndGrad:
         sub_grads = []
         for i in range(chunks):
             block = slice(i * size, (i + 1) * size)
-            sub_noise = NoiseDraw(xi=noise.xi[block], zeta=noise.zeta[block])
+            sub_noise = noise[0][block], noise[1][block]
             _, (_, gi) = kernel_steps(
                 bicycle, np.eye(2), k_inf, pool[block], sub_noise, gamma=0.99)
             sub_grads.append(gi)
@@ -333,9 +330,8 @@ class TestActorLossAndGrad:
         for model, batch, theta, w, gamma, rng in stacks:
             runs, size = batch.shape[:2]
             if law == "drawn":
-                noise = NoiseDraw(
-                    xi=rng.standard_normal((runs, size, model.p)),
-                    zeta=rng.standard_normal((runs, size, model.r)))
+                noise = (rng.standard_normal((runs, size, model.p)),
+                         rng.standard_normal((runs, size, model.r)))
                 nxt, reward = TestCriticLossAndGrad.stepped(model, batch,
                                                             theta, noise)
                 expected = np.mean(
@@ -794,7 +790,7 @@ class TestTrainRuns:
                 updated, m_theta, v_theta = adam_update(
                     theta, -a_grad, m_theta, v_theta, it, cfg.lr_actor)
                 pool, _ = step(bicycle, pool, theta if sampled else updated,
-                               noise)
+                               *noise)
                 theta = updated
                 thetas.append(theta)
                 critic_losses.append(c_loss)
@@ -1163,9 +1159,9 @@ class TestTrainRuns:
         calls = self._flag_runs(monkeypatch, {6: [1], 11: [4], 16: [0, 1]})
         real_draw, draws = training._draw_normals, []
 
-        def counting_draw(normals, raw, noise, p):
+        def counting_draw(normals, out):
             draws.append(len(normals))
-            return real_draw(normals, raw, noise, p)
+            return real_draw(normals, out)
 
         monkeypatch.setattr(training, "_draw_normals", counting_draw)
         runs = train_runs(bicycle, cfg, seeds=seeds, gammas=gammas)
@@ -1243,17 +1239,17 @@ class TestTrainRuns:
 
     def test_run_diverging_mid_stack_raises_no_warning(self, bicycle,
                                                        bicycle_dare):
-        # Sampled at batch 32 with an actor step of 0.01, seed 26 diverges
-        # at discount 0.01 (iteration 485) but not at 0.99, and seed 2 at
-        # neither.  The diverged run steps on in the stack until its pool
-        # overflows, and no RuntimeWarning leaves the stack.
+        # Sampled at batch 32 with an actor step of 0.01, seed 516 diverges
+        # at discount 0.01 (iteration 421) but not at 0.99, and seed 0 at
+        # neither.  The diverged run steps on in the stack, its pool growing
+        # past the guard, and no RuntimeWarning leaves the stack.
         cfg = TrainerConfig(batch_size=32, max_iters=600, lr_actor=0.01,
                             estimator="sampled")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            runs = train_runs(bicycle, cfg, seeds=[2, 26],
+            runs = train_runs(bicycle, cfg, seeds=[0, 516],
                               gammas=[0.01, 0.99], ref_gain=bicycle_dare.gain)
-        assert runs.iterations.tolist() == [600, 485, 600, 600]
+        assert runs.iterations.tolist() == [600, 421, 600, 600]
         assert "pool diverged" in runs.errors[1]
         assert runs.errors[0] is runs.errors[2] is runs.errors[3] is None
         self._assert_record_ends_at_stop(runs)
