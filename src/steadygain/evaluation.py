@@ -8,15 +8,15 @@ standard normals of the process and then the measurement noise, which
 each step draws straight into the (p + r, N) block the product reads.
 For a linear plant whose input the filter knows, the input cancels from
 the error exactly, so neither the plant state nor the input is
-simulated.  The trajectories
-run as two blocks, each on its own seeded noise stream, on two threads
-when two CPUs are usable and one after the other otherwise; the results
-are the same either way.  Several gains advance together in one paired
-pass: each step's noise is drawn once and drives every gain's errors.
-A gain whose errors leave the divergence guard leaves the pass, and a
-drop record keeps the step at which it did.  After each step a callback
-takes the errors of the gains still in it, and keeps only the per-step
-mean squared error of each gain for :func:`evaluate_gains`.  Every
+simulated.  The trajectories run as two blocks, each on its own seeded
+noise stream, in a thread pool of a worker per usable CPU, at most two;
+the results are the same on any number of workers.  Several gains
+advance together in one paired pass: each step's noise is drawn once
+and drives every gain's errors.  A gain whose errors leave the
+divergence guard leaves the pass, and each block returns a drop record
+of the step at which it did.  After each step a callback takes the
+errors of the gains still in it, and keeps only the per-step mean
+squared error of each gain for :func:`evaluate_gains`.  Every
 trajectory has the same length, so the losses are plain averages of
 that curve, split at a critical time into transient and steady windows;
 the critical time can either be configured or detected from the
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -97,7 +96,7 @@ class EvalReport:
 
 def _rollout(model: LinearGaussianModel, closed: np.ndarray,
              drive: np.ndarray, t_test: int, e0: np.ndarray,
-             rng: np.random.Generator, keep, left: np.ndarray) -> None:
+             rng: np.random.Generator, keep) -> np.ndarray:
     """Advance one trajectory set under a stack of gains, step by step.
 
     Every gain of the stack starts from the same initial errors ``e0``
@@ -116,14 +115,14 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
     error stack, trajectories on the last axis too.
 
     A gain leaves the stack at the step where :func:`diverged_runs` flags
-    its errors (non-finite or beyond the guard), and that step is written
-    to its entry of ``left``; the noise is shared, so that never changes
-    another gain's numbers.  After each step t = 1..t_test that leaves a
-    gain in the stack, ``keep(t, alive, errors)`` takes the indices of the
-    gains still in it and their (len(alive), n, N) errors.  The rollout
-    stops at the step at which the last gain leaves.  The steps run in one
-    workspace allocated here, so ``errors`` is a view that the next step
-    overwrites.
+    its errors (non-finite or beyond the guard), the step that the
+    returned drop record holds for it (``t_test + 1`` if it never leaves);
+    the noise is shared, so that never changes another gain's numbers.
+    After each step t = 1..t_test that leaves a gain in the stack,
+    ``keep(t, alive, errors)`` takes the indices of the gains still in it
+    and their (len(alive), n, N) errors.  The rollout stops at the step at
+    which the last gain leaves.  The steps run in one workspace allocated
+    here, so ``errors`` is a view that the next step overwrites.
     """
     count, size = len(closed), len(e0)
     # Copies, since the stacks are compacted in place below.
@@ -138,6 +137,7 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
     normals = [rng.standard_normal]
     w = np.empty((1, model.p + model.r, size))
     alive = np.arange(count)
+    left = np.full(count, t_test + 1)
     for t in range(1, t_test + 1):
         live = alive.size
         _draw_normals(normals, w)
@@ -151,10 +151,11 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
             kept = np.flatnonzero(~bad)
             alive, live = alive[kept], kept.size
             if not live:
-                return
+                break
             state[:live] = state[kept]
             closed[:live], drive[:live] = closed[kept], drive[kept]
         keep(t, alive, state[:live])
+    return left
 
 
 def _usable_cpus() -> int:
@@ -174,23 +175,25 @@ def _rollout_blocks(model: LinearGaussianModel, gains: np.ndarray,
     when N does not divide.  Block b draws its noise from its own SFC64
     generator, seeded with child b of ``SeedSequence(cfg.seed).spawn(
     _BLOCKS)``, and runs :func:`_rollout` on F and D, which are formed
-    once here.  Block 0 runs on the calling thread; the others run on
-    worker threads when more than one CPU is usable, and after block 0 on
-    the calling thread otherwise.  A block's numbers depend only on its
-    own errors and stream, so they are the same either way.  An empty
-    block (N below ``_BLOCKS``) does not run.  Everything but
-    :func:`_rollout` and ``keep`` runs on the calling thread.
+    once here.  The non-empty blocks (N below ``_BLOCKS`` leaves one
+    empty) run in a thread pool of a worker per usable CPU, at most one
+    per block, each worker running its share in turn; a block's numbers
+    depend only on its own errors and stream, so they are the same on
+    any number of workers.  Only :func:`_rollout` and ``keep`` run on the
+    workers.
 
     ``keep(block, rows, t, alive, errors)`` is each block's ``keep`` of
-    :func:`_rollout`, on the thread that runs the block, with ``rows`` the
-    block's slice of the N trajectories.  It must write only where no
-    other block writes.  An exception raised in any block reaches the
-    caller once every block has stopped.
+    :func:`_rollout`, on its worker, with ``rows`` the block's slice of
+    the N trajectories.  It must write only where no other block writes.
+    An exception raised in a block reaches the caller once the running
+    blocks have stopped; the rest of its worker's share does not start.
 
-    Each block's :func:`_rollout` writes its drop steps into the block's
-    row of one drop record.  Returns, per gain, the first step at which a
-    block dropped it, and ``t_test + 1`` for a gain that no block dropped.
+    Returns, per gain, the first step at which a block dropped it, and
+    ``t_test + 1`` for a gain that no block dropped.
     """
+    # Not at module level: it imports logging, which every start would pay.
+    from concurrent.futures import ThreadPoolExecutor
+
     e0 = sample_initial_error(model, np.random.default_rng(cfg.seed),
                               size=cfg.n_traj)
     # A gain so large that F or D overflows gives inf and nan errors, which
@@ -202,39 +205,21 @@ def _rollout_blocks(model: LinearGaussianModel, gains: np.ndarray,
                                         cov_factor(model.R))
     streams = np.random.SeedSequence(cfg.seed).spawn(_BLOCKS)
     edges = [-(-cfg.n_traj * b // _BLOCKS) for b in range(_BLOCKS + 1)]
-    left = np.full((_BLOCKS, len(gains)), cfg.t_test + 1)
 
     def run(block):
         rows = slice(edges[block], edges[block + 1])
-        _rollout(model, closed, drive, cfg.t_test, e0[rows],
-                 np.random.Generator(np.random.SFC64(streams[block])),
-                 partial(keep, block, rows), left[block])
-
-    failed = []
-
-    def work(block):
-        try:
-            run(block)
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
+        return _rollout(model, closed, drive, cfg.t_test, e0[rows],
+                        np.random.Generator(np.random.SFC64(streams[block])),
+                        partial(keep, block, rows))
 
     blocks = [b for b in range(_BLOCKS) if edges[b] < edges[b + 1]]
-    workers = []
-    if _usable_cpus() > 1:
-        workers = [threading.Thread(target=work, args=(block,))
-                   for block in blocks[1:]]
-        blocks = blocks[:1]
-    for worker in workers:
-        worker.start()
-    try:
-        for block in blocks:
-            run(block)
-    finally:
-        for worker in workers:
-            worker.join()
-    if failed:
-        raise failed[0]
-    return left.min(axis=0)
+    # A worker stops at the first block of its share that raises; mapping
+    # run over the blocks would let a freed worker start the next one.
+    workers = min(_usable_cpus(), len(blocks))
+    with ThreadPoolExecutor(workers) as pool:
+        shares = pool.map(lambda share: [run(block) for block in share],
+                          [blocks[w::workers] for w in range(workers)])
+        return np.min([left for share in shares for left in share], axis=0)
 
 
 def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
@@ -244,21 +229,21 @@ def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
     Each trajectory's initial error is drawn from the vehicle's uniform
     box and then advanced by the error recursion
     e' = (I - K C)(A e + E xi) - K zeta under ``gain``.  The initial
-    errors come from a generator seeded with ``cfg.seed``, and
-    the noise from two seeded block streams, one per half of the
-    trajectories (see :func:`_rollout_blocks`).  So two gains evaluated
-    with the same config see identical initial errors and noise (paired
-    comparison), and the same config reproduces the array bit for bit on
-    any number of CPUs.  This is the rollout of :func:`evaluate_gains`
-    with a stack of one gain; it keeps every trajectory, so it holds
-    N x t_test values where :func:`evaluate_gains` keeps t_test per gain.
+    errors come from a generator seeded with ``cfg.seed``, and the noise
+    from the seeded streams of :func:`_rollout_blocks`, one per half of
+    the trajectories.  So two gains evaluated with the same config see
+    identical initial errors and noise (paired comparison), and the same
+    config reproduces the array bit for bit on any number of workers.
+    This is the rollout of :func:`evaluate_gains` with a stack of one
+    gain; it keeps every trajectory, so it holds N x t_test values where
+    :func:`evaluate_gains` keeps t_test per gain.
 
     Raises:
         ValueError: before any noise is drawn, if ``gain`` is not n x r or
             has a non-finite entry, or the model has n != 2 states.
         DivergenceError: once the rollout ends, if at some step ``step``
             an error entry was non-finite or beyond the divergence guard;
-            ``step`` is the first such step of any block.
+            ``step`` is the smallest drop step over the blocks.
     """
     gains = _checked_gain(model, gain, "gain")[np.newaxis]
     squared = np.empty((cfg.n_traj, cfg.t_test))
@@ -379,9 +364,9 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
     ``gains`` is an iterable of (name, gain matrix).  All gains advance
     together from the same seeded initial errors under the same noise
     draws, so rows are directly comparable, and each row equals the same
-    gain evaluated alone.  The noise comes from two seeded block streams,
-    one per half of the trajectories (see :func:`_rollout_blocks`), and
-    the rows are the same on any number of CPUs.  Only the per-step mean
+    gain evaluated alone.  The noise comes from the seeded streams of
+    :func:`_rollout_blocks`, one per half of the trajectories, and the
+    rows are the same on any number of workers.  Only the per-step mean
     squared error is kept per gain (O(K t_test) memory for K gains): the
     blocks' per-step sums of squares, added in block order, over N.
     :func:`losses` splits it.  A gain whose errors leave the divergence
@@ -411,7 +396,7 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
         sums[block, alive, t - 1] = np.einsum("kij,kij->k", errors, errors)
 
     left = _rollout_blocks(model, stack, cfg, keep)
-    # The blocks' sums are added in block order, whichever thread ran them.
+    # The blocks' sums are added in block order, whichever worker ran them.
     mse = sums.sum(axis=0) / cfg.n_traj
     rows = []
     for k, (name, _) in enumerate(named):

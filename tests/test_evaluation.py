@@ -266,9 +266,8 @@ class TestRollout:
             # errors is overwritten by the next step: square it now.
             got.append((t, alive.copy(), (errors ** 2).sum(axis=1)))
 
-        left = np.full(len(gains), t_test + 1)
-        _rollout(model, *closed_loops(model, gains), t_test, e0,
-                 np.random.default_rng(seed), keep, left)
+        left = _rollout(model, *closed_loops(model, gains), t_test, e0,
+                        np.random.default_rng(seed), keep)
         want = list(reference_rollout(model, gains, t_test, e0,
                                       np.random.default_rng(seed)))
         # keep takes each step that leaves a gain in the stack.
@@ -561,7 +560,7 @@ def block_gains(bicycle_dare):
 
 
 class TestBlocks:
-    """The trajectories run as seeded blocks, on threads or in turn."""
+    """The trajectories run as seeded blocks in a pool of worker threads."""
 
     @staticmethod
     def outputs(model, gains, cfg):
@@ -584,14 +583,49 @@ class TestBlocks:
             self, bicycle, bicycle_dare, monkeypatch, n_traj):
         gains = block_gains(bicycle_dare)
         cfg = EvalConfig(n_traj=n_traj, t_test=300, t_critical=100, seed=13)
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
-        threaded = self.outputs(bicycle, gains, cfg)
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
-        serial = self.outputs(bicycle, gains, cfg)
+        runs = []
+        for cpus in (2, 1, 8):
+            monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+            runs.append(self.outputs(bicycle, gains, cfg))
+        threaded = runs[0]
         assert threaded[0:9:3] == ["ok", "diverged", "ok"]
-        assert len(threaded) == len(serial)
-        for got, want in zip(threaded, serial):
-            np.testing.assert_array_equal(got, want)
+        for other in runs[1:]:
+            assert len(other) == len(threaded)
+            for got, want in zip(other, threaded):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("cpus, n_traj, threads", [
+        (1, 40, 1), (2, 40, 2), (8, 40, 2), (2, 1, 1)])
+    def test_pool_has_a_worker_per_cpu_at_most_one_per_block(
+            self, bicycle, bicycle_dare, monkeypatch, cpus, n_traj, threads):
+        # The blocks' first draws wait for each other, so that a worker
+        # freed by a finished block cannot take the next one: the pool
+        # must have a worker per block.
+        draw, seen = evaluation._draw_normals, set()
+        meet = threading.Barrier(threads, timeout=30)
+
+        def recorded(*args):
+            if threading.get_ident() not in seen:
+                seen.add(threading.get_ident())
+                meet.wait()
+            return draw(*args)
+
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(evaluation, "_draw_normals", recorded)
+        cfg = EvalConfig(n_traj=n_traj, t_test=20, t_critical=10, seed=4)
+        evaluate_gains(bicycle, [("dare", bicycle_dare.gain)], cfg)
+        assert len(seen) == threads
+        assert threading.get_ident() not in seen
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        # Where os has no sched_getaffinity (macOS), the CPU count is used,
+        # and one CPU when that is unknown.
+        monkeypatch.delattr(evaluation.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 6)
+        assert evaluation._usable_cpus() == 6
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
+        assert evaluation._usable_cpus() == 1
 
     @pytest.mark.parametrize("n_traj", [1, 3, 200])
     def test_blocks_are_seeded_shares_of_the_trajectories(
@@ -609,7 +643,7 @@ class TestBlocks:
         half = (n_traj + 1) // 2
         closed, drive = closed_loops(bicycle, stack)
         sums = np.zeros((3, cfg.t_test))
-        left = np.full((2, 3), cfg.t_test + 1)
+        left = []
 
         def keep(t, alive, errors):
             sums[alive, t - 1] += np.einsum("kij,kij->k", errors, errors)
@@ -617,9 +651,9 @@ class TestBlocks:
         for block, rows in enumerate([slice(0, half), slice(half, n_traj)]):
             if rows.start == rows.stop:
                 continue
-            _rollout(bicycle, closed, drive, cfg.t_test, e0[rows],
-                     np.random.Generator(np.random.SFC64(streams[block])),
-                     keep, left[block])
+            left.append(_rollout(
+                bicycle, closed, drive, cfg.t_test, e0[rows],
+                np.random.Generator(np.random.SFC64(streams[block])), keep))
         rows = evaluate_gains(bicycle, gains, cfg)
         for k in (0, 2):
             np.testing.assert_array_equal(
@@ -628,34 +662,52 @@ class TestBlocks:
         assert rows[1]["status"] == "diverged"
         with pytest.raises(DivergenceError) as excinfo:
             run_trajectories(bicycle, gains[1][1], cfg)
-        assert excinfo.value.step == left[:, 1].min() <= cfg.t_test
+        assert excinfo.value.step == min(row[1] for row in left) <= cfg.t_test
 
     def test_worker_error_reaches_the_caller(self, bicycle, bicycle_dare,
                                              monkeypatch):
-        class WorkerFailure(Exception):
+        class BlockFailure(Exception):
             pass
 
-        draw = evaluation._draw_normals
+        rollout, starts = evaluation._rollout, []
 
-        def failing_on_worker(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise WorkerFailure("raised in block 1")
-            return draw(*args)
+        def failing_first_block(model, closed, drive, t_test, e0, rng, keep):
+            # Block 0, the first 20 of the 40 seeded initial errors, fails
+            # midway, once the caller waits on it.
+            def failing_keep(t, *args):
+                if t == 25:
+                    raise BlockFailure("raised in block 0")
+                keep(t, *args)
 
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(evaluation, "_draw_normals", failing_on_worker)
-        threads = threading.active_count()
+            starts.append(len(e0))
+            block_0 = np.array_equal(e0, first_rows)
+            return rollout(model, closed, drive, t_test, e0, rng,
+                           failing_keep if block_0 else keep)
+
         cfg = EvalConfig(n_traj=40, t_test=50, t_critical=10, seed=2)
-        with pytest.raises(WorkerFailure, match="raised in block 1"):
-            evaluate_gains(bicycle, [("dare", bicycle_dare.gain)], cfg)
-        with pytest.raises(WorkerFailure, match="raised in block 1"):
-            run_trajectories(bicycle, bicycle_dare.gain, cfg)
-        assert threading.active_count() == threads
+        first_rows = evaluation.sample_initial_error(
+            bicycle, np.random.default_rng(cfg.seed), size=40)[:20]
+        monkeypatch.setattr(evaluation, "_rollout", failing_first_block)
+        gain = bicycle_dare.gain
+        threads = threading.active_count()
+        for cpus in (1, 2):
+            monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+            for rollout_all in (
+                    lambda: evaluate_gains(bicycle, [("dare", gain)], cfg),
+                    lambda: run_trajectories(bicycle, gain, cfg)):
+                starts.clear()
+                with pytest.raises(BlockFailure, match="raised in block 0"):
+                    rollout_all()
+                assert threading.active_count() == threads
+                if cpus == 1:
+                    # Block 1 waits behind block 0 and does not start.
+                    assert starts == [20]
 
     def test_traced_names_run_on_the_calling_thread(self, monkeypatch,
                                                     tmp_path):
         # A profiler that keeps one call stack per process, not per
-        # thread, may wrap these names; the block threads call none.
+        # thread, may wrap these names; the pool's workers call none, and
+        # they alone draw the noise.
         seen = {}
 
         def recorded(owner, name):
@@ -679,7 +731,7 @@ class TestBlocks:
         assert code == 0
         caller = {threading.get_ident()}
         draws = seen.pop("_draw_normals")
-        assert caller < draws and len(draws) == 2
+        assert not caller & draws and len(draws) == 2
         assert seen == {name: caller for name in (
             "cov_factor", "losses", "evaluate_gains", "write_eval_csv")}
 

@@ -1238,20 +1238,32 @@ class TestTrainRuns:
             train_runs(bicycle, cfg, seeds=[0, 1], gammas=[])
 
     def test_run_diverging_mid_stack_raises_no_warning(self, bicycle,
-                                                       bicycle_dare):
-        # Sampled at batch 32 with an actor step of 0.01, seed 516 diverges
-        # at discount 0.01 (iteration 421) but not at 0.99, and seed 0 at
-        # neither.  The diverged run steps on in the stack, its pool growing
-        # past the guard, and no RuntimeWarning leaves the stack.
-        cfg = TrainerConfig(batch_size=32, max_iters=600, lr_actor=0.01,
+                                                       bicycle_dare,
+                                                       monkeypatch):
+        # Sampled at batch 32 with an actor step of 0.05, seed 0 diverges
+        # at discount 0.01 (iteration 110) but not at 0.99, and seed 1 at
+        # neither.  The diverged run steps on in the stack until its pool
+        # overflows (to nan by iteration 240), and no RuntimeWarning leaves
+        # the stack.
+        real, worst_seen = training.diverged_runs, []
+
+        def spy(pool):
+            worst, diverged = real(pool)
+            worst_seen.append(worst.copy())
+            return worst, diverged
+
+        monkeypatch.setattr(training, "diverged_runs", spy)
+        cfg = TrainerConfig(batch_size=32, max_iters=300, lr_actor=0.05,
                             estimator="sampled")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            runs = train_runs(bicycle, cfg, seeds=[0, 516],
+            runs = train_runs(bicycle, cfg, seeds=[0, 1],
                               gammas=[0.01, 0.99], ref_gain=bicycle_dare.gain)
-        assert runs.iterations.tolist() == [600, 421, 600, 600]
-        assert "pool diverged" in runs.errors[1]
-        assert runs.errors[0] is runs.errors[2] is runs.errors[3] is None
+        assert runs.iterations.tolist() == [110, 300, 300, 300]
+        assert "pool diverged" in runs.errors[0]
+        assert runs.errors[1] is runs.errors[2] is runs.errors[3] is None
+        # Squaring an entry beyond 1e154 overflows.
+        assert not all((worst <= 1e154).all() for worst in worst_seen)
         self._assert_record_ends_at_stop(runs)
 
     def test_small_sampled_batches_run_to_the_end(self, bicycle,
