@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import (DivergenceError, NumericalError, check_integer,
                      check_keys, check_real)
-from .evaluation import (EvalConfig, _check_named_gains, evaluate_gains,
-                         gain_metrics, write_eval_csv)
+from .evaluation import (EvalConfig, _check_named_gains, _checked_gain,
+                         evaluate_gains, gain_metrics, write_eval_csv)
 from .kalman import solve_dare, solve_lyapunov
 from .models import LinearGaussianModel, VehicleParams, build_bicycle_model
 from .training import TrainerConfig, gain_columns, train_average, train_runs
@@ -223,13 +223,7 @@ def _load_gain(source: str, model: LinearGaussianModel) -> np.ndarray:
     except (TypeError, ValueError) as err:
         raise ValueError(
             f"gain from {source} is not a matrix of numbers: {err}") from None
-    if gain.shape != (model.n, model.r):
-        raise ValueError(
-            f"gain from {source} has shape {gain.shape}, "
-            f"expected ({model.n}, {model.r})")
-    if not np.all(np.isfinite(gain)):
-        raise ValueError(f"gain from {source} contains non-finite entries")
-    return gain
+    return _checked_gain(model, gain, f"gain from {source}")
 
 
 def cmd_eval(cfg: RunConfig, gain_specs: list[str]) -> int:

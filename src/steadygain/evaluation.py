@@ -13,13 +13,14 @@ noise stream, in a thread pool of a worker per usable CPU, at most two;
 the results are the same on any number of workers.  Several gains
 advance together in one paired pass: each step's noise is drawn once
 and drives every gain's errors.  A gain whose errors leave the
-divergence guard leaves the pass, and each block returns a drop record
-of the step at which it did.  After each step a callback takes the
-errors of the gains still in it, and keeps only the per-step mean
-squared error of each gain for :func:`evaluate_gains`.  Every
-trajectory has the same length, so the losses are plain averages of
-that curve, split at a critical time into transient and steady windows;
-the critical time can either be configured or detected from the
+divergence guard leaves the pass but steps on in its place, as a stopped
+run does in training, and each block returns a drop record of the step
+at which it left; the pass ends when every gain has left.  After each
+step a callback takes the errors of the whole stack, and keeps only the
+per-step mean squared error of each gain for :func:`evaluate_gains`.
+Every trajectory has the same length, so the losses are plain averages
+of that curve, split at a critical time into transient and steady
+windows; the critical time can either be configured or detected from the
 flattening of the log mean-square-error curve.
 """
 
@@ -114,47 +115,40 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
     :func:`_draw_normals`, as training does, and advances the (count, n, N)
     error stack, trajectories on the last axis too.
 
-    A gain leaves the stack at the step where :func:`diverged_runs` flags
-    its errors (non-finite or beyond the guard), the step that the
-    returned drop record holds for it (``t_test + 1`` if it never leaves);
-    the noise is shared, so that never changes another gain's numbers.
-    After each step t = 1..t_test that leaves a gain in the stack,
-    ``keep(t, alive, errors)`` takes the indices of the gains still in it
-    and their (len(alive), n, N) errors.  The rollout stops at the step at
-    which the last gain leaves.  The steps run in one workspace allocated
-    here, so ``errors`` is a view that the next step overwrites.
+    A gain leaves at the step where :func:`diverged_runs` first flags its
+    errors (non-finite or beyond the guard), the step that the returned
+    drop record holds for it (``t_test + 1`` if it never leaves), and
+    steps on in its stack slot, as a stopped run does in training; the
+    noise is shared and each slot advances on its own, so that never
+    changes another gain's numbers.  After each step t = 1..t_test that
+    leaves a gain going, ``keep(t, errors)`` takes the (count, n, N)
+    errors of the whole stack.  The rollout stops at the step at which
+    the last gain leaves.  The steps run in one workspace allocated here,
+    so ``errors`` is a view that the next step overwrites.
     """
     count, size = len(closed), len(e0)
-    # Copies, since the stacks are compacted in place below.
-    closed, drive = closed.copy(), drive.copy()
     # Two state buffers used in turn, since a product cannot overwrite the
-    # state it reads; the live gains and their errors are compacted into
-    # the leading slice of each buffer.  Fresh state-sized arrays each step
-    # would cost page faults: glibc hands freed arrays of this size back to
-    # the kernel, so new ones fault in zeroed pages.
+    # state it reads.  Fresh state-sized arrays each step would cost page
+    # faults: glibc hands freed arrays of this size back to the kernel, so
+    # new ones fault in zeroed pages.
     state = np.repeat(e0.T[np.newaxis], count, axis=0)
     spare, driven = np.empty_like(state), np.empty_like(state)
     normals = [rng.standard_normal]
     w = np.empty((1, model.p + model.r, size))
-    alive = np.arange(count)
     left = np.full(count, t_test + 1)
-    for t in range(1, t_test + 1):
-        live = alive.size
-        _draw_normals(normals, w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(closed[:live], state[:live], out=spare[:live])
-            spare[:live] += np.matmul(drive[:live], w, out=driven[:live])
-        state, spare = spare, state
-        _, bad = diverged_runs(state[:live])
-        if bad.any():
-            left[alive[bad]] = t
-            kept = np.flatnonzero(~bad)
-            alive, live = alive[kept], kept.size
-            if not live:
+    # A gain that has left steps on, and its errors, squared by keep too,
+    # may overflow to inf and nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, t_test + 1):
+            _draw_normals(normals, w)
+            np.matmul(closed, state, out=spare)
+            spare += np.matmul(drive, w, out=driven)
+            state, spare = spare, state
+            _, bad = diverged_runs(state)
+            left[bad & (left > t)] = t
+            if (left <= t).all():
                 break
-            state[:live] = state[kept]
-            closed[:live], drive[:live] = closed[kept], drive[kept]
-        keep(t, alive, state[:live])
+            keep(t, state)
     return left
 
 
@@ -182,14 +176,16 @@ def _rollout_blocks(model: LinearGaussianModel, gains: np.ndarray,
     any number of workers.  Only :func:`_rollout` and ``keep`` run on the
     workers.
 
-    ``keep(block, rows, t, alive, errors)`` is each block's ``keep`` of
+    ``keep(block, rows, t, errors)`` is each block's ``keep`` of
     :func:`_rollout`, on its worker, with ``rows`` the block's slice of
-    the N trajectories.  It must write only where no other block writes.
-    An exception raised in a block reaches the caller once the running
-    blocks have stopped; the rest of its worker's share does not start.
+    the N trajectories and ``errors`` every gain's, those of a gain that
+    has left the block included, since it steps on there.  It must write
+    only where no other block writes.  An exception raised in a block
+    reaches the caller once the running blocks have stopped; the rest of
+    its worker's share does not start.
 
-    Returns, per gain, the first step at which a block dropped it, and
-    ``t_test + 1`` for a gain that no block dropped.
+    Returns, per gain, the first step at which it left a block, and
+    ``t_test + 1`` for a gain that left none.
     """
     # Not at module level: it imports logging, which every start would pay.
     from concurrent.futures import ThreadPoolExecutor
@@ -197,7 +193,7 @@ def _rollout_blocks(model: LinearGaussianModel, gains: np.ndarray,
     e0 = sample_initial_error(model, np.random.default_rng(cfg.seed),
                               size=cfg.n_traj)
     # A gain so large that F or D overflows gives inf and nan errors, which
-    # the guard drops at step 1; they are not warned about, here or in
+    # the guard flags at step 1; they are not warned about, here or in
     # _rollout.
     with np.errstate(over="ignore", invalid="ignore"):
         _, closed, drive = _closed_loop(model, gains,
@@ -248,7 +244,7 @@ def run_trajectories(model: LinearGaussianModel, gain: np.ndarray,
     gains = _checked_gain(model, gain, "gain")[np.newaxis]
     squared = np.empty((cfg.n_traj, cfg.t_test))
 
-    def keep(block, rows, t, alive, errors):
+    def keep(block, rows, t, errors):
         # The components of each error are squared and added in order.
         squared[rows, t - 1] = np.add.reduce(np.square(errors[0]), axis=0)
 
@@ -389,11 +385,11 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
     stack = np.array([gain for _, gain in named], dtype=float)
     sums = np.zeros((_BLOCKS, len(named), cfg.t_test))
 
-    def keep(block, rows, t, alive, errors):
+    def keep(block, rows, t, errors):
         # numpy's own loop rather than a BLAS dot product, which is faster
         # but splits a long vector across BLAS threads, so that its last
         # bits would follow the CPU count.
-        sums[block, alive, t - 1] = np.einsum("kij,kij->k", errors, errors)
+        sums[block, :, t - 1] = np.einsum("kij,kij->k", errors, errors)
 
     left = _rollout_blocks(model, stack, cfg, keep)
     # The blocks' sums are added in block order, whichever worker ran them.

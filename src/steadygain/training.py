@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import numbers
-import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -410,8 +409,6 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
         raise ValueError("need at least one seed")
     if not gammas:
         raise ValueError("need at least one discount")
-    for seed in seeds:
-        operator.index(seed)  # a fractional seed is a TypeError
     for name, values in (("seed", seeds), ("gamma", gammas)):
         for i, value in enumerate(values):
             replace(cfg, **{name: value})

@@ -519,8 +519,9 @@ class TestConfigHandling:
         ('[["a", 1], [2, 3]]', "is not a matrix of numbers"),
         ("[[1, 2], [3]]", "is not a matrix of numbers"),
         ("{not json", "is not JSON"),
+        ("[1, 2, 3]", "must be 2 x 2, got (3,)"),
     ], ids=["non-finite", "no-gain-entry", "string-entry", "ragged",
-            "not-json"])
+            "not-json", "wrong-shape"])
     def test_bad_gain_file_exits_two_before_rollout(
             self, tmp_path, capsys, monkeypatch, text, message):
         def no_rollout(*args, **kwargs):

@@ -262,24 +262,25 @@ class TestRollout:
         gains = np.asarray(gains, dtype=float)
         got = []
 
-        def keep(t, alive, errors):
+        def keep(t, errors):
             # errors is overwritten by the next step: square it now.
-            got.append((t, alive.copy(), (errors ** 2).sum(axis=1)))
+            got.append((t, (errors ** 2).sum(axis=1)))
 
         left = _rollout(model, *closed_loops(model, gains), t_test, e0,
                         np.random.default_rng(seed), keep)
         want = list(reference_rollout(model, gains, t_test, e0,
                                       np.random.default_rng(seed)))
-        # keep takes each step that leaves a gain in the stack.
+        # keep takes each step that leaves a gain going.
         assert len(got) == sum(alive.size > 0 for _, alive, _ in want)
         for k in range(len(gains)):
             assert left[k] == next(
                 (t for t, alive, _ in want if k not in alive), t_test + 1)
-        for (t, alive, squared), (t_ref, alive_ref, squared_ref) in zip(
-                got, want):
+        for (t, squared), (t_ref, alive_ref, squared_ref) in zip(got, want):
             assert t == t_ref
-            np.testing.assert_array_equal(alive, alive_ref)
-            assert squared.shape == squared_ref.shape
+            # A gain that has left steps on in its slot, which the
+            # reference no longer holds.
+            assert squared.shape == (len(gains), len(e0))
+            squared = squared[alive_ref]
             # An entry that cancels to near zero is held to the batch's
             # scale, as in TestStep.
             np.testing.assert_allclose(
@@ -293,8 +294,8 @@ class TestRollout:
         ("bad", "kinf", "zero"), ("instant", "kinf"),
         ("kinf", "instant", "bad", "zero"), ("bad",), ("instant",)])
     def test_gain_stacks_match_reference(self, bicycle, bicycle_dare, names):
-        # "bad" has rho = 1.406 and leaves the stack mid-run; "instant"
-        # leaves it at step 1.
+        # "bad" has rho = 1.406 and leaves mid-run; "instant" leaves at
+        # step 1.
         table = {"kinf": bicycle_dare.gain, "zero": np.zeros((2, 2)),
                  "slow": 0.5 * bicycle_dare.gain,
                  "offopt": bicycle_dare.gain + [[1e-3, 0.0], [0.0, -1e-2]],
@@ -480,10 +481,11 @@ class TestEvaluateGains:
 
     def test_gain_that_overflows_diverges_without_warning(self, bicycle,
                                                           bicycle_dare):
-        # Its errors pass 1e154 in the first step, so squaring them would
-        # overflow; a gain leaves the stack before its errors are squared,
-        # and Tier-1 turns any warning into an error.  "all_huge" makes
-        # (I - K C) A overflow to inf, so its first step meets inf - inf.
+        # Its errors pass 1e154 in the first step, so squaring them
+        # overflows; a gain that has left steps on and is squared with the
+        # rest under the rollout's errstate, and Tier-1 turns any warning
+        # into an error.  "all_huge" makes (I - K C) A overflow to inf, so
+        # its first step meets inf - inf.
         huge = np.array([[0.0, 0.0], [0.0, 1e307]])
         cfg = EvalConfig(n_traj=20, t_test=50, t_critical=10, seed=4)
         rows = evaluate_gains(bicycle, [("kinf", bicycle_dare.gain),
@@ -508,22 +510,33 @@ class TestEvaluateGains:
         assert 0 < excinfo.value.step < cfg.t_test
 
     def test_stacked_rows_equal_gains_alone(self, bicycle, bicycle_dare):
-        # A diverging gain between two good ones leaves their rows intact.
-        gains = [("kinf", bicycle_dare.gain),
+        # A diverging gain steps on in its slot and leaves the other rows
+        # intact bit for bit.  The stacks rotate each gain through every
+        # slot, the diverging one first too, and an odd n_traj splits the
+        # trajectories into blocks of 101 and 100.
+        named = [("kinf", bicycle_dare.gain),
                  ("bad", np.array([[0.0, 0.0], [0.0, -40.0]])),
                  ("zero", np.zeros((2, 2)))]
-        cfg = EvalConfig(n_traj=200, t_test=300, t_critical=100, seed=8)
-        stacked = evaluate_gains(bicycle, gains, cfg)
-        assert [row["status"] for row in stacked] == ["ok", "diverged", "ok"]
-        for row, named in zip(stacked, gains):
-            alone = evaluate_gains(bicycle, [named], cfg)[0]
-            assert row["status"] == alone["status"]
-            np.testing.assert_array_equal(
-                [row[key] for key in ("loss_tran", "loss_ss", "loss_full")],
-                [alone[key] for key in ("loss_tran", "loss_ss", "loss_full")])
-            if row["report"] is not None:
-                np.testing.assert_array_equal(row["report"].logmse_curve,
-                                              alone["report"].logmse_curve)
+        keys = ("loss_tran", "loss_ss", "loss_full")
+        for n_traj in (200, 201):
+            cfg = EvalConfig(n_traj=n_traj, t_test=300, t_critical=100,
+                             seed=8)
+            alone = {name: evaluate_gains(bicycle, [(name, gain)], cfg)[0]
+                     for name, gain in named}
+            assert [alone[name]["status"] for name, _ in named] == [
+                "ok", "diverged", "ok"]
+            for shift in range(len(named)):
+                gains = named[shift:] + named[:shift]
+                for row in evaluate_gains(bicycle, gains, cfg):
+                    single = alone[row["name"]]
+                    assert row["status"] == single["status"]
+                    np.testing.assert_array_equal(
+                        [row[key] for key in keys],
+                        [single[key] for key in keys])
+                    if row["report"] is not None:
+                        np.testing.assert_array_equal(
+                            row["report"].logmse_curve,
+                            single["report"].logmse_curve)
 
     def test_reports_match_per_trajectory_losses(self, bicycle, bicycle_dare):
         gains = [("kinf", bicycle_dare.gain), ("zero", np.zeros((2, 2)))]
@@ -553,7 +566,7 @@ class TestEvaluateGains:
 
 
 def block_gains(bicycle_dare):
-    # rho[(I - K C) A] = 1.406 under "bad": it leaves the stack mid-run.
+    # rho[(I - K C) A] = 1.406 under "bad": it leaves mid-run.
     return [("dare", bicycle_dare.gain),
             ("bad", np.array([[0.0, 0.0], [0.0, -0.5]])),
             ("zero", np.zeros((2, 2)))]
@@ -645,8 +658,8 @@ class TestBlocks:
         sums = np.zeros((3, cfg.t_test))
         left = []
 
-        def keep(t, alive, errors):
-            sums[alive, t - 1] += np.einsum("kij,kij->k", errors, errors)
+        def keep(t, errors):
+            sums[:, t - 1] += np.einsum("kij,kij->k", errors, errors)
 
         for block, rows in enumerate([slice(0, half), slice(half, n_traj)]):
             if rows.start == rows.stop:
@@ -707,14 +720,20 @@ class TestBlocks:
                                                     tmp_path):
         # A profiler that keeps one call stack per process, not per
         # thread, may wrap these names; the pool's workers call none, and
-        # they alone draw the noise.
+        # they alone draw the noise.  Each block's first draw waits for
+        # the other's, so that one worker cannot run both blocks in turn.
         seen = {}
+        meet = threading.Barrier(2, timeout=30)
 
         def recorded(owner, name):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                seen.setdefault(name, set()).add(threading.get_ident())
+                threads = seen.setdefault(name, set())
+                first = threading.get_ident() not in threads
+                threads.add(threading.get_ident())
+                if name == "_draw_normals" and first:
+                    meet.wait()
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)

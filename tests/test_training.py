@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -1294,7 +1295,8 @@ class TestTrainRuns:
 
     def test_fractional_seed_rejected(self, bicycle):
         # Truncating 1.5 would silently train seed 1.
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=re.escape(
+                "seed must be an integer >= 0, got 1.5")):
             train_runs(bicycle, TrainerConfig(max_iters=1), seeds=[0, 1.5])
 
     def test_bool_seed_rejected(self, bicycle):
