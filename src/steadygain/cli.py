@@ -290,7 +290,7 @@ def cmd_sweep_gamma(cfg: RunConfig, n_seeds: int = 10) -> int:
                     + ["ok"])
         print(f"gamma={gamma}: max |error| = {np.abs(err_pct).max():.4f}%")
     with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     print(f"wrote {out}")

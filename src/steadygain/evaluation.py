@@ -95,9 +95,8 @@ class EvalReport:
     logmse_curve: np.ndarray = field(repr=False)
 
 
-def _rollout(model: LinearGaussianModel, closed: np.ndarray,
-             drive: np.ndarray, t_test: int, e0: np.ndarray,
-             rng: np.random.Generator, keep) -> np.ndarray:
+def _rollout(closed: np.ndarray, drive: np.ndarray, t_test: int,
+             e0: np.ndarray, rng: np.random.Generator, keep) -> np.ndarray:
     """Advance one trajectory set under a stack of gains, step by step.
 
     Every gain of the stack starts from the same initial errors ``e0``
@@ -110,10 +109,11 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
     :func:`cov_factor` factors of Q and R, and w = (xi, zeta) the raw
     standard normals.  This is the error transition
     e' = (I - K C)(A e + E L_Q xi) - K L_R zeta with the noise colouring
-    folded into D.  Each step fills w, p rows for xi over r rows for zeta
-    with the N trajectories on the last axis, from ``rng`` in one call by
-    :func:`_draw_normals`, as training does, and advances the (count, n, N)
-    error stack, trajectories on the last axis too.
+    folded into D.  Each step fills w, a row per column of D (p rows for xi
+    over r rows for zeta) with the N trajectories on the last axis, from
+    ``rng`` in one call by :func:`_draw_normals`, as training does, and
+    advances the (count, n, N) error stack, trajectories on the last axis
+    too.
 
     A gain leaves at the step where :func:`diverged_runs` first flags its
     errors (non-finite or beyond the guard), the step that the returned
@@ -134,7 +134,7 @@ def _rollout(model: LinearGaussianModel, closed: np.ndarray,
     state = np.repeat(e0.T[np.newaxis], count, axis=0)
     spare, driven = np.empty_like(state), np.empty_like(state)
     normals = [rng.standard_normal]
-    w = np.empty((1, model.p + model.r, size))
+    w = np.empty((1, drive.shape[-1], size))
     left = np.full(count, t_test + 1)
     # A gain that has left steps on, and its errors, squared by keep too,
     # may overflow to inf and nan.
@@ -204,7 +204,7 @@ def _rollout_blocks(model: LinearGaussianModel, gains: np.ndarray,
 
     def run(block):
         rows = slice(edges[block], edges[block + 1])
-        return _rollout(model, closed, drive, cfg.t_test, e0[rows],
+        return _rollout(closed, drive, cfg.t_test, e0[rows],
                         np.random.Generator(np.random.SFC64(streams[block])),
                         partial(keep, block, rows))
 
@@ -411,7 +411,7 @@ def evaluate_gains(model: LinearGaussianModel, gains, cfg: EvalConfig
 def write_eval_csv(rows: list[dict], path) -> None:
     """One summary row per evaluated gain."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "loss_tran", "loss_ss", "loss_full", "status"])
         for row in rows:
             writer.writerow([row["name"], row["loss_tran"], row["loss_ss"],

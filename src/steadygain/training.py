@@ -3,16 +3,19 @@
 The critic is the quadratic value V(s; w) = -s^T w s with a symmetric
 weight matrix w; the actor is the constant gain matrix itself.  Each
 iteration forms one law of the pool's next error s' under the current
-gain; against it the critic takes a semi-gradient temporal-difference
-step (bootstrap target frozen), the actor ascends the exact derivative of
-the one-step return through the linear transition, and Adam applies both
-(:func:`adam_update` descends, so the actor hands it its negated gradient).
+gain, which returns the critic's temporal-difference error of each member
+and the actor's two moments of s'; neither step takes a law.  The critic
+takes a semi-gradient step on the TD error (bootstrap target frozen), the
+actor ascends the exact derivative of the one-step return through the
+linear transition, and Adam applies both (:func:`adam_update` descends,
+so the actor hands it its negated gradient).
 
-The two gradient estimators differ only in that law: ``"sampled"`` draws
-one noise realization per pool member, and ``"analytic"`` (the default)
-integrates the Gaussian noise out, which removes the measurement-noise
-sampling variance that otherwise dominates the gain columns tied to
-low-noise measurements; the pool itself still evolves stochastically.
+Each gradient estimator is one law function: ``"sampled"``
+(:func:`_drawn_law`) draws one noise realization per pool member, and
+``"analytic"`` (:func:`_integrated_law`, the default) integrates the
+Gaussian noise out, which removes the measurement-noise sampling variance
+that otherwise dominates the gain columns tied to low-noise measurements;
+the pool itself still evolves stochastically.
 
 :func:`train_runs` advances a grid of discounts x seeds as one stack of
 runs on a leading axis, with one set of array operations per iteration:
@@ -35,7 +38,6 @@ from __future__ import annotations
 import csv
 import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -168,7 +170,7 @@ class TrainHistory:
                                self.critic_loss[:, None],
                                self.actor_loss[:, None]), axis=1)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows([k, *row.tolist()]
                              for k, row in zip(self.iters.tolist(), rows))
@@ -184,33 +186,16 @@ def critic_value(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     return -np.einsum("...bi,...ij,...bj->...b", s, w, s)
 
 
-class _ErrorLaw(NamedTuple):
-    """Law of s' given the pool s, from :func:`_drawn_law` or
-    :func:`_integrated_law`.
-
-    Both laws carry ``cross`` and ``second``; only ``drawn``, None when the
-    noise was integrated out, tells them apart.  With M_w = I + gamma w, the
-    critic's TD error is V(s'; M_w) - V(s; w) drawn, V(s; F^T M_w F - w) -
-    tr(M_w Sigma) integrated, and the actor's loss -tr(M_w second) on both.
-    """
-
-    cross: np.ndarray
-    second: np.ndarray
-    drawn: np.ndarray | None = None
-    closed: np.ndarray | None = None
-    cov: np.ndarray | None = None
-
-
-def _drawn_law(model: LinearGaussianModel, theta: np.ndarray,
-               pool: np.ndarray, process: np.ndarray, measured: np.ndarray
-               ) -> _ErrorLaw:
+def _drawn_law(model: LinearGaussianModel, theta: np.ndarray, w, gamma_col,
+               pool: np.ndarray, process: np.ndarray, measured: np.ndarray):
     """Law of one draw: s' = z - theta v, z = A s + E xi, v = C z + zeta.
 
     ``pool`` holds the errors s on its last axis, (..., n, M), and
     ``process`` and ``measured`` the noise E xi and zeta of each member,
     (..., n, M) and (..., r, M).  A stack of G S pools may take noise for
-    S of them, which each block of S pools reads in turn.  ``drawn`` is s',
-    ``cross`` the batch mean of s' v^T and ``second`` that of s' s'^T.
+    S of them, which each block of S pools reads in turn.  Returns each
+    member's TD error V(s'; M_w) - V(s; w), M_w = I + gamma w, the batch
+    means ``cross`` of s' v^T and ``second`` of s' s'^T, and s'.
     """
     m_count = pool.shape[-1]
     nxt = model.A @ pool
@@ -218,8 +203,10 @@ def _drawn_law(model: LinearGaussianModel, theta: np.ndarray,
     v = model.C @ nxt
     _add_per_block(v, measured)
     nxt -= theta @ v
-    return _ErrorLaw(cross=nxt @ v.swapaxes(-1, -2) / m_count,
-                     second=nxt @ nxt.swapaxes(-1, -2) / m_count, drawn=nxt)
+    mw = model.eye + gamma_col * w
+    td = _quadratic_form(w, pool) - _quadratic_form(mw, nxt)
+    return (td, nxt @ v.swapaxes(-1, -2) / m_count,
+            nxt @ nxt.swapaxes(-1, -2) / m_count, nxt)
 
 
 def _add_per_block(total: np.ndarray, term: np.ndarray) -> None:
@@ -230,23 +217,27 @@ def _add_per_block(total: np.ndarray, term: np.ndarray) -> None:
     blocks += term
 
 
-def _integrated_law(model: LinearGaussianModel, theta: np.ndarray,
-                    pool: np.ndarray, loop) -> _ErrorLaw:
+def _integrated_law(model: LinearGaussianModel, theta: np.ndarray, w,
+                    gamma_col, pool: np.ndarray, loop):
     """Law of s' with the noise integrated out, for a pool (..., n, M).
 
     ``loop`` is theta's :func:`_closed_loop`, (I - theta C, F, D): E[s' | s]
-    is F s with ``closed`` F, and ``cov`` Sigma = D D^T is the covariance of
-    s' given s.  With P = s s^T / M the pool's second moment, ``second`` is
-    F P F^T + Sigma and ``cross`` (F P A^T + (I - theta C) E Q E^T) C^T -
-    theta R.
+    is F s, and Sigma = D D^T is the covariance of s' given s.  Returns the
+    critic's TD error td = V(s; F^T M_w F - w) - tr(M_w Sigma) of each
+    member, M_w = I + gamma w, and, with P = s s^T / M the pool's second
+    moment, ``cross`` (F P A^T + (I - theta C) E Q E^T) C^T - theta R and
+    ``second`` F P F^T + Sigma.
     """
     filtered, closed, drive = loop
     fp = closed @ (pool @ pool.swapaxes(-1, -2) / pool.shape[-1])
     cov = drive @ drive.swapaxes(-1, -2)
     cross = (fp @ model.A_T + filtered @ model.effective_process_cov()
              ) @ model.C_T - theta @ model.R
-    return _ErrorLaw(cross=cross, second=fp @ closed.swapaxes(-1, -2) + cov,
-                     closed=closed, cov=cov)
+    mw = model.eye + gamma_col * w
+    g = w - closed.swapaxes(-1, -2) @ mw @ closed
+    td = _quadratic_form(g, pool) - (mw @ cov).trace(
+        axis1=-2, axis2=-1)[..., None]
+    return td, cross, fp @ closed.swapaxes(-1, -2) + cov
 
 
 def _quadratic_form(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -254,29 +245,20 @@ def _quadratic_form(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.add.reduce((g @ x) * x, axis=-2)
 
 
-def _critic_step(model, law: _ErrorLaw, w: np.ndarray, pool, gamma_col):
-    """Semi-gradient TD loss and gradient of the critic ``w`` on ``law``.
+def _critic_step(td: np.ndarray, pool: np.ndarray):
+    """Semi-gradient TD loss and gradient of the critic on a law's ``td``.
 
-    The pool is (..., n, M) and the discounts a column (..., 1, 1).  The
-    loss is the pool mean of 0.5 td^2 with td = r' + gamma V(s'; w) -
-    V(s; w) = V(s'; M_w) - V(s; w), M_w = I + gamma w, drawn; integrated,
-    td = V(s; F^T M_w F - w) - tr(M_w Sigma).  The target is held
-    constant, so the gradient is the pool mean of td s s^T, symmetrized.
+    The pool is (..., n, M) and ``td`` its members' TD errors (..., M).
+    The loss is the pool mean of 0.5 td^2.  The target is held constant,
+    so the gradient is the pool mean of td s s^T, symmetrized.
     """
-    mw = model.eye + gamma_col * w
-    if law.drawn is not None:
-        td = _quadratic_form(w, pool) - _quadratic_form(mw, law.drawn)
-    else:
-        g = w - law.closed.swapaxes(-1, -2) @ mw @ law.closed
-        td = _quadratic_form(g, pool) - (mw @ law.cov).trace(
-            axis1=-2, axis2=-1)[..., None]
     m_count = pool.shape[-1]
     loss = 0.5 * (np.add.reduce(td * td, -1) / m_count)
     grad = (pool * td[..., None, :]) @ pool.swapaxes(-1, -2) / m_count
     return loss, symmetrize(grad)
 
 
-def _actor_step(model: LinearGaussianModel, law: _ErrorLaw, w, gamma_col):
+def _actor_step(model: LinearGaussianModel, cross, second, w, gamma_col):
     """Loss -tr(M_w second) and its gradient -2 M_w cross, either law.
 
     The loss is the one-step return r' + gamma V(s'; w), differentiated
@@ -286,8 +268,8 @@ def _actor_step(model: LinearGaussianModel, law: _ErrorLaw, w, gamma_col):
     is symmetric.
     """
     mw = model.eye + gamma_col * w
-    loss = -(mw @ law.second).trace(axis1=-2, axis2=-1)
-    return loss, (-2.0 * mw) @ law.cross
+    loss = -(mw @ second).trace(axis1=-2, axis2=-1)
+    return loss, (-2.0 * mw) @ cross
 
 
 @dataclass
@@ -379,13 +361,13 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
     its seed and discount, never on what else is in the stack.
 
     Per run, the critic starts at the identity and the actor at zero.  Each
-    iteration forms one law of the pool's next error, shared by the
-    evaluation and improvement steps, then advances the pool: by the drawn
-    transition under the old gain (``"sampled"``), or under the updated
-    gain in the evaluation rollout's closed-loop form e' = F e + D w, whose
-    F and D then serve the next law (``"analytic"``).  A run stops only
-    when it diverges, with its message in ``errors``, or at
-    ``cfg.max_iters``; the other runs go on.  Every run is checked after
+    iteration forms one law of the pool's next error, which returns the
+    critic's TD error and the actor's two moments, then advances the pool:
+    by the drawn transition under the old gain (``"sampled"``), or under
+    the updated gain in the evaluation rollout's closed-loop form
+    e' = F e + D w, whose F and D then serve the next law (``"analytic"``).
+    A run stops only when it diverges, with its message in ``errors``, or
+    at ``cfg.max_iters``; the other runs go on.  Every run is checked after
     each k = 0 .. ``cfg.max_iters`` iterations, before iteration k + 1: the
     check after 0 iterations reads the initial pools, so a seed whose pool
     is already beyond the guard stops every discount's run of it at
@@ -524,22 +506,23 @@ def train_runs(model: LinearGaussianModel, cfg: TrainerConfig, seeds=None,
 
             drawn = _draw_normals(normals, noise)
             if sampled:
-                law = _drawn_law(model, theta, pool,
-                                 process_factor @ drawn[:, :p],
-                                 r_factor @ drawn[:, p:])
+                td, cross, second, nxt = _drawn_law(
+                    model, theta, w, gamma_col, pool,
+                    process_factor @ drawn[:, :p], r_factor @ drawn[:, p:])
             else:
-                law = _integrated_law(model, theta, pool, loop)
-            c_loss, c_grad = _critic_step(model, law, w, pool, gamma_col)
+                td, cross, second = _integrated_law(model, theta, w,
+                                                    gamma_col, pool, loop)
+            c_loss, c_grad = _critic_step(td, pool)
             # w stays exactly symmetric, as _actor_step needs: it starts at
             # I, c_grad is exactly symmetric and Adam acts elementwise.
             w, m_w, v_w = adam_update(w, c_grad, m_w, v_w, k + 1,
                                       cfg.lr_critic)
-            a_loss, a_grad = _actor_step(model, law, w, gamma_col)
+            a_loss, a_grad = _actor_step(model, cross, second, w, gamma_col)
             theta, m_theta, v_theta = adam_update(
                 theta, a_grad, m_theta, v_theta, k + 1, cfg.lr_actor)
             if sampled:
                 # This draw's transition under the old gain.
-                pool = law.drawn
+                pool = nxt
             else:
                 # The updated gain's closed loop advances the pool by this
                 # step's normals, and serves the next iteration's law.

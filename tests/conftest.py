@@ -60,24 +60,27 @@ def kernel_steps(model, w, theta, batch, noise=None, gamma=0.99):
     critic ``w`` and gain ``theta`` per batch and ``gamma`` one discount or
     one per run.  ``noise`` is a draw ``(xi, zeta)`` as ``step`` takes it,
     (M, .) or (K, M, .) each; None integrates the noise out.  The batch
-    becomes the pool (..., n, M) that training holds, and ``_critic_step``
-    and ``_actor_step`` run on its ``_drawn_law`` or ``_integrated_law``.
-    Returns (critic loss, critic gradient) and (actor loss, actor
-    gradient), the actor's gradient that of the return it ascends.
+    becomes the pool (..., n, M) that training holds.  Its ``_drawn_law``
+    or ``_integrated_law`` returns the TD error, which ``_critic_step``
+    reads, and the two moments, which ``_actor_step`` reads; neither step
+    takes a law.  Returns (critic loss, critic gradient) and (actor loss,
+    actor gradient), the actor's gradient that of the return it ascends.
     """
     pool = _transposed(np.asarray(batch, dtype=float))
     theta = np.asarray(theta, dtype=float)
-    if noise is None:
-        law = training._integrated_law(model, theta, pool, _closed_loop(
-            model, theta, model.E @ cov_factor(model.Q), cov_factor(model.R)))
-    else:
-        xi, zeta = noise
-        law = training._drawn_law(model, theta, pool,
-                                  model.E @ _transposed(xi),
-                                  _transposed(zeta))
     gamma_col = np.reshape(gamma, np.shape(gamma) + (1, 1))
     w = np.asarray(w, dtype=float)
-    critic = training._critic_step(model, law, w, pool, gamma_col)
-    actor_loss, descent = training._actor_step(model, law, symmetrize(w),
-                                               gamma_col)
+    if noise is None:
+        td, cross, second = training._integrated_law(
+            model, theta, w, gamma_col, pool, _closed_loop(
+                model, theta, model.E @ cov_factor(model.Q),
+                cov_factor(model.R)))
+    else:
+        xi, zeta = noise
+        td, cross, second, _ = training._drawn_law(
+            model, theta, w, gamma_col, pool, model.E @ _transposed(xi),
+            _transposed(zeta))
+    critic = training._critic_step(td, pool)
+    actor_loss, descent = training._actor_step(model, cross, second,
+                                               symmetrize(w), gamma_col)
     return critic, (actor_loss, -descent)

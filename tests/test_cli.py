@@ -638,6 +638,18 @@ class TestConfigHandling:
         assert doc["seeds"] == [5]
 
 
+def test_every_csv_ends_rows_with_lf(tmp_path):
+    # A shell check such as grep '^dare,.*,ok$' matches only LF rows.
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["sweep-gamma", "--config", str(cfg), "--seeds", "1"]) == 0
+    assert main(["eval", "--config", str(cfg), "--gain", "dare"]) == 0
+    for name in ("train_history.csv", "sweep.csv", "eval.csv"):
+        written = (tmp_path / "out" / name).read_bytes()
+        assert written.endswith(b"\n")
+        assert b"\r" not in written, name
+
+
 class TestConsoleEntryPoint:
     def test_installed_script(self, tmp_path):
         proc = subprocess.run(

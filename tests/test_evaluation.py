@@ -266,7 +266,7 @@ class TestRollout:
             # errors is overwritten by the next step: square it now.
             got.append((t, (errors ** 2).sum(axis=1)))
 
-        left = _rollout(model, *closed_loops(model, gains), t_test, e0,
+        left = _rollout(*closed_loops(model, gains), t_test, e0,
                         np.random.default_rng(seed), keep)
         want = list(reference_rollout(model, gains, t_test, e0,
                                       np.random.default_rng(seed)))
@@ -665,7 +665,7 @@ class TestBlocks:
             if rows.start == rows.stop:
                 continue
             left.append(_rollout(
-                bicycle, closed, drive, cfg.t_test, e0[rows],
+                closed, drive, cfg.t_test, e0[rows],
                 np.random.Generator(np.random.SFC64(streams[block])), keep))
         rows = evaluate_gains(bicycle, gains, cfg)
         for k in (0, 2):
@@ -684,7 +684,7 @@ class TestBlocks:
 
         rollout, starts = evaluation._rollout, []
 
-        def failing_first_block(model, closed, drive, t_test, e0, rng, keep):
+        def failing_first_block(closed, drive, t_test, e0, rng, keep):
             # Block 0, the first 20 of the 40 seeded initial errors, fails
             # midway, once the caller waits on it.
             def failing_keep(t, *args):
@@ -694,7 +694,7 @@ class TestBlocks:
 
             starts.append(len(e0))
             block_0 = np.array_equal(e0, first_rows)
-            return rollout(model, closed, drive, t_test, e0, rng,
+            return rollout(closed, drive, t_test, e0, rng,
                            failing_keep if block_0 else keep)
 
         cfg = EvalConfig(n_traj=40, t_test=50, t_critical=10, seed=2)

@@ -629,7 +629,7 @@ def row_by_row_csv(history, path):
               + [f"d{i + 1}{j + 1}" for i in range(n) for j in range(r)]
               + ["critic_loss", "actor_loss"])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for k, iteration in enumerate(history.iters.tolist()):
             writer.writerow([iteration]
